@@ -98,7 +98,8 @@ class Diagnostic:
     span: Optional[Span] = field(default=None, compare=False)
 
     def __post_init__(self):
-        assert self.kind in DIAGNOSTIC_KINDS, self.kind
+        if self.kind not in DIAGNOSTIC_KINDS:
+            raise ValueError(f"unknown diagnostic kind: {self.kind!r}")
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "message": self.message}

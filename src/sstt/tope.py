@@ -1,29 +1,30 @@
-"""Second layer: topes, and the decision procedure for tope entailment.
+r"""Second layer: topes, and the decision procedure for tope entailment.
 
 A tope is a positive formula (top, bottom, conjunction, disjunction,
 inequality, strict equality) over interval-valued points of a cube context.
 Negation, implication and quantifiers do not exist in this layer.
 
-Entailment ``Xi | Phi |- phi`` is decided semantically.  The models of the
-theory are valuations of the interval atoms into an arbitrary bounded total
-order with distinct endpoints, and the truth of a positive formula under a
-valuation depends only on the induced weak order (total preorder) of the
-atoms together with the endpoints 0 and 1.  There are finitely many such weak
-orders, so the procedure is: DNF-expand the hypothesis, and for each disjunct
-check the goal under every admissible weak order consistent with it.  A
-failed entailment comes with one violating weak order as a counter-model.
-
-Admissible weak orders place 0 in the bottom block and 1 in the top block,
-strictly apart; this builds in the axioms 0 <= x, x <= 1 and 0 /= 1.
+The models of the theory are valuations of the interval atoms into a bounded
+total order with distinct endpoints, so ``Xi | Phi |- psi`` holds iff no
+total order satisfies ``Phi`` and falsifies ``psi``.  The procedure searches
+for such an order.  It DNF-expands the hypothesis and closes each disjunct's
+literals, together with 0 < 1 and 0 <= x <= 1, into a partial order on the
+points, kept as bit sets; a disjunct whose closure puts a point strictly
+above itself is unsatisfiable.  It then tries to falsify the goal with a
+small tableau: not (A \/ B) adds both negations, not (A /\ B) branches,
+not (x <= y) adds y < x, and not (x === y) branches on x < y or y < x.
+Obligations that do not branch go first, and a branch is dropped as soon as
+its closure is contradictory.  A surviving branch is a counter-model, read
+off as the weak order of its points: 0 in the bottom block, 1 in the top.
+Closing and checking one branch takes time polynomial in the number of
+points; the DNF disjuncts and the tableau branches are each bounded by
+``MAX_DISJUNCTS``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
-
-import numpy as np
 
 from .cube import (
     CONE,
@@ -51,7 +52,7 @@ class TopeError(Exception):
 
 
 class TopeTooLargeError(TopeError):
-    """DNF expansion exceeded MAX_DISJUNCTS disjuncts."""
+    """The DNF or the refutation search exceeded MAX_DISJUNCTS branches."""
 
 
 # ---------------------------------------------------------------------------
@@ -290,35 +291,6 @@ class EntailResult:
         return self.yes
 
 
-_RANK_CACHE: dict[int, np.ndarray] = {}
-
-
-def _rank_matrix(n_atoms: int) -> np.ndarray:
-    """All admissible weak orders of 0, 1, and n_atoms atoms, as a matrix of
-    ranks with columns [0, 1, atom_0, ..., atom_{n-1}].
-
-    0 always has the minimum rank and 1 the maximum rank, strictly apart;
-    atoms may tie with either endpoint or with each other.
-    """
-    if n_atoms in _RANK_CACHE:
-        return _RANK_CACHE[n_atoms]
-    top = n_atoms + 1
-    seen: set[tuple[int, ...]] = set()
-    rows: list[tuple[int, ...]] = []
-    for assignment in itertools.product(range(top + 1), repeat=n_atoms):
-        ranks = (0, top) + assignment
-        used = sorted(set(ranks))
-        compress = {r: i for i, r in enumerate(used)}
-        canon = tuple(compress[r] for r in ranks)
-        if canon not in seen:
-            seen.add(canon)
-            rows.append(canon)
-    rows.sort()
-    mat = np.array(rows, dtype=np.int64) if rows else np.zeros((0, 2), dtype=np.int64)
-    _RANK_CACHE[n_atoms] = mat
-    return mat
-
-
 def _collect_atoms(ts: list[Tope]) -> list[CubeExpr]:
     atoms: list[CubeExpr] = []
     seen: set[CubeExpr] = set()
@@ -342,22 +314,127 @@ def _collect_atoms(ts: list[Tope]) -> list[CubeExpr]:
     return atoms
 
 
-def _eval_tope(t: Tope, ranks: np.ndarray, col: dict[CubeExpr, int]) -> np.ndarray:
-    """Truth of ``t`` (atoms already normalized) under every weak order."""
+# ---------------------------------------------------------------------------
+# Partial orders on points
+#
+# Points are numbered 0 (the endpoint 0), 1 (the endpoint 1), then the atoms.
+# A partial order is two lists of bit sets: up[p] holds the points known to
+# be >= p (p included) and above[p] the points known to be > p.
+
+def _assume(up: list[int], above: list[int], a: int, b: int, strict: bool) -> bool:
+    """Add a <= b (a < b if strict) and close the order transitively.
+    False if that puts some point strictly above itself."""
+    if (above if strict else up)[a] >> b & 1:
+        return True
+    if (up if strict else above)[b] >> a & 1:
+        return False
+    bit = 1 << a
+    ub, ab = up[b], above[b]
+    for p, u in enumerate(up):
+        if u & bit:
+            up[p] = u | ub
+            above[p] |= ub if strict or above[p] & bit else ab
+    return True
+
+
+def _close_disjunct(disjunct: list[Tope], index: dict[CubeExpr, int],
+                    n_points: int) -> Optional[tuple[list[int], list[int]]]:
+    """The partial order of a DNF disjunct, with 0 < 1 and 0 <= x <= 1 for
+    every atom x; None if the disjunct is unsatisfiable."""
+    up = [(1 << n_points) - 1, 0b10] + [(1 << p) | 0b10 for p in range(2, n_points)]
+    above = [0b10] + [0] * (n_points - 1)
+    for lit in disjunct:
+        a, b = index[lit.left], index[lit.right]
+        if not _assume(up, above, a, b, False):
+            return None
+        if isinstance(lit, TEq) and not _assume(up, above, b, a, False):
+            return None
+    return up, above
+
+
+# ---------------------------------------------------------------------------
+# Refutation search
+#
+# The negated goal is compiled into a conjunction (a list) of obligations.
+# An obligation is a pair (a, b), which demands a < b, or a choice: a list of
+# alternatives, each itself a conjunction.  None stands for falsity.
+
+def _negate(t: Tope, index: dict[CubeExpr, int]) -> Optional[list]:
+    """The obligations of ``not t``; models are total orders, so not (x <= y)
+    is y < x and not (x === y) is x < y or y < x."""
     match t:
         case TTop():
-            return np.ones(ranks.shape[0], dtype=bool)
+            return None
         case TBot():
-            return np.zeros(ranks.shape[0], dtype=bool)
-        case TAnd(a, b):
-            return _eval_tope(a, ranks, col) & _eval_tope(b, ranks, col)
-        case TOr(a, b):
-            return _eval_tope(a, ranks, col) | _eval_tope(b, ranks, col)
-        case TLe(a, b):
-            return ranks[:, col[a]] <= ranks[:, col[b]]
-        case TEq(a, b):
-            return ranks[:, col[a]] == ranks[:, col[b]]
+            return []
+        case TLe(x, y):
+            return [(index[y], index[x])]
+        case TEq(x, y):
+            a, b = index[x], index[y]
+            return [[[(a, b)], [(b, a)]]]
+        case TOr(l, r):
+            nl = _negate(l, index)
+            nr = None if nl is None else _negate(r, index)
+            return None if nr is None else nl + nr
+        case TAnd(l, r):
+            alts: list = []
+            for side in (_negate(l, index), _negate(r, index)):
+                if side is None:
+                    continue
+                if not side:
+                    return []
+                if len(side) == 1 and type(side[0]) is list:
+                    alts += side[0]
+                else:
+                    alts.append(side)
+            if not alts:
+                return None
+            return alts[0] if len(alts) == 1 else [alts]
     raise TopeError(f"not a tope: {t!r}")
+
+
+def _settle(up: list[int], above: list[int], todo: list) -> Optional[list]:
+    """Add every pair obligation, then drop the alternatives the order
+    already refutes and the choices it already meets, until no choice has
+    a single alternative left.  Returns the open choices, or None if the
+    branch closes."""
+    choices: list = []
+    while True:
+        while todo:
+            item = todo.pop()
+            if type(item) is list:
+                choices.append(item)
+            elif not _assume(up, above, item[0], item[1], True):
+                return None
+        open_choices = []
+        for alts in choices:
+            live = []
+            for alt in alts:
+                if all(type(o) is tuple and above[o[0]] >> o[1] & 1 for o in alt):
+                    break
+                if not any(type(o) is tuple and up[o[1]] >> o[0] & 1 for o in alt):
+                    live.append(alt)
+            else:
+                if not live:
+                    return None
+                if len(live) == 1:
+                    todo += live[0]
+                else:
+                    open_choices.append(live)
+        choices = open_choices
+        if not todo:
+            return choices
+
+
+def _weak_order(up: list[int], names: list[str]) -> WeakOrder:
+    """The counter-model of a surviving branch: points with equal up-sets
+    are tied, and a larger up-set lies lower.  Sorting by size extends the
+    partial order to a total one."""
+    classes: dict[int, list[str]] = {}
+    for name, u in zip(names, up):
+        classes.setdefault(u, []).append(name)
+    ordered = sorted(classes.items(), key=lambda item: -item[0].bit_count())
+    return WeakOrder(tuple(tuple(sorted(block)) for _, block in ordered))
 
 
 _ENTAILS_CACHE: dict[tuple[Tope, Tope], EntailResult] = {}
@@ -379,31 +456,36 @@ def entails(seq: Sequent) -> EntailResult:
 
 
 def _entails_normalized(hyp: Tope, goal: Tope) -> EntailResult:
+    disjuncts = dnf(hyp)
     atoms = _collect_atoms([hyp, goal])
-    ranks = _rank_matrix(len(atoms))
-    col: dict[CubeExpr, int] = {CZERO: 0, CONE: 1}
+    index: dict[CubeExpr, int] = {CZERO: 0, CONE: 1}
     for i, a in enumerate(atoms):
-        col[a] = i + 2
-    goal_v = _eval_tope(goal, ranks, col)
-    for disjunct in dnf(hyp):
-        mask = np.ones(ranks.shape[0], dtype=bool)
-        for lit in disjunct:
-            mask &= _eval_tope(lit, ranks, col)
-        bad = mask & ~goal_v
-        if bad.any():
-            row = ranks[int(np.argmax(bad))]
-            return EntailResult(False, _weak_order_from_row(row, atoms))
-    return EntailResult(True)
-
-
-def _weak_order_from_row(row: np.ndarray, atoms: list[CubeExpr]) -> WeakOrder:
+        index[a] = i + 2
+    negated = _negate(goal, index)
+    if negated is None:
+        return EntailResult(True)
     names = ["0", "1"] + [str(a) for a in atoms]
-    nblocks = int(row.max()) + 1
-    blocks = tuple(
-        tuple(sorted(names[i] for i in range(len(names)) if row[i] == r))
-        for r in range(nblocks)
-    )
-    return WeakOrder(blocks)
+    branches = 0
+    for disjunct in disjuncts:
+        order = _close_disjunct(disjunct, index, len(names))
+        if order is None:
+            continue
+        stack = [(*order, list(negated))]
+        while stack:
+            up, above, todo = stack.pop()
+            choices = _settle(up, above, todo)
+            if choices is None:
+                continue
+            if not choices:
+                return EntailResult(False, _weak_order(up, names))
+            first, rest = choices[0], choices[1:]
+            branches += len(first)
+            if branches > MAX_DISJUNCTS:
+                raise TopeTooLargeError(
+                    f"tope too large: more than {MAX_DISJUNCTS} refutation branches")
+            for alt in reversed(first):
+                stack.append((up[:], above[:], rest + alt))
+    return EntailResult(True)
 
 
 def clear_caches() -> None:

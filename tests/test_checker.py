@@ -1,6 +1,6 @@
 import pytest
 
-from sstt.checker import CheckError, Checker
+from sstt.checker import CheckError, Checker, Diagnostic
 from sstt.core import (
     U,
     App,
@@ -141,3 +141,9 @@ def test_ext_app_outside_shape_rejected(checker, corpus_env):
     with pytest.raises(CheckError) as err:
         checker.infer_type(ctx, ExtApp(Var("q"), CPair(CVar("t1"), CVar("t2"))))
     assert err.value.diagnostic.kind == "tope-unsolved"
+
+
+def test_diagnostic_rejects_unknown_kind():
+    assert Diagnostic("tope-unsolved", "m").kind == "tope-unsolved"
+    with pytest.raises(ValueError, match="no-such-kind"):
+        Diagnostic("no-such-kind", "m")

@@ -9,10 +9,10 @@ from sstt.cli import main
 from sstt.corpus import CORPUS_DIR
 
 
-def run_cli(*argv):
+def run_cli(*argv, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "sstt.cli", *argv],
-        capture_output=True, text=True,
+        capture_output=True, text=True, timeout=timeout,
     )
     return proc
 
@@ -96,3 +96,55 @@ def test_no_color_env(monkeypatch, capsys):
 def test_entry_point_runs():
     proc = run_cli("tope", "t : 2 | t === 0 |- t <= 1")
     assert proc.returncode == 0
+
+
+def test_import_does_not_load_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, sstt.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_tope_eight_variable_chain():
+    names = "abcdefgh"
+    ctx = ", ".join(f"{n} : 2" for n in names)
+    hyp = " /\\ ".join(f"{a} <= {b}" for a, b in zip(names, names[1:]))
+    proc = run_cli("--machine", "tope", f"{ctx} | {hyp} |- a <= h", timeout=10)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {"holds": True}
+
+
+def chained_links(k):
+    """Cube variables, hypothesis and goal of a valid sequent whose
+    refutation branches 2**k times: not (goal) asks for x0 < x1 < ... < xk,
+    link i through ai or bi, and only the whole chain meets xk <= x0."""
+    names = [f"x{i}" for i in range(k + 1)] + [f"{c}{i}" for i in range(k) for c in "ab"]
+    goal = " \\/ ".join(
+        f"((a{i} <= x{i} \\/ x{j} <= a{i}) /\\ (b{i} <= x{i} \\/ x{j} <= b{i}))"
+        for i, j in zip(range(k), range(1, k + 1)))
+    return names, f"x{k} <= x0", goal
+
+
+def test_tope_search_budget(capsys):
+    names, hyp, goal = chained_links(4)
+    ctx = ", ".join(f"{n} : 2" for n in names)
+    assert main(["--machine", "tope", f"{ctx} | {hyp} |- {goal}"]) == 0
+    capsys.readouterr()
+    names, hyp, goal = chained_links(12)
+    ctx = ", ".join(f"{n} : 2" for n in names)
+    assert main(["--machine", "tope", f"{ctx} | {hyp} |- {goal}"]) == 2
+    assert "too large" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_check_reports_tope_too_large(capsys, tmp_path):
+    names, hyp, goal = chained_links(12)
+    src = tmp_path / "big.sstt"
+    src.write_text(f"def big ({' '.join(names)} : 2) {{{hyp}}} (A : U) (a : A) : A :=\n"
+                   f"  [ {goal} |-> a ]\n")
+    code = main(["--machine", "check", str(src)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    kinds = [d["kind"] for f in payload["files"] for d in f["diagnostics"]]
+    assert kinds == ["tope-too-large"]

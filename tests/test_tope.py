@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from generators import random_sequent, random_tope
 from oracle import oracle_entails
-from sstt.cube import INTERVAL, CONE, CZERO, CFst, CPair, CSnd, CVar, ProdCube
+from sstt.cube import INTERVAL, CONE, CZERO, CFst, COne, CPair, CSnd, CVar, CZero, ProdCube
 from sstt.tope import (
     Sequent,
     Shape,
@@ -20,6 +20,8 @@ from sstt.tope import (
     normalize_tope,
     shape_included,
     subst_tope,
+    tope_and,
+    tope_or,
     tope_unsatisfiable,
 )
 
@@ -82,6 +84,53 @@ def test_entailment_result_has_no_model():
     assert res.yes and res.counter_model is None
 
 
+def ranks(model) -> dict[str, int]:
+    return {name: i for i, block in enumerate(model.blocks) for name in block}
+
+
+def true_at(t, rank: dict[str, int]) -> bool:
+    """Truth of a tope over interval variables when each point sits at its
+    rank in a weak order."""
+    def at(p):
+        match p:
+            case CZero():
+                return rank["0"]
+            case COne():
+                return rank["1"]
+            case CVar(name):
+                return rank[name]
+
+    match t:
+        case TTop():
+            return True
+        case TBot():
+            return False
+        case TAnd(a, b):
+            return true_at(a, rank) and true_at(b, rank)
+        case TOr(a, b):
+            return true_at(a, rank) or true_at(b, rank)
+        case TLe(a, b):
+            return at(a) <= at(b)
+        case TEq(a, b):
+            return at(a) == at(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_counter_models_refute_the_sequent(seed):
+    rng = random.Random(seed)
+    seq = random_sequent(rng, n_vars=rng.randint(1, 5), depth=rng.randint(1, 3))
+    res = entails(seq)
+    if res.yes:
+        return
+    blocks = res.counter_model.blocks
+    atoms = {name for name, _ in seq.ctx}
+    assert "0" in blocks[0] and set(blocks[0]) - {"0"} <= atoms
+    assert "1" in blocks[-1] and set(blocks[-1]) - {"1"} <= atoms
+    rank = ranks(res.counter_model)
+    assert true_at(seq.hyp, rank) and not true_at(seq.goal, rank), str(seq)
+
+
 # -- the standard shapes
 
 SQUARE = ProdCube(INTERVAL, INTERVAL)
@@ -123,6 +172,34 @@ def test_horn_inside_triangle():
 def test_strict_inclusions():
     assert not shape_included(shape_boundary(), shape_horn()).yes
     assert not shape_included(shape_delta2(), shape_boundary()).yes
+
+
+# -- simplices, boundaries and horns at twelve atoms
+
+
+N = 12
+TS = [CVar(f"t{i}") for i in range(1, N + 1)]
+CTXN = tuple((t.name, INTERVAL) for t in TS)
+SIMPLEX = tope_and(*(TLe(b, a) for a, b in zip(TS, TS[1:])))
+FACES = [TEq(TS[0], CONE)] + [TEq(b, a) for a, b in zip(TS, TS[1:])] + [TEq(TS[-1], CZERO)]
+BOUNDARY = TAnd(SIMPLEX, tope_or(*FACES))
+HORN = TAnd(SIMPLEX, tope_or(*FACES[:-1]))  # the horn missing the last face
+
+
+def test_boundary_inside_simplex_at_twelve_atoms():
+    assert holds(CTXN, BOUNDARY, SIMPLEX)
+
+
+def test_horn_inside_boundary_at_twelve_atoms():
+    assert holds(CTXN, HORN, BOUNDARY)
+
+
+def test_simplex_not_inside_boundary_at_twelve_atoms():
+    res = entails(Sequent(CTXN, SIMPLEX, BOUNDARY))
+    assert not res.yes
+    rank = ranks(res.counter_model)
+    assert true_at(SIMPLEX, rank)
+    assert not any(true_at(face, rank) for face in FACES)
 
 
 # -- normalization and point equality
