@@ -5,6 +5,18 @@ become explicit cube applications, and bare ``refl`` is annotated with its
 endpoint.  Reduction (``whnf``) therefore never has to guess the sort of a
 binder.
 
+Reduction is an environment machine.  It walks the head of a term with a
+pending simultaneous environment of typed values and cube points, and an
+explicit stack of the eliminations around the head (application, cube
+application, projections, ``J``).  A β-step or an extension β-step only
+extends the environment, and unfolding a definition starts afresh on its
+closed body.  The environment is applied once, by one capture-avoiding
+substitution, to the head where reduction stops, and the stack is then
+rebuilt around it; an argument met under a non-empty environment is closed
+when it is pushed.  Type inference treats an application spine
+``f a1 ... an`` the same way: each Π domain is instantiated when its
+argument is checked, and the final codomain once.
+
 Equality is tope-aware.  The context's tope constraint is split into
 disjuncts and conversion must hold under every consistent one; an
 inconsistent constraint makes all terms equal.  Pi and Sigma types enjoy
@@ -45,6 +57,8 @@ from .core import (
     UnitPoint,
     UnitType,
     Var,
+    alpha_eq,
+    cube_to_term,
     fold_telescope,
     free_vars,
     fresh,
@@ -61,6 +75,7 @@ from .cube import (
     CubeExpr,
     CVar,
     cube_type_of,
+    subst_cube_sim,
 )
 from .scope import GlobalEnv, ScopeError, _validate_tope
 from .tope import (
@@ -74,8 +89,10 @@ from .tope import (
     eq_under,
     normalize_tope,
     subst_tope,
+    subst_tope_sim,
     tope_and,
     tope_free_vars,
+    tope_or,
 )
 
 DIAGNOSTIC_KINDS = (
@@ -87,6 +104,7 @@ DIAGNOSTIC_KINDS = (
     "fuel",
     "unledgered-axiom",
     "tope-too-large",
+    "too-deep",
 )
 
 
@@ -118,6 +136,47 @@ class CheckError(Exception):
 
 
 DEFAULT_FUEL = 10_000
+
+
+class _Env:
+    """A pending simultaneous substitution: typed values and cube points for
+    disjoint sets of names, each closed in the context.  Binding only
+    extends it; ``close`` applies it to a term in one substitution."""
+
+    __slots__ = ("values", "points")
+
+    def __init__(self, values: dict[str, Expr], points: dict[str, CubeExpr]):
+        self.values = values
+        self.points = points
+
+    def bind(self, x: str, value: Expr) -> "_Env":
+        points = self.points
+        if x in points:
+            points = {k: c for k, c in points.items() if k != x}
+        return _Env({**self.values, x: value}, points)
+
+    def bind_point(self, x: str, point: CubeExpr) -> "_Env":
+        values = self.values
+        if x in values:
+            values = {k: v for k, v in values.items() if k != x}
+        return _Env(values, {**self.points, x: point})
+
+    def lookup(self, x: str) -> Expr:
+        return self.values[x] if x in self.values else cube_to_term(self.points[x])
+
+    def close(self, e: Expr) -> Expr:
+        if not self.values and not self.points:
+            return e
+        return subst_typed(e, self.values, self.points)
+
+    def point(self, c: CubeExpr) -> CubeExpr:
+        return subst_cube_sim(c, self.points) if self.points else c
+
+    def tope(self, t: Tope) -> Tope:
+        return subst_tope_sim(t, self.points) if self.points else t
+
+
+_EMPTY = _Env({}, {})
 
 
 class Checker:
@@ -202,67 +261,88 @@ class Checker:
     # -- reduction
 
     def whnf(self, ctx: TriContext, e: Expr, unfold: bool = True) -> Expr:
+        """Weak head normal form, by the environment machine described in
+        the module docstring."""
+        env = _EMPTY
+        stack: list[tuple[str, object]] = []  # innermost elimination last
         while True:
             match e:
+                case Var(n) if n in env.values or n in env.points:
+                    e, env = env.lookup(n), _EMPTY
+                    continue
                 case Ann(x, _):
                     e = x
+                    continue
                 case Const(n) if unfold:
                     d = self.env.decls.get(n)
-                    if d is None or d.body is None:
-                        return e
-                    self._tick()
-                    e = d.body
-                case App(f, a):
-                    wf = self.whnf(ctx, f, unfold)
-                    if isinstance(wf, Lam):
+                    if d is not None and d.body is not None:
                         self._tick()
-                        e = subst_typed(wf.body, wf.var, a)
-                    else:
-                        return App(wf, a)
-                case ExtApp(f, c):
-                    wf = self.whnf(ctx, f, unfold)
-                    if isinstance(wf, Lam):
-                        self._tick()
-                        e = subst_cube(wf.body, wf.var, c)
+                        e, env = d.body, _EMPTY
                         continue
-                    r = self._boundary_reduce(ctx, wf, c)
-                    if r is None:
-                        return ExtApp(wf, c)
-                    self._tick()
-                    e = r
+                case App(f, a):
+                    stack.append(("app", env.close(a)))
+                    e = f
+                    continue
+                case ExtApp(f, c):
+                    stack.append(("ext", env.point(c)))
+                    e = f
+                    continue
                 case Fst(p):
-                    wp = self.whnf(ctx, p, unfold)
-                    if isinstance(wp, Pair):
-                        self._tick()
-                        e = wp.fst
-                    else:
-                        return Fst(wp)
+                    stack.append(("fst", None))
+                    e = p
+                    continue
                 case Snd(p):
-                    wp = self.whnf(ctx, p, unfold)
-                    if isinstance(wp, Pair):
-                        self._tick()
-                        e = wp.snd
-                    else:
-                        return Snd(wp)
+                    stack.append(("snd", None))
+                    e = p
+                    continue
                 case J(c, d, p):
-                    wp = self.whnf(ctx, p, unfold)
-                    if isinstance(wp, Refl):
-                        if wp.arg is None:
-                            return J(c, d, wp)
-                        self._tick()
-                        e = App(d, wp.arg)
-                    else:
-                        return J(c, d, wp)
+                    stack.append(("j", (env.close(c), env.close(d))))
+                    e = p
+                    continue
                 case TopeCase(branches):
-                    for t, body in branches:
-                        if self.entails_ctx(ctx, t):
-                            self._tick()
-                            e = body
-                            break
-                    else:
-                        return e
-                case _:
-                    return e
+                    taken = next((body for t, body in branches
+                                  if self.entails_ctx(ctx, env.tope(t))), None)
+                    if taken is not None:
+                        self._tick()
+                        e = taken
+                        continue
+                case Lam(x, body) if stack and stack[-1][0] in ("app", "ext"):
+                    kind, arg = stack.pop()
+                    self._tick()
+                    env = env.bind(x, arg) if kind == "app" else env.bind_point(x, arg)
+                    e = body
+                    continue
+                case Pair(a, b) if stack and stack[-1][0] in ("fst", "snd"):
+                    kind, _ = stack.pop()
+                    self._tick()
+                    e = a if kind == "fst" else b
+                    continue
+                case Refl(a) if a is not None and stack and stack[-1][0] == "j":
+                    _, (_, d) = stack.pop()
+                    self._tick()
+                    stack.append(("app", env.close(a)))
+                    e, env = d, _EMPTY
+                    continue
+            e, env = env.close(e), _EMPTY
+            while stack:
+                kind, arg = stack.pop()
+                if kind == "ext":
+                    r = self._boundary_reduce(ctx, e, arg)
+                    if r is not None:
+                        self._tick()
+                        e = r
+                        break
+                    e = ExtApp(e, arg)
+                elif kind == "app":
+                    e = App(e, arg)
+                elif kind == "fst":
+                    e = Fst(e)
+                elif kind == "snd":
+                    e = Snd(e)
+                else:
+                    e = J(arg[0], arg[1], e)
+            else:
+                return e
 
     def _boundary_reduce(self, ctx: TriContext, neutral: Expr,
                          c: CubeExpr) -> Optional[Expr]:
@@ -282,9 +362,9 @@ class Checker:
         if isinstance(bd, TopeCase):
             for t, body in bd.branches:
                 if self.entails_ctx(ctx, subst_tope(t, wty.var, c)):
-                    return subst_cube(body, wty.var, c)
+                    return subst_cube(body, {wty.var: c})
             return None
-        return subst_cube(bd, wty.var, c)
+        return subst_cube(bd, {wty.var: c})
 
     # -- equality
 
@@ -322,8 +402,6 @@ class Checker:
         return self._equal_structural(ctx, a2, b2)
 
     def _alpha_mod_cube(self, ctx: TriContext, a: Expr, b: Expr) -> bool:
-        from .core import alpha_eq
-
         if alpha_eq(a, b):
             return True
         ca, cb = self.as_cube_expr(ctx, a), self.as_cube_expr(ctx, b)
@@ -359,13 +437,13 @@ class Checker:
                     ctx2,
                     App(a, Var(v)),
                     App(b, Var(v)),
-                    subst_typed(cod, x, Var(v)),
+                    subst_typed(cod, {x: Var(v)}),
                 )
             case Sigma(x, fst_ty, snd_ty):
                 if not self.equal(ctx, Fst(a), Fst(b), fst_ty):
                     return False
                 return self.equal(
-                    ctx, Snd(a), Snd(b), subst_typed(snd_ty, x, Fst(a)))
+                    ctx, Snd(a), Snd(b), subst_typed(snd_ty, {x: Fst(a)}))
             case Ext(t, cube, psi, fam, _, _):
                 # no eta here: only compare pointwise when both sides are
                 # literal functions
@@ -377,7 +455,7 @@ class Checker:
                         ctx2,
                         ExtApp(a, CVar(v)),
                         ExtApp(b, CVar(v)),
-                        subst_cube(fam, t, CVar(v)),
+                        subst_cube(fam, {t: CVar(v)}),
                     )
                 return None
             case _:
@@ -437,17 +515,19 @@ class Checker:
             head_ty = self.infer_type(ctx, ha)
         except CheckError:
             return None
+        env = _EMPTY
         term = ha
         for (kind_a, arg_a), (kind_b, arg_b) in zip(sa, sb):
             if kind_a != kind_b:
                 return inconclusive
-            w = self.whnf(ctx, head_ty)
+            w, env = self._type_former(ctx, head_ty, env)
             ok: Optional[bool]
             if kind_a == "app":
                 if not isinstance(w, Pi):
                     return None
-                ok = self.equal(ctx, arg_a, arg_b, w.dom)
-                head_ty = subst_typed(w.cod, w.var, arg_a)
+                ok = self.equal(ctx, arg_a, arg_b, env.close(w.dom))
+                env = env.bind(w.var, arg_a)
+                head_ty = w.cod
                 term = App(term, arg_a)
             elif kind_a == "ext":
                 if not isinstance(w, Ext):
@@ -456,7 +536,8 @@ class Checker:
                     ok = eq_under(ctx.cube_context(), ctx.tope, arg_a, arg_b)
                 except TopeError:
                     ok = False
-                head_ty = subst_cube(w.family, w.var, arg_a)
+                env = env.bind_point(w.var, arg_a)
+                head_ty = w.family
                 term = ExtApp(term, arg_a)
             elif kind_a == "fst":
                 if not isinstance(w, Sigma):
@@ -468,7 +549,8 @@ class Checker:
                 if not isinstance(w, Sigma):
                     return None
                 ok = True
-                head_ty = subst_typed(w.snd_ty, w.var, Fst(term))
+                env = env.bind(w.var, Fst(term))
+                head_ty = w.snd_ty
                 term = Snd(term)
             if not ok:
                 return inconclusive
@@ -495,7 +577,7 @@ class Checker:
                 v = fresh(x)
                 ctx2 = ctx.bind_typed(v, None)
                 return self.equal(
-                    ctx2, subst_typed(b1, x, Var(v)), subst_typed(b2, y, Var(v)))
+                    ctx2, subst_typed(b1, {x: Var(v)}), subst_typed(b2, {y: Var(v)}))
             case IdT(t1, l1, r1), IdT(t2, l2, r2):
                 return (self.equal(ctx, t1, t2, U())
                         and self.equal(ctx, l1, l2, t1)
@@ -506,14 +588,14 @@ class Checker:
                 v = fresh(x)
                 ctx2 = ctx.bind_typed(v, d1)
                 return self.equal(
-                    ctx2, subst_typed(c1, x, Var(v)), subst_typed(c2, y, Var(v)), U())
+                    ctx2, subst_typed(c1, {x: Var(v)}), subst_typed(c2, {y: Var(v)}), U())
             case Sigma(x, d1, c1), Sigma(y, d2, c2):
                 if not self.equal(ctx, d1, d2, U()):
                     return False
                 v = fresh(x)
                 ctx2 = ctx.bind_typed(v, d1)
                 return self.equal(
-                    ctx2, subst_typed(c1, x, Var(v)), subst_typed(c2, y, Var(v)), U())
+                    ctx2, subst_typed(c1, {x: Var(v)}), subst_typed(c2, {y: Var(v)}), U())
             case Ext(_, _, _, _, _, _), Ext(_, _, _, _, _, _):
                 return self._equal_ext(ctx, a, b)
             case J(c1, d1, p1), J(c2, d2, p2):
@@ -552,8 +634,8 @@ class Checker:
                 and self.entails_ctx(ctx_v.bind_tope(psi_b), psi_a)):
             return False
         ctx_psi = ctx_v.bind_tope(psi_a)
-        fam_a = subst_cube(a.family, a.var, CVar(v))
-        fam_b = subst_cube(b.family, b.var, CVar(v))
+        fam_a = subst_cube(a.family, {a.var: CVar(v)})
+        fam_b = subst_cube(b.family, {b.var: CVar(v)})
         if not self.equal(ctx_psi, fam_a, fam_b, U()):
             return False
         phi_a = subst_tope(a.boundary_tope, a.var, CVar(v))
@@ -564,8 +646,8 @@ class Checker:
         ctx_phi = ctx_psi.bind_tope(phi_a)
         if self.ctx_unsat(ctx_phi):
             return True
-        bd_a = subst_cube(a.boundary, a.var, CVar(v))
-        bd_b = subst_cube(b.boundary, b.var, CVar(v))
+        bd_a = subst_cube(a.boundary, {a.var: CVar(v)})
+        bd_b = subst_cube(b.boundary, {b.var: CVar(v)})
         return self.equal(ctx_phi, bd_a, bd_b, fam_a)
 
     # -- inference
@@ -625,32 +707,13 @@ class Checker:
                 return U(), IdT(te, le, re, span=e.span)
             case Ext(_, _, _, _, _, _):
                 return U(), self._check_ext_formation(ctx, e)
-            case App(f, a):
-                if isinstance(f, Lam):
-                    # a literal beta redex has no inferable head; reduce it
-                    # (such redexes arise from recorded refl endpoints)
-                    self._tick()
-                    return self.infer(ctx, subst_typed(f.body, f.var, a))
-                fty, fe = self.infer(ctx, f)
-                w = self.whnf(ctx, fty)
-                if isinstance(w, Pi):
-                    ae = self.check(ctx, a, w.dom)
-                    return subst_typed(w.cod, w.var, ae), App(fe, ae, span=e.span)
-                if isinstance(w, Ext):
-                    return self._infer_ext_app(ctx, fe, w, a, e.span)
-                self._err(
-                    "type-mismatch",
-                    f"cannot apply a term of type {self._pp(w)}", e.span)
-            case ExtApp(f, c):
-                fty, fe = self.infer(ctx, f)
-                w = self.whnf(ctx, fty)
-                if not isinstance(w, Ext):
-                    self._err(
-                        "type-mismatch",
-                        f"cannot apply a term of type {self._pp(w)} to a cube point",
-                        e.span,
-                    )
-                return self._check_cube_arg(ctx, fe, w, c, e.span)
+            case App(Lam(x, body), a):
+                # a literal beta redex has no inferable head; reduce it
+                # (such redexes arise from recorded refl endpoints)
+                self._tick()
+                return self.infer(ctx, subst_typed(body, {x: a}))
+            case App(_, _) | ExtApp(_, _):
+                return self._infer_spine(ctx, e)
             case Fst(p):
                 pty, pe = self.infer(ctx, p)
                 w = self.whnf(ctx, pty)
@@ -666,7 +729,7 @@ class Checker:
                     self._err(
                         "type-mismatch",
                         f"second projection of a term of type {self._pp(w)}", e.span)
-                return subst_typed(w.snd_ty, w.var, Fst(pe)), Snd(pe, span=e.span)
+                return subst_typed(w.snd_ty, {w.var: Fst(pe)}), Snd(pe, span=e.span)
             case Refl(arg) if arg is not None:
                 aty, ae = self.infer(ctx, arg)
                 return IdT(aty, ae, ae), Refl(ae, span=e.span)
@@ -678,18 +741,55 @@ class Checker:
                     f"cannot infer a type for {self._pp(e)}; "
                     "add an annotation", getattr(e, "span", None))
 
-    def _infer_ext_app(self, ctx: TriContext, fe: Expr, w: Ext, a: Expr,
-                       span: Optional[Span]) -> tuple[Expr, Expr]:
-        c = self.as_cube_expr(ctx, a)
-        if c is None:
+    def _type_former(self, ctx: TriContext, ty: Expr,
+                     env: _Env) -> tuple[Expr, _Env]:
+        """``ty`` under ``env`` in weak head form.  A type that already has a
+        type former at its head keeps the environment pending."""
+        if isinstance(ty, (Pi, Sigma, Ext)):
+            return ty, env
+        return self.whnf(ctx, env.close(ty)), _EMPTY
+
+    def _infer_spine(self, ctx: TriContext, e: Expr) -> tuple[Expr, Expr]:
+        """Infer an application spine ``f a1 ... an``.  The head's type is
+        instantiated lazily: each domain when its argument is checked, the
+        final codomain once."""
+        spine = []
+        while isinstance(e, ExtApp) or (isinstance(e, App) and not isinstance(e.fn, Lam)):
+            spine.append(e)
+            e = e.fn
+        ty, term = self.infer(ctx, e)
+        env = _EMPTY
+        for node in reversed(spine):
+            ty, env = self._type_former(ctx, ty, env)
+            if isinstance(node, App) and isinstance(ty, Pi):
+                ae = self.check(ctx, node.arg, env.close(ty.dom))
+                env = env.bind(ty.var, ae)
+                ty, term = ty.cod, App(term, ae, span=node.span)
+                continue
+            if isinstance(ty, Ext):
+                c = node.arg
+                if isinstance(node, App):
+                    c = self.as_cube_expr(ctx, node.arg)
+                    if c is None:
+                        self._err(
+                            "type-mismatch",
+                            "this function takes a point of a cube, but the argument "
+                            f"is {self._pp(node.arg)}", node.span)
+                self._check_cube_arg(ctx, ty, env, c, node.span)
+                env = env.bind_point(ty.var, c)
+                ty, term = ty.family, ExtApp(term, c, span=node.span)
+                continue
+            to_point = "" if isinstance(node, App) else " to a cube point"
             self._err(
                 "type-mismatch",
-                "this function takes a point of a cube, but the argument is "
-                f"{self._pp(a)}", span)
-        return self._check_cube_arg(ctx, fe, w, c, span)
+                f"cannot apply a term of type {self._pp(env.close(ty))}{to_point}",
+                node.span)
+        return env.close(ty), term
 
-    def _check_cube_arg(self, ctx: TriContext, fe: Expr, w: Ext, c: CubeExpr,
-                        span: Optional[Span]) -> tuple[Expr, Expr]:
+    def _check_cube_arg(self, ctx: TriContext, w: Ext, env: _Env, c: CubeExpr,
+                        span: Optional[Span]) -> None:
+        """Check that the point ``c`` lies in the shape of ``w`` (under the
+        pending ``env``)."""
         try:
             cty = cube_type_of(ctx.cube_context(), c)
         except CubeError as err:
@@ -700,13 +800,12 @@ class Checker:
                 f"the point lives in cube {cty} but the function expects {w.cube}",
                 span,
             )
-        psi_c = subst_tope(w.shape_tope, w.var, c)
+        psi_c = subst_tope_sim(w.shape_tope, {**env.points, w.var: c})
         if not self.entails_ctx(ctx, psi_c):
             self._err(
                 "tope-unsolved",
                 "the point is not provably inside the function's shape "
                 f"(needed: {self._pt(psi_c)})", span)
-        return subst_cube(w.family, w.var, c), ExtApp(fe, c, span=span)
 
     def _pt(self, t: Tope) -> str:
         from .printer import print_tope
@@ -760,8 +859,6 @@ class Checker:
                 _validate_tope(ctx.cube_context(), t, e.span)
             except ScopeError as err:
                 self._err("scope", err.message, err.span or e.span)
-        from .tope import tope_or
-
         cover = tope_or(*(t for t, _ in e.branches))
         if not self.entails_ctx(ctx, cover):
             self._err(
@@ -800,7 +897,7 @@ class Checker:
                     nx = fresh(x)
                     body, x = rename_var(body, x, nx), nx
                 ctx2 = ctx.bind_typed(x, dom)
-                be = self.check(ctx2, body, subst_typed(cod, y, Var(x)))
+                be = self.check(ctx2, body, subst_typed(cod, {y: Var(x)}))
                 return Lam(x, be, span=e.span)
             case Lam(x, body), Ext(t, cube, psi, fam, phi, bd):
                 shadows = (free_vars(fam) | free_vars(bd)
@@ -809,13 +906,13 @@ class Checker:
                     nx = fresh(x)
                     body, x = rename_var(body, x, nx), nx
                 psi_x = subst_tope(psi, t, CVar(x))
-                fam_x = subst_cube(fam, t, CVar(x))
+                fam_x = subst_cube(fam, {t: CVar(x)})
                 ctx2 = ctx.bind_cube(x, cube).bind_tope(psi_x)
                 be = self.check(ctx2, body, fam_x)
                 phi_x = subst_tope(phi, t, CVar(x))
                 ctx_phi = ctx2.bind_tope(phi_x)
                 if not self.ctx_unsat(ctx_phi):
-                    bd_x = subst_cube(bd, t, CVar(x))
+                    bd_x = subst_cube(bd, {t: CVar(x)})
                     if not self.equal(ctx_phi, be, bd_x, fam_x):
                         self._err(
                             "boundary",
@@ -828,7 +925,7 @@ class Checker:
                     f"a function cannot have type {self._pp(w)}", e.span)
             case Pair(a, b), Sigma(y, fst_ty, snd_ty):
                 ae = self.check(ctx, a, fst_ty)
-                be = self.check(ctx, b, subst_typed(snd_ty, y, ae))
+                be = self.check(ctx, b, subst_typed(snd_ty, {y: ae}))
                 return Pair(ae, be, span=e.span)
             case Pair(_, _), _:
                 self._err(

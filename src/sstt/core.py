@@ -2,10 +2,17 @@
 
 One shared namespace covers cube variables and typed variables; the
 three-layer context tracks which sort each name has.  Terms are immutable
-trees, so they can be shared freely.  Substitution is capture-avoiding by
-renaming binders against the free variables of the substituted value, for
-both typed values and cube points (cube variables occur inside extension
-types, extension applications and tope-case scrutinees).
+trees, so they can be shared freely.
+
+Substitution is simultaneous and capture-avoiding: ``subst_typed`` and
+``subst_cube`` take a whole mapping, for typed values and cube points alike
+(cube variables occur inside extension types, extension applications and
+tope-case scrutinees).  A binder is renamed only when it would capture a
+free variable of a substituted value; a binder that neither captures nor
+shadows a substituted name is passed through without copying the mapping.
+The checker collects the arguments of a whole β-reduction or application
+spine in a pending environment and calls one of these two functions once
+on the result.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Union
+from typing import Mapping, Optional, Union
 
 from .cube import (
     CFst,
@@ -25,48 +32,16 @@ from .cube import (
     CubeType,
     CVar,
     cube_free_vars,
+    subst_cube_sim,
 )
 from .tope import (
     BOT,
     TOP,
-    TAnd,
-    TEq,
-    TLe,
-    TOr,
     Tope,
+    subst_tope_sim,
     tope_and,
     tope_free_vars,
 )
-
-
-def subst_cube_sim(c: CubeExpr, mapping: dict[str, CubeExpr]) -> CubeExpr:
-    """Simultaneous substitution of cube points for cube variables."""
-    match c:
-        case CVar(n):
-            return mapping.get(n, c)
-        case CPair(a, b):
-            return CPair(subst_cube_sim(a, mapping), subst_cube_sim(b, mapping))
-        case CFst(a):
-            return CFst(subst_cube_sim(a, mapping))
-        case CSnd(a):
-            return CSnd(subst_cube_sim(a, mapping))
-        case _:
-            return c
-
-
-def subst_tope_sim(t: Tope, mapping: dict[str, CubeExpr]) -> Tope:
-    """Simultaneous substitution of cube points in a tope."""
-    match t:
-        case TAnd(a, b):
-            return TAnd(subst_tope_sim(a, mapping), subst_tope_sim(b, mapping))
-        case TOr(a, b):
-            return TOr(subst_tope_sim(a, mapping), subst_tope_sim(b, mapping))
-        case TLe(a, b):
-            return TLe(subst_cube_sim(a, mapping), subst_cube_sim(b, mapping))
-        case TEq(a, b):
-            return TEq(subst_cube_sim(a, mapping), subst_cube_sim(b, mapping))
-        case _:
-            return t
 
 
 @dataclass(frozen=True)
@@ -306,11 +281,12 @@ def free_vars(e: Expr) -> set[str]:
 
 class _Subst:
     """Simultaneous capture-avoiding substitution of typed values and cube
-    points for names."""
+    points for names.  ``typed`` also holds the term embedding of every cube
+    point, for occurrences of a cube variable in term position."""
 
-    def __init__(self, typed: dict[str, Expr], cubes: dict[str, CubeExpr]):
-        self.typed = dict(typed)
-        self.cubes = dict(cubes)
+    def __init__(self, typed: Mapping[str, Expr], cubes: Mapping[str, CubeExpr]):
+        self.typed = typed
+        self.cubes = cubes
         self.value_fvs: set[str] = set()
         for v in self.typed.values():
             self.value_fvs |= free_vars(v)
@@ -321,6 +297,9 @@ class _Subst:
         return bool(self.typed or self.cubes)
 
     def under(self, x: str) -> tuple[str, "_Subst"]:
+        if x not in self.typed and x not in self.cubes and x not in self.value_fvs:
+            # the binder neither shadows a substituted name nor captures
+            return x, self
         sub = _Subst(
             {k: v for k, v in self.typed.items() if k != x},
             {k: v for k, v in self.cubes.items() if k != x},
@@ -409,16 +388,22 @@ def cube_to_term(c: CubeExpr) -> Expr:
             return CubeLit(c)
 
 
-def subst_typed(e: Expr, name: str, value: Expr) -> Expr:
-    """Capture-avoiding substitution of a term for a typed variable."""
-    return _Subst({name: value}, {}).expr(e)
+def subst_typed(e: Expr, values: Mapping[str, Expr],
+                points: Optional[Mapping[str, CubeExpr]] = None) -> Expr:
+    """Simultaneous capture-avoiding substitution of ``values`` for typed
+    variables and of ``points`` for cube variables.  The two mappings name
+    disjoint variables.  A cube point replaces its variable both in cube
+    position (topes, extension applications) and in term position (via the
+    term embedding)."""
+    if points:
+        values = {**values, **{n: cube_to_term(c) for n, c in points.items()}}
+    return _Subst(values, points or {}).expr(e)
 
 
-def subst_cube(e: Expr, name: str, point: CubeExpr) -> Expr:
-    """Capture-avoiding substitution of a cube point for a cube variable.
-    Covers both sorts of occurrence: in cube position (topes, extension
-    applications) and in term position (via the term embedding)."""
-    return _Subst({name: cube_to_term(point)}, {name: point}).expr(e)
+def subst_cube(e: Expr, points: Mapping[str, CubeExpr]) -> Expr:
+    """Capture-avoiding simultaneous substitution of cube points for cube
+    variables, in both cube and term position."""
+    return _Subst({n: cube_to_term(c) for n, c in points.items()}, points).expr(e)
 
 
 def rename_var(e: Expr, old: str, new: str) -> Expr:

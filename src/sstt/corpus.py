@@ -89,13 +89,21 @@ class CorpusResult:
         }
 
 
+def _too_deep(stage: str, decl: Optional[str] = None) -> Diagnostic:
+    return Diagnostic(
+        "too-deep",
+        f"the input is nested too deeply to {stage}; "
+        "split the expression into smaller definitions", decl)
+
+
 def check_files(paths: list[Path], env: Optional[GlobalEnv] = None,
                 fuel: int = DEFAULT_FUEL,
                 ledger: Optional[set[str]] = None,
                 stop_on_error: bool = True) -> tuple[list[FileReport], GlobalEnv]:
     """Parse, elaborate and check the given files in order, accumulating
     declarations in one environment.  Stops at the first diagnostic (by
-    default), since later declarations may depend on a failed one."""
+    default), since later declarations may depend on a failed one.  Input
+    nested past Python's recursion limit is reported as ``too-deep``."""
     env = env if env is not None else GlobalEnv()
     reports: list[FileReport] = []
     checker = Checker(env, fuel=fuel)
@@ -107,37 +115,43 @@ def check_files(paths: list[Path], env: Optional[GlobalEnv] = None,
         except ParseError as e:
             report.diagnostics.append(
                 Diagnostic("parse", e.message + f" (line {e.line}, column {e.col})"))
-            if stop_on_error:
-                break
-            continue
-        try:
-            decls = elaborate_toplevels(items, env)
-        except ScopeError as e:
-            report.diagnostics.append(Diagnostic("scope", e.message, span=e.span))
-            if stop_on_error:
-                break
-            continue
-        failed = False
-        for d in decls:
-            if (ledger is not None and d.tag == DeclTag.AXIOM
-                    and d.name not in ledger):
-                report.diagnostics.append(Diagnostic(
-                    "unledgered-axiom",
-                    f"the postulate {d.name!r} is not in the axiom ledger",
-                    d.name, d.span))
-                failed = True
-                break
+        except RecursionError:
+            report.diagnostics.append(_too_deep("parse"))
+        else:
             try:
-                checked = checker.check_decl(d)
-            except CheckError as e:
-                report.diagnostics.append(e.diagnostic)
-                failed = True
-                break
-            env.decls[d.name] = checked
-            report.decls.append(checked)
-        if failed and stop_on_error:
+                decls = elaborate_toplevels(items, env)
+            except ScopeError as e:
+                report.diagnostics.append(Diagnostic("scope", e.message, span=e.span))
+            except RecursionError:
+                report.diagnostics.append(_too_deep("elaborate"))
+            else:
+                _check_decls(checker, decls, ledger, report, env)
+        if report.diagnostics and stop_on_error:
             break
     return reports, env
+
+
+def _check_decls(checker: Checker, decls: list[Decl], ledger: Optional[set[str]],
+                 report: FileReport, env: GlobalEnv) -> None:
+    """Check elaborated declarations in order, up to the first failure."""
+    for d in decls:
+        if (ledger is not None and d.tag == DeclTag.AXIOM
+                and d.name not in ledger):
+            report.diagnostics.append(Diagnostic(
+                "unledgered-axiom",
+                f"the postulate {d.name!r} is not in the axiom ledger",
+                d.name, d.span))
+            return
+        try:
+            checked = checker.check_decl(d)
+        except CheckError as e:
+            report.diagnostics.append(e.diagnostic)
+            return
+        except RecursionError:
+            report.diagnostics.append(_too_deep("check", d.name))
+            return
+        env.decls[d.name] = checked
+        report.decls.append(checked)
 
 
 def load_corpus(directory: Optional[Path] = None,

@@ -226,17 +226,17 @@ def _leaves(n: CubeExpr) -> Iterator[CubeExpr]:
         yield n
 
 
-def subst_cube_expr(e: CubeExpr, name: str, value: CubeExpr) -> CubeExpr:
-    """Substitute ``value`` for the cube variable ``name`` in ``e``."""
+def subst_cube_sim(e: CubeExpr, mapping: dict[str, CubeExpr]) -> CubeExpr:
+    """Simultaneous substitution of cube points for cube variables."""
     match e:
         case CVar(n):
-            return value if n == name else e
+            return mapping.get(n, e)
         case CPair(a, b):
-            return CPair(subst_cube_expr(a, name, value), subst_cube_expr(b, name, value))
+            return CPair(subst_cube_sim(a, mapping), subst_cube_sim(b, mapping))
         case CFst(a):
-            return CFst(subst_cube_expr(a, name, value))
+            return CFst(subst_cube_sim(a, mapping))
         case CSnd(a):
-            return CSnd(subst_cube_expr(a, name, value))
+            return CSnd(subst_cube_sim(a, mapping))
         case _:
             return e
 

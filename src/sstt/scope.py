@@ -40,12 +40,9 @@ from .core import (
     UnitPoint,
     UnitType,
     Var,
-    _Subst,
-    cube_to_term,
     fold_telescope,
     fresh,
-    subst_cube_sim,
-    subst_tope_sim,
+    subst_cube,
 )
 from .cube import (
     CFst,
@@ -95,7 +92,9 @@ from .parser import (
     SUnitT,
     SVar,
 )
-from .tope import BOT, TOP, TAnd, TEq, TLe, TOr, Tope, tope_free_vars, tope_or
+from .tope import (
+    BOT, TOP, TAnd, TEq, TLe, TOr, Tope, subst_tope_sim, tope_or,
+)
 
 
 class ScopeError(Exception):
@@ -265,9 +264,7 @@ class Elaborator:
                 b = self.elab(body, inner)
                 p = fresh("p")
                 comps = _components(CVar(p), len(pattern))
-                typed = {n: cube_to_term(c) for n, c in zip(pattern, comps)}
-                cubes = dict(zip(pattern, comps))
-                b = _Subst(typed, cubes).expr(b)
+                b = subst_cube(b, dict(zip(pattern, comps)))
                 return Lam(p, b, span=e.span)
             case SApp(f, a):
                 return App(self.elab(f, locals_), self.elab(a, locals_), span=e.span)

@@ -38,10 +38,11 @@ from .cube import (
     CVar,
     CZero,
     Interval,
+    cube_free_vars,
     cube_type_of,
     interval_atoms,
     normalize_cube,
-    subst_cube_expr,
+    subst_cube_sim,
 )
 
 MAX_DISJUNCTS = 4096
@@ -136,23 +137,27 @@ def tope_or(*ts: Tope) -> Tope:
     return acc
 
 
-def subst_tope(t: Tope, name: str, value: CubeExpr) -> Tope:
+def subst_tope_sim(t: Tope, mapping: dict[str, CubeExpr]) -> Tope:
+    """Simultaneous substitution of cube points for cube variables."""
     match t:
         case TAnd(a, b):
-            return TAnd(subst_tope(a, name, value), subst_tope(b, name, value))
+            return TAnd(subst_tope_sim(a, mapping), subst_tope_sim(b, mapping))
         case TOr(a, b):
-            return TOr(subst_tope(a, name, value), subst_tope(b, name, value))
+            return TOr(subst_tope_sim(a, mapping), subst_tope_sim(b, mapping))
         case TLe(a, b):
-            return TLe(subst_cube_expr(a, name, value), subst_cube_expr(b, name, value))
+            return TLe(subst_cube_sim(a, mapping), subst_cube_sim(b, mapping))
         case TEq(a, b):
-            return TEq(subst_cube_expr(a, name, value), subst_cube_expr(b, name, value))
+            return TEq(subst_cube_sim(a, mapping), subst_cube_sim(b, mapping))
         case _:
             return t
 
 
-def tope_free_vars(t: Tope) -> set[str]:
-    from .cube import cube_free_vars
+def subst_tope(t: Tope, name: str, value: CubeExpr) -> Tope:
+    """Substitute the point ``value`` for the cube variable ``name``."""
+    return subst_tope_sim(t, {name: value})
 
+
+def tope_free_vars(t: Tope) -> set[str]:
     match t:
         case TAnd(a, b) | TOr(a, b):
             return tope_free_vars(a) | tope_free_vars(b)

@@ -191,8 +191,8 @@ def test_boundary_laws_hold_everywhere(checker, corpus_env):
             point_tope = subst_tope(ext.boundary_tope, ext.var, endpoint)
             if not checker.entails_ctx(fctx, point_tope):
                 continue
-            prescribed = subst_cube(ext.boundary, ext.var, endpoint)
-            at_ty = subst_cube(ext.family, ext.var, endpoint)
+            prescribed = subst_cube(ext.boundary, {ext.var: endpoint})
+            at_ty = subst_cube(ext.family, {ext.var: endpoint})
             term = decl.inner_body if decl.inner_body is not None else Var(f)
             lhs = ExtApp(term if decl.inner_body is not None else Var(f),
                          endpoint)

@@ -7,7 +7,9 @@ from sstt.core import (
     Const,
     Ext,
     ExtApp,
+    IdT,
     Lam,
+    Pi,
     TopeCase,
     TriContext,
     UnitPoint,
@@ -16,8 +18,8 @@ from sstt.core import (
     alpha_eq,
 )
 from sstt.cube import INTERVAL, CONE, CZERO, CVar
-from sstt.parser import parse_expr
-from sstt.scope import Elaborator
+from sstt.parser import parse_expr, parse_file
+from sstt.scope import Elaborator, GlobalEnv, elaborate_toplevels
 from sstt.tope import TAnd, TEq, TOr
 
 
@@ -29,6 +31,26 @@ def test_whnf_beta(checker):
     ctx = TriContext()
     e = App(Lam("x", Var("x")), UnitPoint())
     assert checker.whnf(ctx, e) == UnitPoint()
+
+
+def test_whnf_beta_avoids_capture():
+    # the argument y must not be captured by the inner binder named y
+    ctx = TriContext().bind_typed("y", UnitType())
+    e = App(Lam("x", Lam("y", Var("x"))), Var("y"))
+    assert alpha_eq(Checker(GlobalEnv()).whnf(ctx, e), Lam("z", Var("y")))
+
+
+def test_whnf_fuel_counts_one_unfolding_and_one_beta_per_argument():
+    env = GlobalEnv()
+    fresh_checker = Checker(env)
+    src = "def k3 (a : Unit) (b : Unit) (c : Unit) : Unit := a\n"
+    for d in elaborate_toplevels(parse_file(src, "k3.sstt"), env):
+        env.decls[d.name] = fresh_checker.check_decl(d)
+    ctx = TriContext().bind_typed("u", UnitType())
+    e = App(App(App(Const("k3"), UnitPoint()), Var("u")), Var("u"))
+    fresh_checker.steps = 0
+    assert fresh_checker.whnf(ctx, e) == UnitPoint()
+    assert fresh_checker.steps == 4
 
 
 def test_whnf_delta_unfolds_definitions(checker, corpus_env):
@@ -105,6 +127,16 @@ def test_equal_is_congruence_for_application(checker, corpus_env):
 def test_infer_const_type(checker, corpus_env):
     ty = checker.infer_type(TriContext(), Const("idarr"))
     assert alpha_eq(ty, corpus_env.decls["idarr"].ty)
+
+
+def test_infer_spine_instantiates_telescope_simultaneously():
+    # f's binders are named x and y, its arguments are the context's y and x
+    a = Var("A")
+    f_ty = Pi("x", a, Pi("y", a, IdT(a, Var("x"), Var("y"))))
+    ctx = (TriContext().bind_typed("A", U()).bind_typed("f", f_ty)
+           .bind_typed("y", a).bind_typed("x", a))
+    ty = Checker(GlobalEnv()).infer_type(ctx, App(App(Var("f"), Var("y")), Var("x")))
+    assert alpha_eq(ty, IdT(a, Var("y"), Var("x")))
 
 
 def test_check_mismatch_raises(checker):

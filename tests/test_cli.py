@@ -148,3 +148,16 @@ def test_check_reports_tope_too_large(capsys, tmp_path):
     assert code == 1
     kinds = [d["kind"] for f in payload["files"] for d in f["diagnostics"]]
     assert kinds == ["tope-too-large"]
+
+
+def test_check_reports_deep_nesting_as_too_deep(tmp_path):
+    depth = 2000
+    src = tmp_path / "deep.sstt"
+    src.write_text("def idu (x : Unit) : Unit := x\n\n"
+                   f"def deep : Unit := {'idu (' * depth}star{')' * depth}\n")
+    proc = run_cli("--machine", "check", str(src), timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    payload = json.loads(proc.stdout)
+    kinds = [d["kind"] for f in payload["files"] for d in f["diagnostics"]]
+    assert kinds == ["too-deep"]

@@ -42,18 +42,18 @@ def test_alpha_eq_random_self():
 
 def test_subst_simple():
     e = App(Var("f"), Var("x"))
-    assert subst_typed(e, "x", Var("y")) == App(Var("f"), Var("y"))
+    assert subst_typed(e, {"x": Var("y")}) == App(Var("f"), Var("y"))
 
 
 def test_subst_shadowed_binder_untouched():
     e = Lam("x", Var("x"))
-    assert alpha_eq(subst_typed(e, "x", Var("y")), Lam("x", Var("x")))
+    assert alpha_eq(subst_typed(e, {"x": Var("y")}), Lam("x", Var("x")))
 
 
 def test_subst_capture_avoided():
     # substituting y for x under a binder named y must rename the binder
     e = Lam("y", App(Var("x"), Var("y")))
-    out = subst_typed(e, "x", Var("y"))
+    out = subst_typed(e, {"x": Var("y")})
     assert alpha_eq(out, Lam("z", App(Var("y"), Var("z"))))
     assert not alpha_eq(out, Lam("z", App(Var("z"), Var("z"))))
 
@@ -61,7 +61,7 @@ def test_subst_capture_avoided():
 def test_subst_cube_into_tope():
     # cube substitution reaches the topes of an extension type
     e = Ext("t", INTERVAL, TTop(), U(), TEq(CVar("t"), CVar("s")), Var("a"))
-    out = subst_cube(e, "s", CZERO)
+    out = subst_cube(e, {"s": CZERO})
     assert isinstance(out, Ext)
     assert out.boundary_tope == TEq(CVar(out.var), CZERO)
 
@@ -69,7 +69,7 @@ def test_subst_cube_into_tope():
 def test_subst_cube_binder_not_captured():
     # substituting a point mentioning t under a binder named t renames it
     e = Ext("t", INTERVAL, TTop(), U(), TLe(CVar("t"), CVar("s")), Var("a"))
-    out = subst_cube(e, "s", CVar("t"))
+    out = subst_cube(e, {"s": CVar("t")})
     assert isinstance(out, Ext)
     assert out.var != "t"
     assert out.boundary_tope == TLe(CVar(out.var), CVar("t"))

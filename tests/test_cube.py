@@ -15,7 +15,7 @@ from sstt.cube import (
     cube_type_of,
     interval_atoms,
     normalize_cube,
-    subst_cube_expr,
+    subst_cube_sim,
 )
 
 SQUARE = ProdCube(INTERVAL, INTERVAL)
@@ -70,6 +70,6 @@ def test_interval_atoms():
 
 def test_subst():
     e = CPair(CVar("t"), CFst(CVar("p")))
-    out = subst_cube_expr(e, "t", CONE)
+    out = subst_cube_sim(e, {"t": CONE})
     assert out == CPair(CONE, CFst(CVar("p")))
     assert cube_free_vars(out) == {"p"}
