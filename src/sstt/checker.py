@@ -75,9 +75,11 @@ from .cube import (
     CubeExpr,
     CVar,
     cube_type_of,
+    print_cube_type,
     subst_cube_sim,
 )
-from .scope import GlobalEnv, ScopeError, _validate_tope
+from .printer import print_expr
+from .scope import GlobalEnv
 from .tope import (
     BOT,
     Sequent,
@@ -88,6 +90,7 @@ from .tope import (
     entails,
     eq_under,
     normalize_tope,
+    print_tope,
     subst_tope,
     subst_tope_sim,
     tope_and,
@@ -199,11 +202,6 @@ class Checker:
                 f"reduction did not finish within {self.fuel} steps; "
                 "the declaration may require a larger --fuel bound",
             )
-
-    def _pp(self, e: Expr) -> str:
-        from .printer import print_expr
-
-        return print_expr(e)
 
     # -- tope layer access
 
@@ -720,7 +718,7 @@ class Checker:
                 if not isinstance(w, Sigma):
                     self._err(
                         "type-mismatch",
-                        f"first projection of a term of type {self._pp(w)}", e.span)
+                        f"first projection of a term of type {print_expr(w)}", e.span)
                 return w.fst_ty, Fst(pe, span=e.span)
             case Snd(p):
                 pty, pe = self.infer(ctx, p)
@@ -728,7 +726,7 @@ class Checker:
                 if not isinstance(w, Sigma):
                     self._err(
                         "type-mismatch",
-                        f"second projection of a term of type {self._pp(w)}", e.span)
+                        f"second projection of a term of type {print_expr(w)}", e.span)
                 return subst_typed(w.snd_ty, {w.var: Fst(pe)}), Snd(pe, span=e.span)
             case Refl(arg) if arg is not None:
                 aty, ae = self.infer(ctx, arg)
@@ -738,7 +736,7 @@ class Checker:
             case _:
                 self._err(
                     "type-mismatch",
-                    f"cannot infer a type for {self._pp(e)}; "
+                    f"cannot infer a type for {print_expr(e)}; "
                     "add an annotation", getattr(e, "span", None))
 
     def _type_former(self, ctx: TriContext, ty: Expr,
@@ -774,7 +772,7 @@ class Checker:
                         self._err(
                             "type-mismatch",
                             "this function takes a point of a cube, but the argument "
-                            f"is {self._pp(node.arg)}", node.span)
+                            f"is {print_expr(node.arg)}", node.span)
                 self._check_cube_arg(ctx, ty, env, c, node.span)
                 env = env.bind_point(ty.var, c)
                 ty, term = ty.family, ExtApp(term, c, span=node.span)
@@ -782,7 +780,7 @@ class Checker:
             to_point = "" if isinstance(node, App) else " to a cube point"
             self._err(
                 "type-mismatch",
-                f"cannot apply a term of type {self._pp(env.close(ty))}{to_point}",
+                f"cannot apply a term of type {print_expr(env.close(ty))}{to_point}",
                 node.span)
         return env.close(ty), term
 
@@ -797,7 +795,8 @@ class Checker:
         if cty != w.cube:
             self._err(
                 "type-mismatch",
-                f"the point lives in cube {cty} but the function expects {w.cube}",
+                f"the point lives in cube {print_cube_type(cty)} "
+                f"but the function expects {print_cube_type(w.cube)}",
                 span,
             )
         psi_c = subst_tope_sim(w.shape_tope, {**env.points, w.var: c})
@@ -805,12 +804,7 @@ class Checker:
             self._err(
                 "tope-unsolved",
                 "the point is not provably inside the function's shape "
-                f"(needed: {self._pt(psi_c)})", span)
-
-    def _pt(self, t: Tope) -> str:
-        from .printer import print_tope
-
-        return print_tope(t)
+                f"(needed: {print_tope(psi_c)})", span)
 
     def _infer_j(self, ctx: TriContext, c: Expr, d: Expr, p: Expr,
                  span: Optional[Span]) -> tuple[Expr, Expr]:
@@ -819,7 +813,7 @@ class Checker:
         if not isinstance(w, IdT):
             self._err(
                 "type-mismatch",
-                f"path induction needs an identification, got {self._pp(w)}", span)
+                f"path induction needs an identification, got {print_expr(w)}", span)
         a_ty, lhs, rhs = w.ty, w.lhs, w.rhs
         u, v, q = fresh("u"), fresh("v"), fresh("q")
         motive_ty = Pi(u, a_ty, Pi(v, a_ty,
@@ -834,10 +828,10 @@ class Checker:
         t = e.var
         ctx_t = ctx.bind_cube(t, e.cube)
         try:
-            _validate_tope(ctx_t.cube_context(), e.shape_tope, e.span)
-            _validate_tope(ctx_t.cube_context(), e.boundary_tope, e.span)
-        except ScopeError as err:
-            self._err("scope", err.message, err.span or e.span)
+            normalize_tope(ctx_t.cube_context(), e.shape_tope)
+            normalize_tope(ctx_t.cube_context(), e.boundary_tope)
+        except TopeError as err:
+            self._err("scope", str(err), e.span)
         ctx_psi = ctx_t.bind_tope(e.shape_tope)
         fam = self.check(ctx_psi, e.family, U())
         if not self.entails_ctx(ctx_t.bind_tope(e.boundary_tope), e.shape_tope):
@@ -856,15 +850,15 @@ class Checker:
     def _check_tope_case(self, ctx: TriContext, e: TopeCase, ty: Expr) -> Expr:
         for t, _ in e.branches:
             try:
-                _validate_tope(ctx.cube_context(), t, e.span)
-            except ScopeError as err:
-                self._err("scope", err.message, err.span or e.span)
+                normalize_tope(ctx.cube_context(), t)
+            except TopeError as err:
+                self._err("scope", str(err), e.span)
         cover = tope_or(*(t for t, _ in e.branches))
         if not self.entails_ctx(ctx, cover):
             self._err(
                 "tope-unsolved",
                 "the case split does not cover its context "
-                f"(needed: {self._pt(cover)})", e.span)
+                f"(needed: {print_tope(cover)})", e.span)
         elaborated = []
         for t, body in e.branches:
             branch = ctx.bind_tope(t)
@@ -883,7 +877,7 @@ class Checker:
                     self._err(
                         "boundary",
                         "the branches of a case split disagree where "
-                        f"{self._pt(ti)} and {self._pt(tj)} overlap", e.span)
+                        f"{print_tope(ti)} and {print_tope(tj)} overlap", e.span)
         return TopeCase(tuple(elaborated), span=e.span)
 
     # -- checking
@@ -917,12 +911,12 @@ class Checker:
                         self._err(
                             "boundary",
                             "the function does not restrict to the required "
-                            f"boundary on {self._pt(phi_x)}", e.span)
+                            f"boundary on {print_tope(phi_x)}", e.span)
                 return Lam(x, be, span=e.span)
             case Lam(_, _), _:
                 self._err(
                     "type-mismatch",
-                    f"a function cannot have type {self._pp(w)}", e.span)
+                    f"a function cannot have type {print_expr(w)}", e.span)
             case Pair(a, b), Sigma(y, fst_ty, snd_ty):
                 ae = self.check(ctx, a, fst_ty)
                 be = self.check(ctx, b, subst_typed(snd_ty, {y: ae}))
@@ -930,13 +924,13 @@ class Checker:
             case Pair(_, _), _:
                 self._err(
                     "type-mismatch",
-                    f"a pair cannot have type {self._pp(w)}", e.span)
+                    f"a pair cannot have type {print_expr(w)}", e.span)
             case Refl(arg), IdT(a_ty, lhs, rhs):
                 if not self.equal(ctx, lhs, rhs, a_ty):
                     self._err(
                         "type-mismatch",
                         "reflexivity needs equal endpoints, but "
-                        f"{self._pp(lhs)} and {self._pp(rhs)} differ", e.span)
+                        f"{print_expr(lhs)} and {print_expr(rhs)} differ", e.span)
                 if arg is not None:
                     ae = self.check(ctx, arg, a_ty)
                     if not self.equal(ctx, ae, lhs, a_ty):
@@ -952,8 +946,8 @@ class Checker:
                 if not self.equal(ctx, ity, w, U()):
                     self._err(
                         "type-mismatch",
-                        f"expected a term of type {self._pp(w)}, found one of "
-                        f"type {self._pp(ity)}", getattr(e, "span", None))
+                        f"expected a term of type {print_expr(w)}, found one of "
+                        f"type {print_expr(ity)}", getattr(e, "span", None))
                 return ee
 
     # -- declarations

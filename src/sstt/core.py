@@ -68,11 +68,6 @@ def reset_fresh() -> None:
     _counter = itertools.count(1)
 
 
-def display_name(name: str) -> str:
-    """Printable form of a possibly-freshened name."""
-    return name.replace("$", "_")
-
-
 # ---------------------------------------------------------------------------
 # Terms
 

@@ -8,6 +8,11 @@ Every well-typed point has a *tuple normal form*: projections are pushed
 through pairs and variables of product type are eta-expanded, so a normal
 point of a product cube is a tuple whose leaves are interval-valued atoms
 (``0``, ``1``, or a projection chain applied to a variable).
+
+The printers of this layer live here: ``print_cube_type`` and
+``print_cube_expr`` write cube types and points in the surface syntax, and
+every message that shows a cube goes through them.  ``tope.print_tope`` and
+``printer.print_expr`` build on them.
 """
 
 from __future__ import annotations
@@ -25,26 +30,18 @@ class CubeError(Exception):
 
 @dataclass(frozen=True)
 class Interval:
-    def __str__(self) -> str:
-        return "2"
+    pass
 
 
 @dataclass(frozen=True)
 class UnitCube:
-    def __str__(self) -> str:
-        return "1"
+    pass
 
 
 @dataclass(frozen=True)
 class ProdCube:
     left: "CubeType"
     right: "CubeType"
-
-    def __str__(self) -> str:
-        def atom(t: CubeType) -> str:
-            return f"({t})" if isinstance(t, ProdCube) else str(t)
-
-        return f"{atom(self.left)} * {atom(self.right)}"
 
 
 CubeType = Union[Interval, UnitCube, ProdCube]
@@ -60,28 +57,20 @@ UNIT_CUBE = UnitCube()
 class CVar:
     name: str
 
-    def __str__(self) -> str:
-        return self.name
-
 
 @dataclass(frozen=True)
 class CZero:
-    def __str__(self) -> str:
-        return "0"
+    pass
 
 
 @dataclass(frozen=True)
 class COne:
-    def __str__(self) -> str:
-        return "1"
+    pass
 
 
 @dataclass(frozen=True)
 class CStar:
     """The unique point of the one-point cube."""
-
-    def __str__(self) -> str:
-        return "star"
 
 
 @dataclass(frozen=True)
@@ -89,24 +78,15 @@ class CPair:
     fst: "CubeExpr"
     snd: "CubeExpr"
 
-    def __str__(self) -> str:
-        return f"({self.fst}, {self.snd})"
-
 
 @dataclass(frozen=True)
 class CFst:
     arg: "CubeExpr"
 
-    def __str__(self) -> str:
-        return f"fst {_paren(self.arg)}"
-
 
 @dataclass(frozen=True)
 class CSnd:
     arg: "CubeExpr"
-
-    def __str__(self) -> str:
-        return f"snd {_paren(self.arg)}"
 
 
 CubeExpr = Union[CVar, CZero, COne, CStar, CPair, CFst, CSnd]
@@ -116,10 +96,52 @@ CONE = COne()
 CSTAR = CStar()
 
 
-def _paren(e: CubeExpr) -> str:
-    if isinstance(e, (CVar, CZero, COne, CStar, CPair)):
-        return str(e)
-    return f"({e})"
+# ---------------------------------------------------------------------------
+# Printing, in the surface syntax
+
+def display_name(name: str) -> str:
+    """Printable form of a possibly-freshened name."""
+    return name.replace("$", "_")
+
+
+def print_cube_type(t: CubeType) -> str:
+    """Products associate to the right, so only a left factor that is itself
+    a product is parenthesized."""
+    match t:
+        case Interval():
+            return "2"
+        case UnitCube():
+            return "1"
+        case ProdCube(a, b):
+            left = print_cube_type(a)
+            if isinstance(a, ProdCube):
+                left = f"({left})"
+            return f"{left} * {print_cube_type(b)}"
+    raise TypeError(f"not a cube type: {t!r}")
+
+
+def print_cube_expr(c: CubeExpr, env: dict[str, str] | None = None,
+                    atom: bool = False) -> str:
+    """``env`` renames variables; ``atom`` parenthesizes a projection."""
+    env = env or {}
+    match c:
+        case CVar(n):
+            return env.get(n, display_name(n))
+        case CZero():
+            return "0"
+        case COne():
+            return "1"
+        case CStar():
+            return "star"
+        case CPair(a, b):
+            return f"({print_cube_expr(a, env)}, {print_cube_expr(b, env)})"
+        case CFst(a):
+            s = f"fst {print_cube_expr(a, env, atom=True)}"
+            return f"({s})" if atom else s
+        case CSnd(a):
+            s = f"snd {print_cube_expr(a, env, atom=True)}"
+            return f"({s})" if atom else s
+    raise TypeError(f"not a cube expression: {c!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +166,14 @@ def cube_type_of(ctx: CubeContext, e: CubeExpr) -> CubeType:
         case CFst(a):
             t = cube_type_of(ctx, a)
             if not isinstance(t, ProdCube):
-                raise CubeError(f"fst applied to point of non-product cube {t}")
+                raise CubeError(
+                    f"fst applied to point of non-product cube {print_cube_type(t)}")
             return t.left
         case CSnd(a):
             t = cube_type_of(ctx, a)
             if not isinstance(t, ProdCube):
-                raise CubeError(f"snd applied to point of non-product cube {t}")
+                raise CubeError(
+                    f"snd applied to point of non-product cube {print_cube_type(t)}")
             return t.right
     raise CubeError(f"not a cube expression: {e!r}")
 
@@ -224,6 +248,29 @@ def _leaves(n: CubeExpr) -> Iterator[CubeExpr]:
         yield from _leaves(n.snd)
     elif not isinstance(n, CStar):
         yield n
+
+
+def split_point(point: CubeExpr, k: int) -> list[CubeExpr]:
+    """Split a point of a right-nested k-fold product into components."""
+    out: list[CubeExpr] = []
+    for _ in range(k - 1):
+        out.append(CFst(point))
+        point = CSnd(point)
+    out.append(point)
+    return out
+
+
+def split_cube(cube: CubeType, k: int) -> list[CubeType]:
+    """The factors of a right-nested k-fold product cube."""
+    out: list[CubeType] = []
+    for _ in range(k - 1):
+        if not isinstance(cube, ProdCube):
+            raise CubeError(
+                f"pattern has {k} components but the cube is not a {k}-fold product")
+        out.append(cube.left)
+        cube = cube.right
+    out.append(cube)
+    return out
 
 
 def subst_cube_sim(e: CubeExpr, mapping: dict[str, CubeExpr]) -> CubeExpr:

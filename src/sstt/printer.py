@@ -3,6 +3,10 @@
 Printing then parsing and elaborating yields an alpha-equivalent term.
 Internally generated names (which contain ``$``) are mapped back to plain
 identifiers, renamed where that would capture or collide with a keyword.
+
+This module prints terms only.  Cube types and points are printed by
+``cube.print_cube_type`` and ``cube.print_cube_expr``, and topes by
+``tope.print_tope``; they are re-exported here.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from .core import (
     Const,
     CubeLit,
     Ext,
+    ExtApp,
     Expr,
     Fst,
     IdT,
@@ -28,87 +33,15 @@ from .core import (
     UnitPoint,
     UnitType,
     Var,
-    display_name,
     free_vars,
 )
-from .cube import (
-    CFst,
-    CPair,
-    CSnd,
-    CStar,
-    CubeExpr,
-    CubeType,
-    CVar,
-    CZero,
-    COne,
-    Interval,
-    ProdCube,
-    UnitCube,
-)
+from .cube import display_name, print_cube_expr, print_cube_type
 from .parser import KEYWORDS
-from .tope import TBot, TEq, TLe, TAnd, TOr, TTop, Tope, tope_free_vars
+from .tope import BOT, TOP, print_tope, tope_free_vars
 
 # precedence levels, loosest to tightest; a node is parenthesized when its
 # own level is looser than the position demands
 LAM, ARROW, SIGMA_OP, APP, PREFIX, ATOM = range(6)
-
-
-def print_cube_type(t: CubeType) -> str:
-    match t:
-        case Interval():
-            return "2"
-        case UnitCube():
-            return "1"
-        case ProdCube(a, b):
-            left = print_cube_type(a)
-            if isinstance(a, ProdCube):
-                left = f"({left})"
-            return f"{left} * {print_cube_type(b)}"
-    raise TypeError(f"not a cube type: {t!r}")
-
-
-def print_cube_expr(c: CubeExpr, env: dict[str, str] | None = None,
-                    atom: bool = False) -> str:
-    env = env or {}
-    match c:
-        case CVar(n):
-            return env.get(n, display_name(n))
-        case CZero():
-            return "0"
-        case COne():
-            return "1"
-        case CStar():
-            return "star"
-        case CPair(a, b):
-            return f"({print_cube_expr(a, env)}, {print_cube_expr(b, env)})"
-        case CFst(a):
-            s = f"fst {print_cube_expr(a, env, atom=True)}"
-            return f"({s})" if atom else s
-        case CSnd(a):
-            s = f"snd {print_cube_expr(a, env, atom=True)}"
-            return f"({s})" if atom else s
-    raise TypeError(f"not a cube expression: {c!r}")
-
-
-def print_tope(t: Tope, env: dict[str, str] | None = None, level: int = 0) -> str:
-    """Levels: 0 disjunction, 1 conjunction, 2 atom."""
-    env = env or {}
-    match t:
-        case TTop():
-            return "TOP"
-        case TBot():
-            return "BOT"
-        case TOr(a, b):
-            s = f"{print_tope(a, env, 0)} \\/ {print_tope(b, env, 1)}"
-            return f"({s})" if level > 0 else s
-        case TAnd(a, b):
-            s = f"{print_tope(a, env, 1)} /\\ {print_tope(b, env, 2)}"
-            return f"({s})" if level > 1 else s
-        case TLe(a, b):
-            return f"{print_cube_expr(a, env)} <= {print_cube_expr(b, env)}"
-        case TEq(a, b):
-            return f"{print_cube_expr(a, env)} === {print_cube_expr(b, env)}"
-    raise TypeError(f"not a tope: {t!r}")
 
 
 def _pick_name(x: str, avoid: set[str]) -> str:
@@ -185,6 +118,9 @@ def _go(e: Expr, env: dict[str, str], level: int) -> str:
                 head = f"({head})"
             s = f"{head} {_go(a, env, ATOM)}"
             return _paren(s, APP, level)
+        case ExtApp(f, c):
+            s = f"{_go(f, env, APP)} {print_cube_expr(c, env, atom=True)}"
+            return _paren(s, APP, level)
         case Pair(a, b):
             return f"({_go(a, env, LAM)}, {_go(b, env, LAM)})"
         case Fst(a):
@@ -215,8 +151,6 @@ def _go(e: Expr, env: dict[str, str], level: int) -> str:
 
 
 def _print_ext(e: Ext, env: dict[str, str], level: int) -> str:
-    from .tope import BOT, TOP
-
     nx, env2 = _binder_env(
         e.var, [e.family, e.boundary], [e.shape_tope, e.boundary_tope], env)
     if e.shape_tope == TOP:

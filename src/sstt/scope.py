@@ -45,18 +45,14 @@ from .core import (
     subst_cube,
 )
 from .cube import (
-    CFst,
     CONE,
-    CSnd,
     CubeError,
-    CubeExpr,
     CubeType,
     CVar,
     CZERO,
-    Interval,
-    ProdCube,
     cube_free_vars,
-    cube_type_of,
+    split_cube,
+    split_point,
 )
 from .parser import (
     SAnnE,
@@ -93,7 +89,7 @@ from .parser import (
     SVar,
 )
 from .tope import (
-    BOT, TOP, TAnd, TEq, TLe, TOr, Tope, subst_tope_sim, tope_or,
+    BOT, TOP, Shape, TAnd, TEq, TLe, TOr, Tope, TopeError, normalize_tope, tope_or,
 )
 
 
@@ -104,50 +100,11 @@ class ScopeError(Exception):
         self.span = span
 
 
-@dataclass(frozen=True)
-class ShapeDef:
-    """A named sub-shape of a cube: a pattern of cube variables and a tope
-    over them."""
-
-    name: str
-    pattern: tuple[str, ...]
-    cube: CubeType
-    tope: Tope
-
-    def applied_to(self, arg: CubeExpr) -> Tope:
-        comps = _components(arg, len(self.pattern))
-        return subst_tope_sim(self.tope, dict(zip(self.pattern, comps)))
-
-
-def _components(arg: CubeExpr, k: int) -> list[CubeExpr]:
-    """Split a point of a right-nested k-fold product into components."""
-    out: list[CubeExpr] = []
-    for _ in range(k - 1):
-        out.append(CFst(arg))
-        arg = CSnd(arg)
-    out.append(arg)
-    return out
-
-
-def _split_cube(cube: CubeType, k: int, span: Optional[Span]) -> list[CubeType]:
-    out: list[CubeType] = []
-    for _ in range(k - 1):
-        if not isinstance(cube, ProdCube):
-            raise ScopeError(
-                f"pattern has {k} components but the cube is not a {k}-fold product",
-                span,
-            )
-        out.append(cube.left)
-        cube = cube.right
-    out.append(cube)
-    return out
-
-
 @dataclass
 class GlobalEnv:
     """Shapes and checked declarations accumulated across files."""
 
-    shapes: dict[str, ShapeDef] = field(default_factory=dict)
+    shapes: dict[str, Shape] = field(default_factory=dict)
     decls: dict[str, Decl] = field(default_factory=dict)
 
     def taken(self, name: str) -> bool:
@@ -162,7 +119,7 @@ class GlobalEnv:
             raise ScopeError(f"redefinition of {d.name!r}", d.span)
         self.decls[d.name] = d
 
-    def add_shape(self, s: ShapeDef, span: Optional[Span] = None) -> None:
+    def add_shape(self, s: Shape, span: Optional[Span] = None) -> None:
         if self.taken(s.name):
             raise ScopeError(f"redefinition of {s.name!r}", span)
         self.shapes[s.name] = s
@@ -263,7 +220,7 @@ class Elaborator:
                 inner = {**locals_, **{n: "cube" for n in pattern}}
                 b = self.elab(body, inner)
                 p = fresh("p")
-                comps = _components(CVar(p), len(pattern))
+                comps = split_point(CVar(p), len(pattern))
                 b = subst_cube(b, dict(zip(pattern, comps)))
                 return Lam(p, b, span=e.span)
             case SApp(f, a):
@@ -294,7 +251,7 @@ class Elaborator:
                 return Ann(self.elab(x, locals_), self.elab(t, locals_), span=e.span)
         raise ScopeError(f"cannot elaborate {e!r}", getattr(e, "span", None))
 
-    def _as_shape(self, e: SExpr) -> Optional[ShapeDef]:
+    def _as_shape(self, e: SExpr) -> Optional[Shape]:
         if isinstance(e, SVar):
             return self.env.shapes.get(e.name)
         return None
@@ -348,15 +305,18 @@ class Elaborator:
 
     # -- declarations
 
-    def elab_shape_decl(self, sd: SShapeDecl) -> ShapeDef:
-        factors = _split_cube(sd.cube, len(sd.pattern), sd.span)
+    def elab_shape_decl(self, sd: SShapeDecl) -> Shape:
+        try:
+            factors = split_cube(sd.cube, len(sd.pattern))
+        except CubeError as err:
+            raise ScopeError(str(err), sd.span) from None
         if len(set(sd.pattern)) != len(sd.pattern):
             raise ScopeError("repeated variable in shape pattern", sd.span)
         locals_ = {n: "cube" for n in sd.pattern}
         tope = self.expand_tope(sd.tope, locals_, sd.span)
         ctx = dict(zip(sd.pattern, factors))
         _validate_tope(ctx, tope, sd.span)
-        return ShapeDef(sd.name, sd.pattern, sd.cube, tope)
+        return Shape(sd.name, sd.pattern, sd.cube, tope)
 
     def elab_decl(self, sd: SDecl) -> Decl:
         telescope: list[TeleParam] = []
@@ -415,28 +375,10 @@ class Elaborator:
 
 def _validate_tope(ctx: dict[str, CubeType], t: Tope, span: Optional[Span]) -> None:
     """Check the cube expressions inside a tope against the cube context."""
-    match t:
-        case TAnd(a, b) | TOr(a, b):
-            _validate_tope(ctx, a, span)
-            _validate_tope(ctx, b, span)
-        case TLe(a, b):
-            try:
-                ta, tb = cube_type_of(ctx, a), cube_type_of(ctx, b)
-            except CubeError as err:
-                raise ScopeError(str(err), span) from None
-            if not isinstance(ta, Interval) or not isinstance(tb, Interval):
-                raise ScopeError(
-                    "order constraints only apply to points of the interval", span)
-        case TEq(a, b):
-            try:
-                ta, tb = cube_type_of(ctx, a), cube_type_of(ctx, b)
-            except CubeError as err:
-                raise ScopeError(str(err), span) from None
-            if ta != tb:
-                raise ScopeError(
-                    f"equated points live in different cubes ({ta} and {tb})", span)
-        case _:
-            pass
+    try:
+        normalize_tope(ctx, t)
+    except TopeError as err:
+        raise ScopeError(str(err), span) from None
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,12 @@ off as the weak order of its points: 0 in the bottom block, 1 in the top.
 Closing and checking one branch takes time polynomial in the number of
 points; the DNF disjuncts and the tableau branches are each bounded by
 ``MAX_DISJUNCTS``.
+
+``normalize_tope`` is the one well-formedness check for topes: it
+type-checks the points of every inequality and equality and raises
+``TopeError`` on an ill-typed one.  The printer of this layer lives here
+too: ``print_tope`` writes a tope in the surface syntax, its points through
+``cube.print_cube_expr``, which also names the atoms of a counter-model.
 """
 
 from __future__ import annotations
@@ -37,11 +43,16 @@ from .cube import (
     CStar,
     CVar,
     CZero,
+    CubeError,
     Interval,
     cube_free_vars,
     cube_type_of,
     interval_atoms,
     normalize_cube,
+    print_cube_expr,
+    print_cube_type,
+    split_cube,
+    split_point,
     subst_cube_sim,
 )
 
@@ -61,14 +72,12 @@ class TopeTooLargeError(TopeError):
 
 @dataclass(frozen=True)
 class TTop:
-    def __str__(self) -> str:
-        return "TOP"
+    pass
 
 
 @dataclass(frozen=True)
 class TBot:
-    def __str__(self) -> str:
-        return "BOT"
+    pass
 
 
 @dataclass(frozen=True)
@@ -76,17 +85,11 @@ class TAnd:
     left: "Tope"
     right: "Tope"
 
-    def __str__(self) -> str:
-        return f"{_wrap(self.left)} /\\ {_wrap(self.right)}"
-
 
 @dataclass(frozen=True)
 class TOr:
     left: "Tope"
     right: "Tope"
-
-    def __str__(self) -> str:
-        return f"{_wrap(self.left)} \\/ {_wrap(self.right)}"
 
 
 @dataclass(frozen=True)
@@ -94,17 +97,11 @@ class TLe:
     left: CubeExpr
     right: CubeExpr
 
-    def __str__(self) -> str:
-        return f"{self.left} <= {self.right}"
-
 
 @dataclass(frozen=True)
 class TEq:
     left: CubeExpr
     right: CubeExpr
-
-    def __str__(self) -> str:
-        return f"{self.left} === {self.right}"
 
 
 Tope = Union[TTop, TBot, TAnd, TOr, TLe, TEq]
@@ -113,10 +110,25 @@ TOP = TTop()
 BOT = TBot()
 
 
-def _wrap(t: Tope) -> str:
-    if isinstance(t, (TAnd, TOr)):
-        return f"({t})"
-    return str(t)
+def print_tope(t: Tope, env: dict[str, str] | None = None, level: int = 0) -> str:
+    """Levels: 0 disjunction, 1 conjunction, 2 atom."""
+    env = env or {}
+    match t:
+        case TTop():
+            return "TOP"
+        case TBot():
+            return "BOT"
+        case TOr(a, b):
+            s = f"{print_tope(a, env, 0)} \\/ {print_tope(b, env, 1)}"
+            return f"({s})" if level > 0 else s
+        case TAnd(a, b):
+            s = f"{print_tope(a, env, 1)} /\\ {print_tope(b, env, 2)}"
+            return f"({s})" if level > 1 else s
+        case TLe(a, b):
+            return f"{print_cube_expr(a, env)} <= {print_cube_expr(b, env)}"
+        case TEq(a, b):
+            return f"{print_cube_expr(a, env)} === {print_cube_expr(b, env)}"
+    raise TypeError(f"not a tope: {t!r}")
 
 
 def tope_and(*ts: Tope) -> Tope:
@@ -172,17 +184,18 @@ def tope_free_vars(t: Tope) -> set[str]:
 
 @dataclass(frozen=True)
 class Shape:
-    """A sub-polytope {var : cube | constraint} of a cube."""
+    """A named sub-shape {pattern : cube | tope} of a cube.  The pattern
+    names the components of a point of a right-nested product, one variable
+    for the whole cube if it has a single entry."""
 
-    var: str
+    name: str
+    pattern: tuple[str, ...]
     cube: CubeType
-    constraint: Tope
-
-    def __str__(self) -> str:
-        return f"{{{self.var} : {self.cube} | {self.constraint}}}"
+    tope: Tope
 
     def applied_to(self, point: CubeExpr) -> Tope:
-        return subst_tope(self.constraint, self.var, point)
+        comps = split_point(point, len(self.pattern))
+        return subst_tope_sim(self.tope, dict(zip(self.pattern, comps)))
 
 
 @dataclass(frozen=True)
@@ -195,10 +208,6 @@ class Sequent:
 
     def cube_context(self) -> CubeContext:
         return dict(self.ctx)
-
-    def __str__(self) -> str:
-        vars_ = ", ".join(f"{n} : {t}" for n, t in self.ctx)
-        return f"{vars_} | {self.hyp} |- {self.goal}"
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +229,24 @@ def normalize_tope(ctx: CubeContext, t: Tope) -> Tope:
                 return na
             return TOr(na, nb)
         case TLe(a, b):
-            ta, tb = cube_type_of(ctx, a), cube_type_of(ctx, b)
+            ta, tb = _cube_types(ctx, a, b)
             if not isinstance(ta, Interval) or not isinstance(tb, Interval):
-                raise TopeError(f"<= requires interval-valued points, got {ta} and {tb}")
+                raise TopeError("order constraints only apply to points of the interval")
             return TLe(normalize_cube(ctx, a), normalize_cube(ctx, b))
         case TEq(a, b):
-            ta, tb = cube_type_of(ctx, a), cube_type_of(ctx, b)
+            ta, tb = _cube_types(ctx, a, b)
             if ta != tb:
-                raise TopeError(f"=== requires points of the same cube, got {ta} and {tb}")
+                raise TopeError("equated points live in different cubes "
+                                f"({print_cube_type(ta)} and {print_cube_type(tb)})")
             return _eq_components(normalize_cube(ctx, a), normalize_cube(ctx, b))
     raise TopeError(f"not a tope: {t!r}")
+
+
+def _cube_types(ctx: CubeContext, a: CubeExpr, b: CubeExpr) -> tuple[CubeType, CubeType]:
+    try:
+        return cube_type_of(ctx, a), cube_type_of(ctx, b)
+    except CubeError as err:
+        raise TopeError(str(err)) from None
 
 
 def _eq_components(a: CubeExpr, b: CubeExpr) -> Tope:
@@ -315,7 +332,7 @@ def _collect_atoms(ts: list[Tope]) -> list[CubeExpr]:
 
     for t in ts:
         visit(t)
-    atoms.sort(key=str)
+    atoms.sort(key=print_cube_expr)
     return atoms
 
 
@@ -469,7 +486,7 @@ def _entails_normalized(hyp: Tope, goal: Tope) -> EntailResult:
     negated = _negate(goal, index)
     if negated is None:
         return EntailResult(True)
-    names = ["0", "1"] + [str(a) for a in atoms]
+    names = ["0", "1"] + [print_cube_expr(a) for a in atoms]
     branches = 0
     for disjunct in disjuncts:
         order = _close_disjunct(disjunct, index, len(names))
@@ -501,11 +518,19 @@ def clear_caches() -> None:
 # Derived queries
 
 def shape_included(sub: Shape, sup: Shape) -> EntailResult:
-    """Is ``sub`` a sub-shape of ``sup``?  Both must carve the same cube."""
+    """Is ``sub`` a sub-shape of ``sup``?  Both must carve the same cube.
+    The sequent is stated over the variables of ``sub``'s pattern."""
     if sub.cube != sup.cube:
-        raise TopeError(f"shape cubes differ: {sub.cube} vs {sup.cube}")
-    var = sub.var
-    seq = Sequent(((var, sub.cube),), sub.constraint, sup.applied_to(CVar(var)))
+        raise TopeError("shape cubes differ: "
+                        f"{print_cube_type(sub.cube)} vs {print_cube_type(sup.cube)}")
+    try:
+        factors = split_cube(sub.cube, len(sub.pattern))
+    except CubeError as err:
+        raise TopeError(str(err)) from None
+    point: CubeExpr = CVar(sub.pattern[-1])
+    for var in reversed(sub.pattern[:-1]):
+        point = CPair(CVar(var), point)
+    seq = Sequent(tuple(zip(sub.pattern, factors)), sub.tope, sup.applied_to(point))
     return entails(seq)
 
 
@@ -513,7 +538,8 @@ def eq_under(ctx: CubeContext, hyp: Tope, s: CubeExpr, t: CubeExpr) -> bool:
     """Tope equality of two points, componentwise on tuple normal forms."""
     ts, tt = cube_type_of(ctx, s), cube_type_of(ctx, t)
     if ts != tt:
-        raise TopeError(f"points of different cubes: {ts} vs {tt}")
+        raise TopeError("points of different cubes: "
+                        f"{print_cube_type(ts)} vs {print_cube_type(tt)}")
     ctx_items = tuple(sorted(ctx.items()))
     leaves_s = list(interval_atoms(ctx, s))
     leaves_t = list(interval_atoms(ctx, t))

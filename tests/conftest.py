@@ -1,14 +1,22 @@
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
 
+import sstt
 from sstt.checker import Checker
 from sstt.core import CubeParam, TopeParam, TriContext, TypedParam
 from sstt.corpus import CORPUS_DIR, LEDGER_NAME, load_corpus, read_ledger
 
 NEGATIVE_DIR = Path(__file__).parent / "negative"
+
+# subprocesses (``python -m sstt.cli``) run the sstt these tests import,
+# also from a checkout where it is not installed
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (str(Path(sstt.__file__).resolve().parents[1]),
+                os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture(scope="session")

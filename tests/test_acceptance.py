@@ -138,7 +138,7 @@ def _square_shape(tope) -> Shape:
     p = CVar("p")
     tope = subst_tope(tope, "t1", CFst(p))
     tope = subst_tope(tope, "t2", CSnd(p))
-    return Shape("p", ProdCube(INTERVAL, INTERVAL), tope)
+    return Shape("S", ("p",), ProdCube(INTERVAL, INTERVAL), tope)
 
 
 T1, T2 = CVar("t1"), CVar("t2")

@@ -66,6 +66,18 @@ def test_check_failure_exit_code(capsys, tmp_path):
     assert "type-mismatch" in kinds
 
 
+def test_check_prints_extension_application_in_mismatch(capsys, tmp_path):
+    bad = tmp_path / "extapp.sstt"
+    bad.write_text("shape Delta1 := {t : 2 | TOP}\n"
+                   "def bad (X : Delta1 -> U) (x : X 0) : X 1 := x\n")
+    code = main(["--machine", "check", str(bad)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    diags = [d for f in payload["files"] for d in f["diagnostics"]]
+    assert [d["kind"] for d in diags] == ["type-mismatch"]
+    assert diags[0]["message"] == "expected a term of type X 1, found one of type X 0"
+
+
 def test_check_missing_file(capsys):
     assert main(["check", "no-such-file.sstt"]) == 2
 
@@ -85,6 +97,15 @@ def test_tope_counter_model(capsys):
 
 def test_tope_parse_error(capsys):
     assert main(["--machine", "tope", "t : 2 | |-"]) == 2
+
+
+@pytest.mark.parametrize("sequent,error", [
+    ("x : 2 | TOP |- y <= x", "unbound cube variable 'y'"),
+    ("x : 2 | TOP |- fst x <= x", "fst applied to point of non-product cube 2"),
+])
+def test_tope_ill_typed_point_is_an_input_error(capsys, sequent, error):
+    assert main(["--machine", "tope", sequent]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": error}
 
 
 def test_no_color_env(monkeypatch, capsys):

@@ -16,7 +16,6 @@ from sstt.core import (
     Var,
     alpha_eq,
     cube_to_term,
-    display_name,
     fold_telescope,
     free_vars,
     fresh,
@@ -24,7 +23,7 @@ from sstt.core import (
     subst_cube,
     subst_typed,
 )
-from sstt.cube import INTERVAL, CONE, CZERO, CFst, CPair, CVar
+from sstt.cube import INTERVAL, CONE, CZERO, CFst, CPair, CVar, display_name
 from sstt.tope import TEq, TLe, TTop
 
 

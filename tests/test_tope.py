@@ -5,7 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from generators import random_sequent, random_tope
 from oracle import oracle_entails
-from sstt.cube import INTERVAL, CONE, CZERO, CFst, COne, CPair, CSnd, CVar, CZero, ProdCube
+from sstt.cube import (
+    INTERVAL, CONE, CZERO, CFst, COne, CPair, CSnd, CVar, CZero, ProdCube,
+    print_cube_type,
+)
+from sstt.parser import parse_sequent_source
 from sstt.tope import (
     Sequent,
     Shape,
@@ -18,6 +22,7 @@ from sstt.tope import (
     entails,
     eq_under,
     normalize_tope,
+    print_tope,
     shape_included,
     subst_tope,
     tope_and,
@@ -131,6 +136,26 @@ def test_counter_models_refute_the_sequent(seed):
     assert true_at(seq.hyp, rank) and not true_at(seq.goal, rank), str(seq)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_printed_sequent_parses_back(seed):
+    rng = random.Random(seed)
+    seq = random_sequent(rng, n_vars=rng.randint(1, 5), depth=rng.randint(1, 3))
+    ctx = ", ".join(f"{n} : {print_cube_type(c)}" for n, c in seq.ctx)
+    src = f"{ctx} | {print_tope(seq.hyp)} |- {print_tope(seq.goal)}"
+    assert parse_sequent_source(src) == seq, src
+
+
+def test_product_cube_types_print_and_parse_back():
+    right = ProdCube(INTERVAL, ProdCube(INTERVAL, INTERVAL))
+    left = ProdCube(ProdCube(INTERVAL, INTERVAL), INTERVAL)
+    assert print_cube_type(right) == "2 * 2 * 2"
+    assert print_cube_type(left) == "(2 * 2) * 2"
+    for cube in (right, left):
+        seq = parse_sequent_source(f"p : {print_cube_type(cube)} | TOP |- TOP")
+        assert seq.ctx == (("p", cube),)
+
+
 # -- the standard shapes
 
 SQUARE = ProdCube(INTERVAL, INTERVAL)
@@ -142,7 +167,7 @@ def _shape(tope) -> Shape:
     # the defining tope is written over coordinates t1, t2 of the square
     tope = subst_tope(tope, "t1", CFst(P))
     tope = subst_tope(tope, "t2", CSnd(P))
-    return Shape("p", SQUARE, tope)
+    return Shape("S", ("p",), SQUARE, tope)
 
 
 def shape_delta2() -> Shape:
@@ -172,6 +197,19 @@ def test_horn_inside_triangle():
 def test_strict_inclusions():
     assert not shape_included(shape_boundary(), shape_horn()).yes
     assert not shape_included(shape_delta2(), shape_boundary()).yes
+
+
+def test_corpus_shape_inclusions(corpus_env):
+    # the prelude's shapes name both coordinates of the square: {(t1, t2) : 2 * 2 | ...}
+    shapes = corpus_env.shapes
+    delta, boundary, horn = shapes["Delta2"], shapes["dDelta2"], shapes["Horn21"]
+    assert delta.pattern == boundary.pattern == horn.pattern == ("t1", "t2")
+    assert shape_included(horn, boundary).yes
+    assert shape_included(boundary, delta).yes
+    assert shape_included(horn, delta).yes
+    res = shape_included(delta, boundary)
+    assert not res.yes
+    assert str(res.counter_model) == "0 < t2 < t1 < 1"
 
 
 # -- simplices, boundaries and horns at twelve atoms
