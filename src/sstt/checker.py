@@ -35,7 +35,6 @@ from .core import (
     CubeLit,
     CubeParam,
     Decl,
-    DeclTag,
     Ext,
     ExtApp,
     Expr,
@@ -59,7 +58,6 @@ from .core import (
     Var,
     alpha_eq,
     cube_to_term,
-    fold_telescope,
     free_vars,
     fresh,
     rename_var,
@@ -973,6 +971,4 @@ class Checker:
         ibody = None
         if decl.inner_body is not None:
             ibody = self.check(ctx, decl.inner_body, ity)
-        ty, body = fold_telescope(tuple(tele), ity, ibody)
-        return Decl(decl.name, decl.tag, tuple(tele), ity, ibody, ty, body,
-                    span=decl.span)
+        return Decl(decl.name, decl.tag, tuple(tele), ity, ibody, span=decl.span)

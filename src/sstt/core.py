@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Mapping, Optional, Union
 
 from .cube import (
@@ -178,7 +179,8 @@ class Ext:
     """Extension type: sections of ``family`` over the shape ``{var : cube |
     shape_tope}`` that restrict on the sub-shape ``boundary_tope`` to
     ``boundary``.  ``var`` scopes over both topes, the family and the
-    boundary term."""
+    boundary term.  Only as parsed, before scope resolution, is ``cube``
+    None, for a shape domain (see ``parser``)."""
 
     var: str
     cube: CubeType
@@ -548,17 +550,20 @@ class DeclTag(Enum):
 class CubeParam:
     name: str
     cube: CubeType
+    span: Optional[Span] = _span_field()
 
 
 @dataclass(frozen=True)
 class TopeParam:
     tope: Tope
+    span: Optional[Span] = _span_field()
 
 
 @dataclass(frozen=True)
 class TypedParam:
     name: str
     ty: Expr
+    span: Optional[Span] = _span_field()
 
 
 TeleParam = Union[CubeParam, TopeParam, TypedParam]
@@ -566,22 +571,29 @@ TeleParam = Union[CubeParam, TopeParam, TypedParam]
 
 @dataclass(frozen=True)
 class Decl:
-    """A checked declaration: a telescope, a stated type, and (for
-    definitions and proved theorems) a body.  ``ty``/``body`` are the
-    telescope-folded forms consumed by the checker."""
+    """A declaration: a telescope, a stated type, and (for definitions and
+    proved theorems) a body.  The parser builds it with unresolved names,
+    scope resolves them, and the checker returns it checked.  ``ty``/``body``
+    are the telescope-folded forms consumed by the checker."""
 
     name: str
     tag: DeclTag
     telescope: tuple[TeleParam, ...]
     inner_ty: Expr
     inner_body: Optional[Expr]
-    ty: Expr
-    body: Optional[Expr]
     span: Optional[Span] = _span_field()
 
+    @cached_property
+    def _folded(self) -> tuple[Expr, Optional[Expr]]:
+        return fold_telescope(self.telescope, self.inner_ty, self.inner_body)
+
     @property
-    def has_body(self) -> bool:
-        return self.body is not None
+    def ty(self) -> Expr:
+        return self._folded[0]
+
+    @property
+    def body(self) -> Optional[Expr]:
+        return self._folded[1]
 
 
 def fold_telescope(telescope: tuple[TeleParam, ...], inner_ty: Expr,

@@ -1,11 +1,29 @@
 """Surface syntax: lexer and recursive-descent parser.
 
-Produces a surface AST with unresolved names; scope resolution and
-elaboration into the core language happen in ``scope``.  Cube expressions
-and topes reuse the core representations directly, except that a tope may
-contain a shape application placeholder that scope resolution expands.
+The parser builds core terms, telescope parameters and declarations
+directly, with a ``Var`` for every identifier; ``scope`` then resolves names
+against the global environment and expands shapes.  What only the
+environment can settle is left for scope in core form: a Π whose domain is
+a bare name becomes an extension type if the name is a shape; an extension
+type over a shape domain has no cube yet, and its shape tope is the
+placeholder ``STShapeApp`` of that shape to the bound variable; the branches
+of an extension type stay a tope case until their topes are expanded.  A
+shape application in a tope is an ``STShapeApp``.  Anonymous binders
+(``A -> B``, ``A * B``) and the point of a tuple-pattern lambda get fresh
+names; while the lambda's body is parsed, its pattern names stand for the
+projections of that point.
 
-The grammar is documented in docs/syntax.md.
+Alternatives are chosen by lookahead, never by backtracking, with a table of
+matching parentheses built once per input:
+
+- ``(x : D)`` is a Π binder iff the token after its ``)`` is ``->``;
+- a binder domain or parameter is a cube type iff its tokens up to ``)`` or
+  ``|`` are only ``1``, ``2``, ``*`` and parentheses;
+- a parenthesized tope is a relation iff ``<=`` or ``===`` follows its ``)``;
+- an identifier in a tope starts a relation iff ``<=`` or ``===`` follows
+  it, and applies a shape otherwise.
+
+So every token is parsed once.  The grammar is documented in docs/syntax.md.
 """
 
 from __future__ import annotations
@@ -13,7 +31,36 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .core import Span
+from .core import (
+    Ann,
+    App,
+    CubeLit,
+    CubeParam,
+    Decl,
+    DeclTag,
+    Expr,
+    Ext,
+    Fst,
+    IdT,
+    J,
+    Lam,
+    Pair,
+    Pi,
+    Refl,
+    Sigma,
+    Snd,
+    Span,
+    TeleParam,
+    TopeCase,
+    TopeParam,
+    TypedParam,
+    U,
+    UnitPoint,
+    UnitType,
+    Var,
+    cube_to_term,
+    fresh,
+)
 from .cube import (
     CFst,
     CPair,
@@ -27,8 +74,9 @@ from .cube import (
     INTERVAL,
     ProdCube,
     UNIT_CUBE,
+    split_point,
 )
-from .tope import BOT, TOP, TAnd, TEq, TLe, TOr, Tope
+from .tope import BOT, TOP, Shape, TAnd, TEq, TLe, TOr, Tope, tope_or
 
 
 class ParseError(Exception):
@@ -122,7 +170,7 @@ def lex(src: str, filename: str = "<input>") -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
-# Surface AST
+# Tope placeholder
 
 @dataclass(frozen=True)
 class STShapeApp:
@@ -136,220 +184,30 @@ class STShapeApp:
 STope = Union[Tope, STShapeApp]  # shape apps may also sit under TAnd/TOr
 
 
-def _sf():
-    return field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class SVar:
-    name: str
-    span: Optional[Span] = _sf()
-
-
-@dataclass(frozen=True)
-class SU:
-    span: Optional[Span] = _sf()
-
-
-@dataclass(frozen=True)
-class SUnitT:
-    span: Optional[Span] = _sf()
-
-
-@dataclass(frozen=True)
-class SStarE:
-    span: Optional[Span] = _sf()
-
-
-@dataclass(frozen=True)
-class SNum:
-    value: int  # 0 or 1, a cube endpoint in term position
-    span: Optional[Span] = _sf()
-
-
-@dataclass(frozen=True)
-class SDomCube:
-    cube: CubeType
-    tope: Optional[STope]
-    span: Optional[Span] = _sf()
-
-
-@dataclass(frozen=True)
-class SDomExpr:
-    expr: "SExpr"
-    span: Optional[Span] = _sf()
-
-
-SDom = Union[SDomCube, SDomExpr]
-
-
-@dataclass(frozen=True)
-class SPiB:
-    var: str
-    dom: SDom
-    cod: "SExpr"
-    span: Optional[Span] = _sf()
-
-
-@dataclass(frozen=True)
-class SArrow:
-    dom: "SExpr"
-    cod: "SExpr"
-    span: Optional[Span] = _sf()
-
-
-@dataclass(frozen=True)
-class SSigmaOp:
-    left: "SExpr"
-    right: "SExpr"
-    span: Optional[Span] = _sf()
-
-
-@dataclass(frozen=True)
-class SSigmaB:
-    var: str
-    dom: "SExpr"
-    body: "SExpr"
-    span: Optional[Span] = _sf()
-
-
-@dataclass(frozen=True)
-class SLam:
-    pattern: tuple[str, ...]  # singleton, or a cube tuple pattern
-    tuple_pattern: bool
-    body: "SExpr"
-    span: Optional[Span] = _sf()
-
-
-@dataclass(frozen=True)
-class SApp:
-    fn: "SExpr"
-    arg: "SExpr"
-    span: Optional[Span] = _sf()
-
-
-@dataclass(frozen=True)
-class SPairE:
-    fst: "SExpr"
-    snd: "SExpr"
-    span: Optional[Span] = _sf()
-
-
-@dataclass(frozen=True)
-class SFstE:
-    arg: "SExpr"
-    span: Optional[Span] = _sf()
-
-
-@dataclass(frozen=True)
-class SSndE:
-    arg: "SExpr"
-    span: Optional[Span] = _sf()
-
-
-@dataclass(frozen=True)
-class SIdE:
-    ty: "SExpr"
-    lhs: "SExpr"
-    rhs: "SExpr"
-    span: Optional[Span] = _sf()
-
-
-@dataclass(frozen=True)
-class SReflE:
-    arg: Optional["SExpr"]
-    span: Optional[Span] = _sf()
-
-
-@dataclass(frozen=True)
-class SJE:
-    motive: "SExpr"
-    base: "SExpr"
-    path: "SExpr"
-    span: Optional[Span] = _sf()
-
-
-@dataclass(frozen=True)
-class SExtE:
-    var: str
-    dom: SDom
-    family: "SExpr"
-    branches: tuple[tuple[STope, "SExpr"], ...]
-    span: Optional[Span] = _sf()
-
-
-@dataclass(frozen=True)
-class SCaseE:
-    branches: tuple[tuple[STope, "SExpr"], ...]
-    span: Optional[Span] = _sf()
-
-
-@dataclass(frozen=True)
-class SAnnE:
-    expr: "SExpr"
-    ty: "SExpr"
-    span: Optional[Span] = _sf()
-
-
-SExpr = Union[
-    SVar, SU, SUnitT, SStarE, SNum, SPiB, SArrow, SSigmaOp, SSigmaB, SLam,
-    SApp, SPairE, SFstE, SSndE, SIdE, SReflE, SJE, SExtE, SCaseE, SAnnE,
-]
-
-
-@dataclass(frozen=True)
-class SParamTyped:
-    names: tuple[str, ...]
-    ty: SExpr
-    span: Optional[Span] = _sf()
-
-
-@dataclass(frozen=True)
-class SParamCube:
-    names: tuple[str, ...]
-    cube: CubeType
-    span: Optional[Span] = _sf()
-
-
-@dataclass(frozen=True)
-class SParamTope:
-    tope: STope
-    span: Optional[Span] = _sf()
-
-
-SParam = Union[SParamTyped, SParamCube, SParamTope]
-
-
-@dataclass(frozen=True)
-class SDecl:
-    kind: str  # "def", "postulate", "thm"
-    name: str
-    params: tuple[SParam, ...]
-    ty: SExpr
-    body: Optional[SExpr]
-    span: Optional[Span] = _sf()
-
-
-@dataclass(frozen=True)
-class SShapeDecl:
-    name: str
-    pattern: tuple[str, ...]
-    cube: CubeType
-    tope: STope
-    span: Optional[Span] = _sf()
-
-
-STopLevel = Union[SDecl, SShapeDecl]
-
-
 # ---------------------------------------------------------------------------
 # Parser
+
+def _matching_parens(toks: list[Token]) -> dict[int, int]:
+    """The index of the ``)`` closing each ``(``; an unbalanced one has none."""
+    close: dict[int, int] = {}
+    opened: list[int] = []
+    for i, t in enumerate(toks):
+        if t.kind == "(":
+            opened.append(i)
+        elif t.kind == ")" and opened:
+            close[opened.pop()] = i
+    return close
+
 
 class Parser:
     def __init__(self, src: str, filename: str = "<input>"):
         self.toks = lex(src, filename)
         self.pos = 0
         self.filename = filename
+        self.close = _matching_parens(self.toks)
+        # the names of the enclosing tuple-pattern lambdas, each mapped to a
+        # projection of its lambda's point
+        self.points: dict[str, CubeExpr] = {}
 
     # -- token plumbing
 
@@ -387,10 +245,45 @@ class Parser:
         end = self.toks[max(self.pos - 1, 0)]
         return Span(start.start, end.end)
 
+    # -- lookahead
+
+    def after_group(self, *kinds: str) -> bool:
+        """Whether the token after the ``)`` closing the ``(`` here is one of
+        ``kinds``."""
+        j = self.close.get(self.pos)
+        return j is not None and self.toks[j + 1].kind in kinds
+
+    def cube_ahead(self) -> bool:
+        """Whether the tokens from here up to the enclosing ``)`` or a ``|``
+        are only ``1``, ``2``, ``*`` and parentheses, as in a cube type."""
+        i, depth = self.pos, 0
+        while True:
+            t = self.toks[i]
+            if t.kind == "(":
+                depth += 1
+            elif t.kind == ")":
+                if depth == 0:
+                    break
+                depth -= 1
+            elif t.kind == "|" and depth == 0:
+                break
+            elif t.kind != "*" and not (t.kind == "num" and t.value != "0"):
+                return False
+            i += 1
+        return i > self.pos
+
+    def hide(self, name: str) -> dict[str, CubeExpr]:
+        """Stop replacing ``name``, which a binder rebinds; returns the
+        replacements to restore at the end of the binder's scope."""
+        saved = self.points
+        if name in saved:
+            self.points = {k: v for k, v in saved.items() if k != name}
+        return saved
+
     # -- top level
 
-    def parse_file(self) -> list[STopLevel]:
-        out: list[STopLevel] = []
+    def parse_file(self) -> list[Union[Decl, Shape]]:
+        out: list[Union[Decl, Shape]] = []
         seen: set[str] = set()
         while not self.at("eof"):
             d = self.parse_toplevel()
@@ -404,7 +297,7 @@ class Parser:
             out.append(d)
         return out
 
-    def parse_toplevel(self) -> STopLevel:
+    def parse_toplevel(self) -> Union[Decl, Shape]:
         t = self.peek()
         if self.accept("kw", "shape"):
             return self.parse_shape_decl(t)
@@ -413,7 +306,7 @@ class Parser:
                 return self.parse_decl(kw, t)
         raise self.fail("expected a declaration (def, postulate, thm, or shape)")
 
-    def parse_shape_decl(self, start: Token) -> SShapeDecl:
+    def parse_shape_decl(self, start: Token) -> Shape:
         name = self.expect("ident").value
         self.expect(":=")
         self.expect("{")
@@ -430,45 +323,49 @@ class Parser:
         self.expect("|")
         tope = self.parse_tope()
         self.expect("}")
-        return SShapeDecl(name, pattern, cube, tope, span=self.span_from(start))
+        return Shape(name, pattern, cube, tope, span=self.span_from(start))
 
-    def parse_decl(self, kind: str, start: Token) -> SDecl:
+    def parse_decl(self, kind: str, start: Token) -> Decl:
         name = self.expect("ident").value
-        params: list[SParam] = []
+        params: list[TeleParam] = []
         while self.at("(") or self.at("{"):
-            params.append(self.parse_param())
+            params.extend(self.parse_param())
         self.expect(":")
         ty = self.parse_expr()
-        body: Optional[SExpr] = None
+        body: Optional[Expr] = None
         if kind == "def":
             self.expect(":=")
-            body = self.parse_expr()
-        elif kind == "thm":
-            if self.accept(":="):
-                body = self.parse_expr()
-        return SDecl(kind, name, tuple(params), ty, body, span=self.span_from(start))
+            body, tag = self.parse_expr(), DeclTag.DEFINITION
+        elif kind == "postulate":
+            tag = DeclTag.AXIOM
+        elif self.accept(":="):
+            body, tag = self.parse_expr(), DeclTag.THEOREM_PROVED
+        else:
+            tag = DeclTag.THEOREM_STATED
+        return Decl(name, tag, tuple(params), ty, body, span=self.span_from(start))
 
-    def parse_param(self) -> SParam:
+    def parse_param(self) -> list[TeleParam]:
         start = self.peek()
         if self.accept("{"):
             tope = self.parse_tope()
             self.expect("}")
-            return SParamTope(tope, span=self.span_from(start))
+            return [TopeParam(tope, span=self.span_from(start))]
         self.expect("(")
         names = [self.expect("ident").value]
         while self.at("ident"):
             names.append(self.next().value)
         self.expect(":")
-        save = self.pos
-        try:
+        if self.cube_ahead():
             cube = self.parse_cube_type()
             self.expect(")")
-            return SParamCube(tuple(names), cube, span=self.span_from(start))
-        except ParseError:
-            self.pos = save
+            span = self.span_from(start)
+            return [CubeParam(n, cube, span=span) for n in names]
+        # the names of a group share one type, which scope resolves before
+        # binding any of them
         ty = self.parse_expr()
         self.expect(")")
-        return SParamTyped(tuple(names), ty, span=self.span_from(start))
+        span = self.span_from(start)
+        return [TypedParam(n, ty, span=span) for n in names]
 
     # -- cube types
 
@@ -489,6 +386,16 @@ class Parser:
             return t
         raise self.fail("expected a cube type (1, 2, or a product)")
 
+    def parse_cube_domain(self, var: str) -> tuple[CubeType, STope]:
+        """``C`` or ``C | psi``, where ``psi`` may mention the bound ``var``."""
+        cube = self.parse_cube_type()
+        if not self.accept("|"):
+            return cube, TOP
+        saved = self.hide(var)
+        psi = self.parse_tope()
+        self.points = saved
+        return cube, psi
+
     # -- cube expressions
 
     def parse_cube_expr(self) -> CubeExpr:
@@ -506,7 +413,9 @@ class Parser:
         if self.accept("kw", "snd"):
             return CSnd(self.parse_cube_atom())
         if self.at("ident"):
-            return CVar(self.next().value)
+            name = self.next().value
+            point = self.points.get(name)
+            return CVar(name) if point is None else point
         if self.accept("("):
             e = self.parse_cube_expr()
             while self.accept(","):
@@ -534,26 +443,12 @@ class Parser:
             return TOP
         if self.accept("kw", "BOT"):
             return BOT
-        if self.at("("):
-            save = self.pos
-            try:
-                self.expect("(")
-                t = self.parse_tope()
-                self.expect(")")
-                if self.at("<=") or self.at("==="):
-                    raise self.fail("relation after parenthesized tope")
-                return t
-            except ParseError:
-                self.pos = save
-            return self.parse_tope_relation()
-        if self.at("ident"):
-            # either a relation whose left side is a variable, or a shape
-            # application
-            save = self.pos
-            try:
-                return self.parse_tope_relation()
-            except ParseError:
-                self.pos = save
+        if self.at("(") and not self.after_group("<=", "==="):
+            self.next()
+            t = self.parse_tope()
+            self.expect(")")
+            return t
+        if self.at("ident") and self.peek(1).kind not in ("<=", "==="):
             tok = self.next()
             arg = self.parse_cube_atom()
             return STShapeApp(tok.value, arg, span=self.span_from(tok))
@@ -568,87 +463,77 @@ class Parser:
 
     # -- expressions
 
-    def parse_expr(self) -> SExpr:
+    def parse_expr(self) -> Expr:
         start = self.peek()
         if self.accept("\\"):
             return self.parse_lambda(start)
         return self.parse_arrow()
 
-    def parse_lambda(self, start: Token) -> SExpr:
+    def parse_lambda(self, start: Token) -> Expr:
         if self.accept("("):
-            pats = [self.expect("ident").value]
+            names = [self.expect("ident").value]
             while self.accept(","):
-                pats.append(self.expect("ident").value)
+                names.append(self.expect("ident").value)
             self.expect(")")
-            pattern, tup = tuple(pats), True
-            if len(pats) < 2:
-                tup = False
         else:
-            pattern, tup = (self.expect("ident").value,), False
+            names = [self.expect("ident").value]
         self.expect(".")
+        saved = self.points
+        if len(names) == 1:
+            var = names[0]
+            self.hide(var)
+        else:
+            var = fresh("p")
+            comps = split_point(CVar(var), len(names))
+            self.points = {**saved, **dict(zip(names, comps))}
         body = self.parse_expr()
-        return SLam(pattern, tup, body, span=self.span_from(start))
+        self.points = saved
+        return Lam(var, body, span=self.span_from(start))
 
-    def parse_arrow(self) -> SExpr:
+    def parse_arrow(self) -> Expr:
         start = self.peek()
-        binder = self.try_parse_pi_binder()
-        if binder is not None:
-            var, dom = binder
-            cod = self.parse_arrow()
-            return SPiB(var, dom, cod, span=self.span_from(start))
+        if (self.at("(") and self.peek(1).kind == "ident"
+                and self.peek(2).kind == ":" and self.after_group("->")):
+            return self.parse_pi_binder(start)
         left = self.parse_sigma_op()
         if self.accept("->"):
-            return SArrow(left, self.parse_arrow(), span=self.span_from(start))
+            return Pi(fresh("x"), left, self.parse_arrow(), span=self.span_from(start))
         return left
 
-    def try_parse_pi_binder(self) -> Optional[tuple[str, SDom]]:
-        """Parse ``(x : D) ->`` where D is a cube domain (with optional tope
-        refinement) or a type; backtracks on failure."""
-        save = self.pos
-        if not self.accept("("):
-            return None
-        name_tok = self.accept("ident")
-        if name_tok is None or not self.accept(":"):
-            self.pos = save
-            return None
-        dom = self.try_parse_domain()
-        if dom is None or not self.accept(")") or not self.accept("->"):
-            self.pos = save
-            return None
-        return name_tok.value, dom
+    def parse_pi_binder(self, start: Token) -> Expr:
+        """``(x : D) -> B``.  A cube domain makes an extension type with an
+        empty boundary; any other domain a Π, which scope turns into an
+        extension type if the domain names a shape."""
+        self.expect("(")
+        var = self.next().value
+        self.expect(":")
+        cube: Optional[CubeType] = None
+        if self.cube_ahead():
+            cube, psi = self.parse_cube_domain(var)
+        else:
+            dom = self.parse_expr()
+        self.expect(")")
+        self.expect("->")
+        saved = self.hide(var)
+        cod = self.parse_arrow()
+        self.points = saved
+        if cube is not None:
+            return Ext(var, cube, psi, cod, BOT, TopeCase(()), span=self.span_from(start))
+        return Pi(var, dom, cod, span=self.span_from(start))
 
-    def try_parse_domain(self) -> Optional[SDom]:
-        start = self.peek()
-        save = self.pos
-        try:
-            cube = self.parse_cube_type()
-            tope: Optional[STope] = None
-            if self.accept("|"):
-                tope = self.parse_tope()
-            if self.at(")"):
-                return SDomCube(cube, tope, span=self.span_from(start))
-        except ParseError:
-            pass
-        self.pos = save
-        try:
-            e = self.parse_expr()
-        except ParseError:
-            return None
-        return SDomExpr(e, span=self.span_from(start))
-
-    def parse_sigma_op(self) -> SExpr:
+    def parse_sigma_op(self) -> Expr:
         start = self.peek()
         left = self.parse_app()
         if self.accept("*"):
-            return SSigmaOp(left, self.parse_sigma_op(), span=self.span_from(start))
+            return Sigma(fresh("x"), left, self.parse_sigma_op(), span=self.span_from(start))
         return left
 
-    def parse_app(self) -> SExpr:
+    def parse_app(self) -> Expr:
         start = self.peek()
         head = self.parse_prefix()
         while self.starts_atom():
             arg = self.parse_prefix()
-            head = SApp(head, arg, span=self.span_from(start))
+            head = App(head, arg, span=self.span_from(start))
         return head
 
     def starts_atom(self) -> bool:
@@ -663,52 +548,55 @@ class Parser:
         # extension-type boundaries unambiguous
         return t.kind in ("(", "<")
 
-    def parse_prefix(self) -> SExpr:
+    def parse_prefix(self) -> Expr:
         """An atom possibly led by one of the prefix operators."""
         start = self.peek()
         if self.accept("kw", "fst"):
-            return SFstE(self.parse_prefix(), span=self.span_from(start))
+            return Fst(self.parse_prefix(), span=self.span_from(start))
         if self.accept("kw", "snd"):
-            return SSndE(self.parse_prefix(), span=self.span_from(start))
+            return Snd(self.parse_prefix(), span=self.span_from(start))
         if self.accept("kw", "Id"):
             ty = self.parse_atom()
             lhs = self.parse_atom()
             rhs = self.parse_atom()
-            return SIdE(ty, lhs, rhs, span=self.span_from(start))
+            return IdT(ty, lhs, rhs, span=self.span_from(start))
         if self.accept("kw", "refl"):
             arg = self.parse_atom() if self.starts_atom() else None
-            return SReflE(arg, span=self.span_from(start))
+            return Refl(arg, span=self.span_from(start))
         if self.accept("kw", "J"):
             motive = self.parse_atom()
             base = self.parse_atom()
             path = self.parse_atom()
-            return SJE(motive, base, path, span=self.span_from(start))
+            return J(motive, base, path, span=self.span_from(start))
         if self.accept("kw", "Sigma"):
             self.expect("(")
             var = self.expect("ident").value
             self.expect(":")
             dom = self.parse_expr()
             self.expect(")")
+            saved = self.hide(var)
             body = self.parse_app()
-            return SSigmaB(var, dom, body, span=self.span_from(start))
+            self.points = saved
+            return Sigma(var, dom, body, span=self.span_from(start))
         return self.parse_atom()
 
-    def parse_atom(self) -> SExpr:
+    def parse_atom(self) -> Expr:
         start = self.peek()
         if self.accept("kw", "U"):
-            return SU(span=start.span)
+            return U(span=start.span)
         if self.accept("kw", "Unit"):
-            return SUnitT(span=start.span)
+            return UnitType(span=start.span)
         if self.accept("kw", "star"):
-            return SStarE(span=start.span)
+            return UnitPoint(span=start.span)
         if self.at("num"):
             t = self.next()
             if t.value == "2":
                 raise ParseError("the interval is not a term", t.line, t.col, self.filename)
-            return SNum(int(t.value), span=t.span)
+            return CubeLit(CONE if t.value == "1" else CZERO, span=t.span)
         if self.at("ident"):
             t = self.next()
-            return SVar(t.value, span=t.span)
+            point = self.points.get(t.value)
+            return Var(t.value, span=t.span) if point is None else cube_to_term(point)
         if self.at("<"):
             return self.parse_ext(start)
         if self.at("["):
@@ -722,44 +610,52 @@ class Parser:
             if self.accept(","):
                 snd = self.parse_expr()
                 self.expect(")")
-                return SPairE(e, snd, span=self.span_from(start))
+                return Pair(e, snd, span=self.span_from(start))
             if self.accept(":"):
                 ty = self.parse_expr()
                 self.expect(")")
-                return SAnnE(e, ty, span=self.span_from(start))
+                return Ann(e, ty, span=self.span_from(start))
             self.expect(")")
             return e
         raise self.fail("expected an expression")
 
-    def parse_ext(self, start: Token) -> SExpr:
+    def parse_ext(self, start: Token) -> Expr:
+        """``<Pi (t : D) -> F [branches]>``, its branches kept as a tope case
+        whose topes scope expands."""
         self.expect("<")
         self.expect("kw", "Pi")
         self.expect("(")
         var = self.expect("ident").value
         self.expect(":")
-        dom = self.try_parse_domain()
-        if dom is None:
-            raise self.fail("expected a cube domain or shape")
+        cube: Optional[CubeType] = None
+        if self.cube_ahead():
+            cube, psi = self.parse_cube_domain(var)
+        elif self.at("ident"):
+            psi = STShapeApp(self.next().value, CVar(var))
+        else:
+            raise self.fail("an extension type needs a cube or shape domain")
         self.expect(")")
         self.expect("->")
+        saved = self.hide(var)
         family = self.parse_sigma_op()
-        branches: tuple[tuple[STope, SExpr], ...] = ()
         self.expect("[")
-        if not self.at("]"):
-            branches = self.parse_branches()
+        branches = () if self.at("]") else self.parse_branches()
         self.expect("]")
+        self.points = saved
         self.expect(">")
-        return SExtE(var, dom, family, branches, span=self.span_from(start))
+        phi = tope_or(*(t for t, _ in branches))
+        return Ext(var, cube, psi, family, phi, TopeCase(branches),
+                   span=self.span_from(start))
 
-    def parse_tope_case(self, start: Token) -> SExpr:
+    def parse_tope_case(self, start: Token) -> Expr:
         self.expect("[")
-        branches: tuple[tuple[STope, SExpr], ...] = ()
+        branches: tuple[tuple[STope, Expr], ...] = ()
         if not self.at("]"):
             branches = self.parse_branches()
         self.expect("]")
-        return SCaseE(branches, span=self.span_from(start))
+        return TopeCase(branches, span=self.span_from(start))
 
-    def parse_branches(self) -> tuple[tuple[STope, SExpr], ...]:
+    def parse_branches(self) -> tuple[tuple[STope, Expr], ...]:
         out = []
         while True:
             tope = self.parse_tope()
@@ -774,11 +670,12 @@ class Parser:
 # ---------------------------------------------------------------------------
 # Entry points
 
-def parse_file(src: str, filename: str = "<input>") -> list[STopLevel]:
+def parse_file(src: str, filename: str = "<input>") -> list[Union[Decl, Shape]]:
+    """Parse a file into its declarations and shapes, with names unresolved."""
     return Parser(src, filename).parse_file()
 
 
-def parse_expr(src: str, filename: str = "<input>") -> SExpr:
+def parse_expr(src: str, filename: str = "<input>") -> Expr:
     p = Parser(src, filename)
     e = p.parse_expr()
     p.expect("eof")

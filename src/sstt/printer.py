@@ -1,6 +1,6 @@
 """Pretty-printing of core terms back to the surface syntax.
 
-Printing then parsing and elaborating yields an alpha-equivalent term.
+Printing then parsing and resolving yields an alpha-equivalent term.
 Internally generated names (which contain ``$``) are mapped back to plain
 identifiers, renamed where that would capture or collide with a keyword.
 

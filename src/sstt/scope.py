@@ -1,16 +1,20 @@
-"""Scope resolution: surface AST to core terms.
+"""Scope resolution: a pass over the core terms built by the parser.
 
-Responsibilities: resolve identifiers to local variables or constants,
-expand named shapes (in topes, binder domains and arrow domains), desugar
-tuple-pattern lambdas, enforce the telescope layer order (cube parameters,
-then tope parameters, then typed parameters), and fold telescopes into a
-single core type and body per declaration.
+Responsibilities: resolve every ``Var`` to a local variable or a constant
+(``Const``), rejecting unbound names, statements without a proof and shapes
+used as terms; turn a Π whose domain names a shape into an extension type
+over that shape, and give an extension type over a shape domain its cube;
+expand shape applications in topes and check that a tope mentions only cube
+variables in scope; make an extension type's boundary from its branches;
+enforce the telescope layer order (cube parameters, then tope parameters,
+then typed parameters).  A ``Decl`` folds its telescope into a single type
+and body itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Optional, Union
 
 from .core import (
     Ann,
@@ -40,56 +44,12 @@ from .core import (
     UnitPoint,
     UnitType,
     Var,
-    fold_telescope,
     fresh,
-    subst_cube,
 )
-from .cube import (
-    CONE,
-    CubeError,
-    CubeType,
-    CVar,
-    CZERO,
-    cube_free_vars,
-    split_cube,
-    split_point,
-)
-from .parser import (
-    SAnnE,
-    SApp,
-    SArrow,
-    SCaseE,
-    SDecl,
-    SDom,
-    SDomCube,
-    SDomExpr,
-    SExpr,
-    SExtE,
-    SFstE,
-    SIdE,
-    SJE,
-    SLam,
-    SNum,
-    SPairE,
-    SParamCube,
-    SParamTope,
-    SParamTyped,
-    SPiB,
-    SReflE,
-    SShapeDecl,
-    SSigmaB,
-    SSigmaOp,
-    SSndE,
-    SStarE,
-    STShapeApp,
-    STope,
-    STopLevel,
-    SU,
-    SUnitT,
-    SVar,
-)
+from .cube import CubeError, CubeType, CVar, cube_free_vars, split_cube
+from .parser import STShapeApp, STope
 from .tope import (
-    BOT, TOP, Shape, TAnd, TEq, TLe, TOr, Tope, TopeError, normalize_tope, tope_or,
+    BOT, Shape, TAnd, TEq, TLe, TOr, Tope, TopeError, normalize_tope, tope_or,
 )
 
 
@@ -119,16 +79,16 @@ class GlobalEnv:
             raise ScopeError(f"redefinition of {d.name!r}", d.span)
         self.decls[d.name] = d
 
-    def add_shape(self, s: Shape, span: Optional[Span] = None) -> None:
+    def add_shape(self, s: Shape) -> None:
         if self.taken(s.name):
-            raise ScopeError(f"redefinition of {s.name!r}", span)
+            raise ScopeError(f"redefinition of {s.name!r}", s.span)
         self.shapes[s.name] = s
 
 
 # ---------------------------------------------------------------------------
-# Elaboration
+# Resolution
 
-class Elaborator:
+class Resolver:
     def __init__(self, env: GlobalEnv):
         self.env = env
 
@@ -169,13 +129,17 @@ class Elaborator:
                     span,
                 )
 
+    def _shape_named(self, name: str, locals_: dict[str, str]) -> Optional[Shape]:
+        """The shape called ``name``, unless a local variable shadows it."""
+        return None if name in locals_ else self.env.shapes.get(name)
+
     # -- expressions
 
-    def elab(self, e: SExpr, locals_: dict[str, str]) -> Expr:
+    def resolve(self, e: Expr, locals_: dict[str, str]) -> Expr:
         match e:
-            case SVar(name):
+            case Var(name):
                 if name in locals_:
-                    return Var(name, span=e.span)
+                    return e
                 if name in self.env.decls:
                     if not self.env.referenceable(name):
                         raise ScopeError(
@@ -186,114 +150,69 @@ class Elaborator:
                 if name in self.env.shapes:
                     raise ScopeError(f"shape {name!r} used as a term", e.span)
                 raise ScopeError(f"unbound name {name!r}", e.span)
-            case SU():
-                return U(span=e.span)
-            case SUnitT():
-                return UnitType(span=e.span)
-            case SStarE():
-                return UnitPoint(span=e.span)
-            case SNum(v):
-                return CubeLit(CONE if v else CZERO, span=e.span)
-            case SPiB(var, dom, cod):
-                return self.elab_binder(var, dom, cod, e.span, locals_)
-            case SArrow(a, b):
-                sh = self._as_shape(a)
-                if sh is not None and not (isinstance(a, SVar) and a.name in locals_):
-                    v = fresh("t")
-                    cod = self.elab(b, locals_)
-                    return Ext(v, sh.cube, sh.applied_to(CVar(v)), cod,
+            case U() | UnitType() | UnitPoint() | CubeLit():
+                return e
+            case Pi(x, a, b):
+                sh = self._shape_named(a.name, locals_) if isinstance(a, Var) else None
+                if sh is not None:
+                    # the binder of an arrow ``S -> B`` has a generated name
+                    # (with a "$"); its point gets a fresh one of its own
+                    t = fresh("t") if "$" in x else x
+                    cod = self.resolve(b, {**locals_, t: "cube"})
+                    return Ext(t, sh.cube, sh.applied_to(CVar(t)), cod,
                                BOT, TopeCase(()), span=e.span)
-                v = fresh("x")
-                return Pi(v, self.elab(a, locals_), self.elab(b, locals_), span=e.span)
-            case SSigmaOp(a, b):
-                v = fresh("x")
-                return Sigma(v, self.elab(a, locals_), self.elab(b, locals_), span=e.span)
-            case SSigmaB(var, dom, body):
-                d = self.elab(dom, locals_)
-                inner = {**locals_, var: "typed"}
-                return Sigma(var, d, self.elab(body, inner), span=e.span)
-            case SLam(pattern, tuple_pattern, body):
-                if not tuple_pattern:
-                    name = pattern[0]
-                    inner = {**locals_, name: "unknown"}
-                    return Lam(name, self.elab(body, inner), span=e.span)
-                inner = {**locals_, **{n: "cube" for n in pattern}}
-                b = self.elab(body, inner)
-                p = fresh("p")
-                comps = split_point(CVar(p), len(pattern))
-                b = subst_cube(b, dict(zip(pattern, comps)))
-                return Lam(p, b, span=e.span)
-            case SApp(f, a):
-                return App(self.elab(f, locals_), self.elab(a, locals_), span=e.span)
-            case SPairE(a, b):
-                return Pair(self.elab(a, locals_), self.elab(b, locals_), span=e.span)
-            case SFstE(a):
-                return Fst(self.elab(a, locals_), span=e.span)
-            case SSndE(a):
-                return Snd(self.elab(a, locals_), span=e.span)
-            case SIdE(t, l, r):
-                return IdT(self.elab(t, locals_), self.elab(l, locals_),
-                           self.elab(r, locals_), span=e.span)
-            case SReflE(a):
-                return Refl(self.elab(a, locals_) if a is not None else None, span=e.span)
-            case SJE(c, d, p):
-                return J(self.elab(c, locals_), self.elab(d, locals_),
-                         self.elab(p, locals_), span=e.span)
-            case SExtE(var, dom, family, branches):
-                return self.elab_ext(var, dom, family, branches, e.span, locals_)
-            case SCaseE(branches):
+                dom = self.resolve(a, locals_)
+                return Pi(x, dom, self.resolve(b, {**locals_, x: "typed"}), span=e.span)
+            case Sigma(x, a, b):
+                dom = self.resolve(a, locals_)
+                return Sigma(x, dom, self.resolve(b, {**locals_, x: "typed"}), span=e.span)
+            case Lam(x, b):
+                return Lam(x, self.resolve(b, {**locals_, x: "unknown"}), span=e.span)
+            case App(f, a):
+                return App(self.resolve(f, locals_), self.resolve(a, locals_), span=e.span)
+            case Pair(a, b):
+                return Pair(self.resolve(a, locals_), self.resolve(b, locals_), span=e.span)
+            case Fst(a):
+                return Fst(self.resolve(a, locals_), span=e.span)
+            case Snd(a):
+                return Snd(self.resolve(a, locals_), span=e.span)
+            case IdT(t, l, r):
+                return IdT(self.resolve(t, locals_), self.resolve(l, locals_),
+                           self.resolve(r, locals_), span=e.span)
+            case Refl(a):
+                return Refl(self.resolve(a, locals_) if a is not None else None, span=e.span)
+            case J(c, d, p):
+                return J(self.resolve(c, locals_), self.resolve(d, locals_),
+                         self.resolve(p, locals_), span=e.span)
+            case Ext():
+                return self.resolve_ext(e, locals_)
+            case TopeCase(branches):
                 bs = tuple(
-                    (self.expand_tope(t, locals_, e.span), self.elab(b, locals_))
+                    (self.expand_tope(t, locals_, e.span), self.resolve(b, locals_))
                     for t, b in branches
                 )
                 return TopeCase(bs, span=e.span)
-            case SAnnE(x, t):
-                return Ann(self.elab(x, locals_), self.elab(t, locals_), span=e.span)
-        raise ScopeError(f"cannot elaborate {e!r}", getattr(e, "span", None))
+            case Ann(x, t):
+                return Ann(self.resolve(x, locals_), self.resolve(t, locals_), span=e.span)
+        raise ScopeError(f"cannot resolve {e!r}", getattr(e, "span", None))
 
-    def _as_shape(self, e: SExpr) -> Optional[Shape]:
-        if isinstance(e, SVar):
-            return self.env.shapes.get(e.name)
-        return None
-
-    def elab_binder(self, var: str, dom: SDom, cod: SExpr, span: Optional[Span],
-                    locals_: dict[str, str]) -> Expr:
-        cube_dom = self._resolve_cube_dom(dom, var, locals_)
-        if cube_dom is not None:
-            cube, psi = cube_dom
-            inner = {**locals_, var: "cube"}
-            return Ext(var, cube, psi, self.elab(cod, inner), BOT, TopeCase(()),
-                       span=span)
-        assert isinstance(dom, SDomExpr)
-        d = self.elab(dom.expr, locals_)
-        inner = {**locals_, var: "typed"}
-        return Pi(var, d, self.elab(cod, inner), span=span)
-
-    def _resolve_cube_dom(self, dom: SDom, var: str,
-                          locals_: dict[str, str]) -> Optional[tuple[CubeType, Tope]]:
-        if isinstance(dom, SDomCube):
-            inner = {**locals_, var: "cube"}
-            psi = TOP if dom.tope is None else self.expand_tope(dom.tope, inner, dom.span)
-            return dom.cube, psi
-        sh = self._as_shape(dom.expr)
-        if sh is not None and not (isinstance(dom.expr, SVar)
-                                   and dom.expr.name in locals_):
-            return sh.cube, sh.applied_to(CVar(var))
-        return None
-
-    def elab_ext(self, var: str, dom: SDom, family: SExpr,
-                 branches: tuple[tuple[STope, SExpr], ...], span: Optional[Span],
-                 locals_: dict[str, str]) -> Expr:
-        cube_dom = self._resolve_cube_dom(dom, var, locals_)
-        if cube_dom is None:
-            raise ScopeError(
-                "an extension type needs a cube or shape domain", span)
-        cube, psi = cube_dom
-        inner = {**locals_, var: "cube"}
-        fam = self.elab(family, inner)
+    def resolve_ext(self, e: Ext, locals_: dict[str, str]) -> Expr:
+        """An extension type as parsed: over a shape domain its cube is None
+        and its shape tope that shape's placeholder, and its branches are a
+        tope case."""
+        cube = e.cube
+        if cube is None:
+            sh = self._shape_named(e.shape_tope.name, locals_)
+            if sh is None:
+                raise ScopeError(
+                    "an extension type needs a cube or shape domain", e.span)
+            cube = sh.cube
+        inner = {**locals_, e.var: "cube"}
+        psi = self.expand_tope(e.shape_tope, inner, e.span)
+        fam = self.resolve(e.family, inner)
         bs = tuple(
-            (self.expand_tope(t, inner, span), self.elab(b, inner))
-            for t, b in branches
+            (self.expand_tope(t, inner, e.span), self.resolve(b, inner))
+            for t, b in e.boundary.branches
         )
         if not bs:
             phi, bd = BOT, TopeCase(())
@@ -301,41 +220,41 @@ class Elaborator:
             phi, bd = bs[0]
         else:
             phi, bd = tope_or(*(t for t, _ in bs)), TopeCase(bs)
-        return Ext(var, cube, psi, fam, phi, bd, span=span)
+        return Ext(e.var, cube, psi, fam, phi, bd, span=e.span)
 
     # -- declarations
 
-    def elab_shape_decl(self, sd: SShapeDecl) -> Shape:
+    def resolve_shape(self, s: Shape) -> Shape:
         try:
-            factors = split_cube(sd.cube, len(sd.pattern))
+            factors = split_cube(s.cube, len(s.pattern))
         except CubeError as err:
-            raise ScopeError(str(err), sd.span) from None
-        if len(set(sd.pattern)) != len(sd.pattern):
-            raise ScopeError("repeated variable in shape pattern", sd.span)
-        locals_ = {n: "cube" for n in sd.pattern}
-        tope = self.expand_tope(sd.tope, locals_, sd.span)
-        ctx = dict(zip(sd.pattern, factors))
-        _validate_tope(ctx, tope, sd.span)
-        return Shape(sd.name, sd.pattern, sd.cube, tope)
+            raise ScopeError(str(err), s.span) from None
+        if len(set(s.pattern)) != len(s.pattern):
+            raise ScopeError("repeated variable in shape pattern", s.span)
+        locals_ = {n: "cube" for n in s.pattern}
+        tope = self.expand_tope(s.tope, locals_, s.span)
+        _validate_tope(dict(zip(s.pattern, factors)), tope, s.span)
+        return replace(s, tope=tope)
 
-    def elab_decl(self, sd: SDecl) -> Decl:
+    def resolve_decl(self, d: Decl) -> Decl:
         telescope: list[TeleParam] = []
         locals_: dict[str, str] = {}
         cube_ctx: dict[str, CubeType] = {}
         phase = 0  # 0: cube params, 1: tope params, 2: typed params
-        for p in sd.params:
+        group_ty: Optional[Expr] = None
+        ty: Optional[Expr] = None
+        for p in d.telescope:
             match p:
-                case SParamCube(names, cube):
+                case CubeParam(name, cube):
                     if phase > 0:
                         raise ScopeError(
                             "cube parameters must come before tope and typed parameters",
                             p.span,
                         )
-                    for n in names:
-                        self._bind_param(n, "cube", locals_, p.span)
-                        cube_ctx[n] = cube
-                        telescope.append(CubeParam(n, cube))
-                case SParamTope(stope):
+                    self._bind_param(name, "cube", locals_, p.span)
+                    cube_ctx[name] = cube
+                    telescope.append(p)
+                case TopeParam(stope):
                     if phase > 1:
                         raise ScopeError(
                             "tope parameters must come before typed parameters", p.span)
@@ -345,24 +264,19 @@ class Elaborator:
                     phase = 1
                     tope = self.expand_tope(stope, locals_, p.span)
                     _validate_tope(cube_ctx, tope, p.span)
-                    telescope.append(TopeParam(tope))
-                case SParamTyped(names, sty):
+                    telescope.append(replace(p, tope=tope))
+                case TypedParam(name, sty):
                     phase = 2
-                    ty = self.elab(sty, locals_)
-                    for n in names:
-                        self._bind_param(n, "typed", locals_, p.span)
-                        telescope.append(TypedParam(n, ty))
-        inner_ty = self.elab(sd.ty, locals_)
-        inner_body = self.elab(sd.body, locals_) if sd.body is not None else None
-        ty, body = fold_telescope(tuple(telescope), inner_ty, inner_body)
-        tag = {
-            "def": DeclTag.DEFINITION,
-            "postulate": DeclTag.AXIOM,
-        }.get(sd.kind)
-        if tag is None:
-            tag = DeclTag.THEOREM_PROVED if sd.body is not None else DeclTag.THEOREM_STATED
-        return Decl(sd.name, tag, tuple(telescope), inner_ty, inner_body, ty, body,
-                    span=sd.span)
+                    # the names of a group (x y : A) share one parsed type,
+                    # resolved once before any of them is bound
+                    if sty is not group_ty:
+                        group_ty, ty = sty, self.resolve(sty, locals_)
+                    self._bind_param(name, "typed", locals_, p.span)
+                    telescope.append(replace(p, ty=ty))
+        inner_ty = self.resolve(d.inner_ty, locals_)
+        inner_body = self.resolve(d.inner_body, locals_) if d.inner_body is not None else None
+        return replace(d, telescope=tuple(telescope), inner_ty=inner_ty,
+                       inner_body=inner_body)
 
     def _bind_param(self, name: str, sort: str, locals_: dict[str, str],
                     span: Optional[Span]) -> None:
@@ -384,16 +298,17 @@ def _validate_tope(ctx: dict[str, CubeType], t: Tope, span: Optional[Span]) -> N
 # ---------------------------------------------------------------------------
 # Entry point
 
-def elaborate_toplevels(items: list[STopLevel], env: GlobalEnv) -> list[Decl]:
-    """Elaborate a parsed file against (and into) the global environment.
-    Declarations become visible to later items as they are processed."""
-    el = Elaborator(env)
+def elaborate_toplevels(items: list[Union[Decl, Shape]], env: GlobalEnv) -> list[Decl]:
+    """Resolve a parsed file against (and into) the global environment.
+    Declarations and shapes become visible to later items as they are
+    processed; the resolved declarations are returned."""
+    r = Resolver(env)
     out: list[Decl] = []
     for item in items:
-        if isinstance(item, SShapeDecl):
-            env.add_shape(el.elab_shape_decl(item), item.span)
+        if isinstance(item, Shape):
+            env.add_shape(r.resolve_shape(item))
         else:
-            d = el.elab_decl(item)
+            d = r.resolve_decl(item)
             env.add_decl(d)
             out.append(d)
     return out

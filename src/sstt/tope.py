@@ -29,8 +29,8 @@ too: ``print_tope`` writes a tope in the surface syntax, its points through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Optional, Union
 
 from .cube import (
     CONE,
@@ -55,6 +55,9 @@ from .cube import (
     split_point,
     subst_cube_sim,
 )
+
+if TYPE_CHECKING:
+    from .core import Span
 
 MAX_DISJUNCTS = 4096
 
@@ -192,6 +195,7 @@ class Shape:
     pattern: tuple[str, ...]
     cube: CubeType
     tope: Tope
+    span: Optional[Span] = field(default=None, compare=False, repr=False)
 
     def applied_to(self, point: CubeExpr) -> Tope:
         comps = split_point(point, len(self.pattern))

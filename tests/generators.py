@@ -24,7 +24,7 @@ from sstt.core import (
     Var,
 )
 from sstt.cube import INTERVAL, CVar, CZERO, CONE
-from sstt.tope import Sequent, TAnd, TBot, TEq, TLe, TOr, TTop, Tope, tope_and
+from sstt.tope import Sequent, TAnd, TBot, TEq, TLe, TOr, TTop, Tope
 
 NAMES = ["x", "y", "z", "f", "g", "a", "b"]
 

@@ -20,9 +20,7 @@ import pytest
 from conftest import NEGATIVE_DIR, telescope_context
 from generators import random_expr, random_sequent
 from oracle import oracle_entails
-from sstt.checker import CheckError, Checker
 from sstt.core import (
-    U,
     App,
     Ext,
     ExtApp,
@@ -40,7 +38,7 @@ from sstt.core import (
 from sstt.cube import INTERVAL, CONE, CZERO, CFst, CSnd, CVar, ProdCube
 from sstt.parser import parse_expr
 from sstt.printer import print_expr
-from sstt.scope import Elaborator, GlobalEnv
+from sstt.scope import GlobalEnv, Resolver
 from sstt.tope import (
     Sequent,
     Shape,
@@ -284,9 +282,9 @@ def test_machine_reports_are_deterministic():
 
 
 def test_print_parse_roundtrip_ten_thousand():
-    elab = Elaborator(GlobalEnv())
+    resolver = Resolver(GlobalEnv())
     for seed in range(10_000):
         e = random_expr(random.Random(seed), depth=5)
         text = print_expr(e)
-        back = elab.elab(parse_expr(text), {})
+        back = resolver.resolve(parse_expr(text), {})
         assert alpha_eq(e, back), f"seed {seed}: {text!r}"

@@ -19,12 +19,12 @@ from sstt.core import (
 )
 from sstt.cube import INTERVAL, CONE, CZERO, CVar
 from sstt.parser import parse_expr, parse_file
-from sstt.scope import Elaborator, GlobalEnv, elaborate_toplevels
+from sstt.scope import GlobalEnv, Resolver, elaborate_toplevels
 from sstt.tope import TAnd, TEq, TOr
 
 
 def E(env, src):
-    return Elaborator(env).elab(parse_expr(src), {})
+    return Resolver(env).resolve(parse_expr(src), {})
 
 
 def test_whnf_beta(checker):

@@ -4,7 +4,6 @@ import sys
 
 import pytest
 
-from conftest import NEGATIVE_DIR
 from sstt.cli import main
 from sstt.corpus import CORPUS_DIR
 
@@ -182,3 +181,19 @@ def test_check_reports_deep_nesting_as_too_deep(tmp_path):
     payload = json.loads(proc.stdout)
     kinds = [d["kind"] for f in payload["files"] for d in f["diagnostics"]]
     assert kinds == ["too-deep"]
+
+
+def test_check_nested_annotations_parse_in_linear_time(tmp_path):
+    # each (x : D) is decided by lookahead, so the domain is parsed once and
+    # not again as an annotation; 40 levels would take days to backtrack
+    expr = "A"
+    for i in reversed(range(40)):
+        expr = f"(x{i} : {expr})"
+    src = tmp_path / "nested.sstt"
+    src.write_text(f"def f (A : U) : U := {expr}\n")
+    proc = run_cli("--machine", "check", str(src), timeout=10)
+    assert proc.returncode == 1
+    payload = json.loads(proc.stdout)
+    diags = [d for f in payload["files"] for d in f["diagnostics"]]
+    assert diags == [{"kind": "scope", "message": "unbound name 'x0'",
+                      "start": 22, "end": 24}]

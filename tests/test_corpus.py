@@ -1,7 +1,7 @@
 import json
 from pathlib import Path
 
-from sstt.corpus import CORPUS_DIR, load_corpus
+from sstt.corpus import CORPUS_DIR
 
 DESIGNATED_PROVED = {
     # endpoint laws for arrows

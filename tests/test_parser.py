@@ -4,16 +4,36 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from generators import random_expr
-from sstt.core import U, App, Lam, Pi, Var, alpha_eq
+from sstt.core import (
+    U,
+    Ann,
+    App,
+    Const,
+    CubeParam,
+    DeclTag,
+    Ext,
+    Fst,
+    Lam,
+    Pi,
+    Sigma,
+    Snd,
+    TopeCase,
+    TopeParam,
+    TypedParam,
+    Var,
+    alpha_eq,
+)
+from sstt.cube import INTERVAL, CFst, CPair, CSnd, CVar, CZERO, ProdCube, display_name
 from sstt.parser import ParseError, parse_expr, parse_file, parse_sequent_source
 from sstt.printer import print_expr
-from sstt.scope import Elaborator, GlobalEnv
+from sstt.scope import GlobalEnv, Resolver, elaborate_toplevels
+from sstt.tope import BOT, TOP, TAnd, TEq, TLe
 
 
 def roundtrip(e):
     text = print_expr(e)
     parsed = parse_expr(text)
-    back = Elaborator(GlobalEnv()).elab(parsed, {})
+    back = Resolver(GlobalEnv()).resolve(parsed, {})
     assert alpha_eq(e, back), f"{text!r} re-read as {print_expr(back)!r}"
 
 
@@ -41,11 +61,11 @@ def test_parse_file_kinds():
         "postulate ax (A : U) : A\n"
         "thm stated (A : U) : U\n"
     )
-    kinds = [d.kind for d in items]
-    assert kinds == ["def", "postulate", "thm"]
-    assert items[0].body is not None
-    assert items[1].body is None
-    assert items[2].body is None
+    tags = [d.tag for d in items]
+    assert tags == [DeclTag.DEFINITION, DeclTag.AXIOM, DeclTag.THEOREM_STATED]
+    assert items[0].inner_body is not None
+    assert items[1].inner_body is None
+    assert items[2].inner_body is None
 
 
 def test_duplicate_names_rejected():
@@ -69,7 +89,94 @@ def test_spans_nest():
     items = parse_file("def f (A : U) (x : A) : A := x\n")
     decl = items[0]
     assert decl.span is not None
-    for p in decl.params:
+    for p in decl.telescope:
         assert decl.span.contains(p.span)
-    assert decl.span.contains(decl.ty.span)
-    assert decl.span.contains(decl.body.span)
+    assert decl.span.contains(decl.inner_ty.span)
+    assert decl.span.contains(decl.inner_body.span)
+
+
+# -- choices made by lookahead, each checked on the resolved core term
+
+PRELUDE = (
+    "shape Delta1 := {t : 2 | TOP}\n"
+    "shape Delta2 := {(t1, t2) : 2 * 2 | t2 <= t1}\n"
+)
+
+
+def resolved(src, *names):
+    env = GlobalEnv()
+    elaborate_toplevels(parse_file(PRELUDE), env)
+    return Resolver(env).resolve(parse_expr(src), {n: "typed" for n in names})
+
+
+def test_binder_with_cube_domain_against_parenthesized_type():
+    assert resolved("(t : 2) -> A", "A") == Ext(
+        "t", INTERVAL, TOP, Var("A"), BOT, TopeCase(()))
+    assert resolved("(t : 2 | t <= 0) -> A", "A") == Ext(
+        "t", INTERVAL, TLe(CVar("t"), CZERO), Var("A"), BOT, TopeCase(()))
+    assert resolved("(x : (A)) -> B", "A", "B") == Pi("x", Var("A"), Var("B"))
+
+
+def test_parenthesized_binder_not_followed_by_arrow_is_an_annotation():
+    assert resolved("(x : A)", "x", "A") == Ann(Var("x"), Var("A"))
+    assert alpha_eq(resolved("(x : A) * B", "x", "A", "B"),
+                    Sigma("y", Ann(Var("x"), Var("A")), Var("B")))
+
+
+def test_cube_parameter_against_typed_parameter():
+    (decl,) = parse_file("def f (p : 2 * 2) (A : U) (x y : A) : U := A\n")
+    assert decl.telescope == (
+        CubeParam("p", ProdCube(INTERVAL, INTERVAL)),
+        TypedParam("A", U()),
+        TypedParam("x", Var("A")),
+        TypedParam("y", Var("A")),
+    )
+
+
+def test_parenthesized_relation_against_parenthesized_tope():
+    seq = parse_sequent_source("t : 2, s : 2 | ((t, s) === (s, t)) |- ((t <= s))")
+    t, s = CVar("t"), CVar("s")
+    assert seq.hyp == TEq(CPair(t, s), CPair(s, t))
+    assert seq.goal == TLe(t, s)
+
+
+def test_shape_application_against_relation():
+    env = GlobalEnv()
+    (decl,) = elaborate_toplevels(parse_file(
+        PRELUDE + "def f (t s : 2) {Delta2 (t, s) /\\ t <= s} : U := U\n"), env)
+    ts = CPair(CVar("t"), CVar("s"))
+    assert decl.telescope[2] == TopeParam(
+        TAnd(TLe(CSnd(ts), CFst(ts)), TLe(CVar("t"), CVar("s"))))
+
+
+def test_tuple_pattern_names_project_the_point():
+    assert alpha_eq(resolved("\\(t1, t2). f t2 t1", "f"),
+                    Lam("p", App(App(Var("f"), Snd(Var("p"))), Fst(Var("p")))))
+    # an inner binder hides a pattern name, in terms and in topes alike
+    assert alpha_eq(resolved("\\(t, s). \\t. [ t <= s |-> t ]"),
+                    Lam("p", Lam("t", TopeCase(
+                        ((TLe(CVar("t"), CSnd(CVar("p"))), Var("t")),)))))
+    assert alpha_eq(resolved("\\(t, s). (s : U) -> s"),
+                    Lam("p", Pi("s", U(), Var("s"))))
+
+
+def test_shape_domains_become_extension_types():
+    over_delta1 = Ext("t", INTERVAL, TOP, Var("A"), BOT, TopeCase(()))
+    arrow = resolved("Delta1 -> A", "A")
+    assert alpha_eq(arrow, over_delta1)
+    assert display_name(arrow.var).startswith("t_")
+    assert resolved("(t : Delta1) -> A", "A") == over_delta1
+    assert resolved("<Pi (t : Delta1) -> A []>", "A") == over_delta1
+    p = CVar("p")
+    assert resolved("(p : Delta2) -> A", "A") == Ext(
+        "p", ProdCube(INTERVAL, INTERVAL), TLe(CSnd(p), CFst(p)), Var("A"),
+        BOT, TopeCase(()))
+
+
+def test_grouped_parameters_share_a_type_resolved_before_their_names():
+    # in (B C : B) the type is the global B for both names, not the first
+    # parameter of the group
+    env = GlobalEnv()
+    _, decl = elaborate_toplevels(parse_file(
+        "def B : U := Unit\ndef f (B C : B) : U := U\n"), env)
+    assert decl.telescope == (TypedParam("B", Const("B")), TypedParam("C", Const("B")))

@@ -1,12 +1,11 @@
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from generators import random_sequent, random_tope
 from oracle import oracle_entails
 from sstt.cube import (
-    INTERVAL, CONE, CZERO, CFst, COne, CPair, CSnd, CVar, CZero, ProdCube,
+    INTERVAL, CONE, CZERO, CFst, COne, CSnd, CVar, CZero, ProdCube,
     print_cube_type,
 )
 from sstt.parser import parse_sequent_source
