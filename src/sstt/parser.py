@@ -7,11 +7,11 @@ environment can settle is left for scope in core form: a Π whose domain is
 a bare name becomes an extension type if the name is a shape; an extension
 type over a shape domain has no cube yet, and its shape tope is the
 placeholder ``STShapeApp`` of that shape to the bound variable; the branches
-of an extension type stay a tope case until their topes are expanded.  A
-shape application in a tope is an ``STShapeApp``.  Anonymous binders
-(``A -> B``, ``A * B``) and the point of a tuple-pattern lambda get fresh
-names; while the lambda's body is parsed, its pattern names stand for the
-projections of that point.
+of an extension type stay a tope case, under the boundary tope BOT, until
+their topes are expanded.  A shape application in a tope is an
+``STShapeApp``.  Anonymous binders (``A -> B``, ``A * B``) and the point of
+a tuple-pattern lambda get fresh names; while the lambda's body is parsed,
+its pattern names stand for the projections of that point.
 
 Alternatives are chosen by lookahead, never by backtracking, with a table of
 matching parentheses built once per input:
@@ -76,7 +76,7 @@ from .cube import (
     UNIT_CUBE,
     split_point,
 )
-from .tope import BOT, TOP, Shape, TAnd, TEq, TLe, TOr, Tope, tope_or
+from .tope import BOT, TOP, Shape, TAnd, TEq, TLe, TOr, Tope
 
 
 class ParseError(Exception):
@@ -621,7 +621,7 @@ class Parser:
 
     def parse_ext(self, start: Token) -> Expr:
         """``<Pi (t : D) -> F [branches]>``, its branches kept as a tope case
-        whose topes scope expands."""
+        whose topes scope expands; scope also makes the boundary tope."""
         self.expect("<")
         self.expect("kw", "Pi")
         self.expect("(")
@@ -643,8 +643,7 @@ class Parser:
         self.expect("]")
         self.points = saved
         self.expect(">")
-        phi = tope_or(*(t for t, _ in branches))
-        return Ext(var, cube, psi, family, phi, TopeCase(branches),
+        return Ext(var, cube, psi, family, BOT, TopeCase(branches),
                    span=self.span_from(start))
 
     def parse_tope_case(self, start: Token) -> Expr:

@@ -199,7 +199,7 @@ class Resolver:
     def resolve_ext(self, e: Ext, locals_: dict[str, str]) -> Expr:
         """An extension type as parsed: over a shape domain its cube is None
         and its shape tope that shape's placeholder, and its branches are a
-        tope case."""
+        tope case from which the boundary tope and term are made here."""
         cube = e.cube
         if cube is None:
             sh = self._shape_named(e.shape_tope.name, locals_)

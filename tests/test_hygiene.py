@@ -1,8 +1,8 @@
 """Source hygiene: no module imports a name at top level that it never uses.
 
 Only the standard library's ``ast`` is used, so this needs no linter.  A
-name counts as used when it is loaded anywhere in the module, including in
-an annotation written as a string, or listed in ``__all__``.
+name counts as used when it appears anywhere in the module, including in an
+annotation written as a string.
 """
 
 import ast
@@ -37,9 +37,6 @@ def _used(tree: ast.Module) -> set[str]:
             annotations.append(node.annotation)
         elif isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef) and node.returns:
             annotations.append(node.returns)
-        elif (isinstance(node, ast.Assign)
-              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
     for ann in annotations:
         for c in ast.walk(ann):
             if isinstance(c, ast.Constant) and isinstance(c.value, str):
