@@ -73,6 +73,7 @@ from .cube import (
     CubeExpr,
     CVar,
     cube_type_of,
+    display_name,
     print_cube_type,
     subst_cube_sim,
 )
@@ -106,6 +107,7 @@ DIAGNOSTIC_KINDS = (
     "unledgered-axiom",
     "tope-too-large",
     "too-deep",
+    "internal",
 )
 
 
@@ -661,14 +663,13 @@ class Checker:
                 if ctx.lookup_cube(n) is not None:
                     self._err(
                         "type-mismatch",
-                        f"cube variable {n!r} used where a term of a type is expected",
-                        e.span,
-                    )
+                        f"cube variable {display_name(n)!r} used where a term "
+                        "of a type is expected", e.span)
                 if ctx.has_typed(n):
                     self._err(
                         "type-mismatch",
-                        f"the type of {n!r} is not known here", e.span)
-                self._err("scope", f"unbound variable {n!r}", e.span)
+                        f"the type of {display_name(n)!r} is not known here", e.span)
+                self._err("scope", f"unbound variable {display_name(n)!r}", e.span)
             case Const(n):
                 d = self.env.decls.get(n)
                 if d is None:

@@ -80,7 +80,7 @@ def cmd_check(args) -> int:
             print(f"error: no such file: {p}", file=sys.stderr)
             return 2
     ordered, wanted = _with_siblings(paths)
-    reports, _ = check_files(ordered, fuel=args.fuel, stop_on_error=True)
+    reports, _ = check_files(ordered, fuel=args.fuel)
     ok = all(r.ok for r in reports)
     if args.machine:
         payload = {

@@ -179,8 +179,8 @@ class Ext:
     """Extension type: sections of ``family`` over the shape ``{var : cube |
     shape_tope}`` that restrict on the sub-shape ``boundary_tope`` to
     ``boundary``.  ``var`` scopes over both topes, the family and the
-    boundary term.  Only as parsed, before scope resolution, is ``cube``
-    None, for a shape domain (see ``parser``)."""
+    boundary term.  The parser builds it complete: over a shape domain it
+    takes the shape's cube and its tope at ``var``."""
 
     var: str
     cube: CubeType
@@ -368,21 +368,22 @@ class _Subst:
         raise TypeError(f"not an expression: {e!r}")
 
 
-def cube_to_term(c: CubeExpr) -> Expr:
-    """Embed a cube point into the term language."""
+def cube_to_term(c: CubeExpr, span: Optional[Span] = None) -> Expr:
+    """Embed a cube point into the term language; every node built gets
+    ``span``."""
     match c:
         case CVar(n):
-            return Var(n)
+            return Var(n, span=span)
         case CPair(a, b):
-            return Pair(cube_to_term(a), cube_to_term(b))
+            return Pair(cube_to_term(a, span), cube_to_term(b, span), span=span)
         case CFst(a):
-            return Fst(cube_to_term(a))
+            return Fst(cube_to_term(a, span), span=span)
         case CSnd(a):
-            return Snd(cube_to_term(a))
+            return Snd(cube_to_term(a, span), span=span)
         case CStar():
-            return UnitPoint()
+            return UnitPoint(span=span)
         case _:
-            return CubeLit(c)
+            return CubeLit(c, span=span)
 
 
 def subst_typed(e: Expr, values: Mapping[str, Expr],
@@ -490,11 +491,6 @@ def alpha_eq(a: Expr, b: Expr, env: Optional[dict[str, str]] = None) -> bool:
 # ---------------------------------------------------------------------------
 # Contexts
 
-class VarSort(Enum):
-    CUBE = "cube"
-    TYPED = "typed"
-
-
 @dataclass(frozen=True)
 class TriContext:
     """Three-layer context: cube variables, tope constraints, typed
@@ -572,9 +568,9 @@ TeleParam = Union[CubeParam, TopeParam, TypedParam]
 @dataclass(frozen=True)
 class Decl:
     """A declaration: a telescope, a stated type, and (for definitions and
-    proved theorems) a body.  The parser builds it with unresolved names,
-    scope resolves them, and the checker returns it checked.  ``ty``/``body``
-    are the telescope-folded forms consumed by the checker."""
+    proved theorems) a body.  The parser builds it with its names resolved,
+    and the checker returns it checked.  ``ty``/``body`` are the
+    telescope-folded forms consumed by the checker."""
 
     name: str
     tag: DeclTag

@@ -96,14 +96,19 @@ def _too_deep(stage: str, decl: Optional[str] = None) -> Diagnostic:
         "split the expression into smaller definitions", decl)
 
 
+def _internal(stage: str, err: Exception, decl: Optional[str] = None) -> Diagnostic:
+    return Diagnostic(
+        "internal", f"internal error while {stage}: {type(err).__name__}: {err}", decl)
+
+
 def check_files(paths: list[Path], env: Optional[GlobalEnv] = None,
                 fuel: int = DEFAULT_FUEL,
-                ledger: Optional[set[str]] = None,
-                stop_on_error: bool = True) -> tuple[list[FileReport], GlobalEnv]:
-    """Parse, elaborate and check the given files in order, accumulating
-    declarations in one environment.  Stops at the first diagnostic (by
-    default), since later declarations may depend on a failed one.  Input
-    nested past Python's recursion limit is reported as ``too-deep``."""
+                ledger: Optional[set[str]] = None) -> tuple[list[FileReport], GlobalEnv]:
+    """Parse and check the given files in order, accumulating declarations
+    in one environment.  Stops at the first diagnostic, since later
+    declarations may depend on a failed one.  Input nested past Python's
+    recursion limit is reported as ``too-deep``, and any other exception as
+    ``internal``."""
     env = env if env is not None else GlobalEnv()
     reports: list[FileReport] = []
     checker = Checker(env, fuel=fuel)
@@ -111,29 +116,26 @@ def check_files(paths: list[Path], env: Optional[GlobalEnv] = None,
         report = FileReport(str(path))
         reports.append(report)
         try:
-            items = parse_file(path.read_text(), str(path))
+            items = parse_file(path.read_text(), str(path), env)
         except ParseError as e:
             report.diagnostics.append(
                 Diagnostic("parse", e.message + f" (line {e.line}, column {e.col})"))
+        except ScopeError as e:
+            report.diagnostics.append(Diagnostic("scope", e.message, span=e.span))
         except RecursionError:
             report.diagnostics.append(_too_deep("parse"))
+        except Exception as e:
+            report.diagnostics.append(_internal("parsing", e))
         else:
-            try:
-                decls = elaborate_toplevels(items, env)
-            except ScopeError as e:
-                report.diagnostics.append(Diagnostic("scope", e.message, span=e.span))
-            except RecursionError:
-                report.diagnostics.append(_too_deep("elaborate"))
-            else:
-                _check_decls(checker, decls, ledger, report, env)
-        if report.diagnostics and stop_on_error:
+            _check_decls(checker, elaborate_toplevels(items, env), ledger, report, env)
+        if report.diagnostics:
             break
     return reports, env
 
 
 def _check_decls(checker: Checker, decls: list[Decl], ledger: Optional[set[str]],
                  report: FileReport, env: GlobalEnv) -> None:
-    """Check elaborated declarations in order, up to the first failure."""
+    """Check parsed declarations in order, up to the first failure."""
     for d in decls:
         if (ledger is not None and d.tag == DeclTag.AXIOM
                 and d.name not in ledger):
@@ -149,6 +151,9 @@ def _check_decls(checker: Checker, decls: list[Decl], ledger: Optional[set[str]]
             return
         except RecursionError:
             report.diagnostics.append(_too_deep("check", d.name))
+            return
+        except Exception as e:
+            report.diagnostics.append(_internal(f"checking {d.name!r}", e, d.name))
             return
         env.decls[d.name] = checked
         report.decls.append(checked)

@@ -1,17 +1,29 @@
 """Surface syntax: lexer and recursive-descent parser.
 
-The parser builds core terms, telescope parameters and declarations
-directly, with a ``Var`` for every identifier; ``scope`` then resolves names
-against the global environment and expands shapes.  What only the
-environment can settle is left for scope in core form: a Π whose domain is
-a bare name becomes an extension type if the name is a shape; an extension
-type over a shape domain has no cube yet, and its shape tope is the
-placeholder ``STShapeApp`` of that shape to the bound variable; the branches
-of an extension type stay a tope case, under the boundary tope BOT, until
-their topes are expanded.  A shape application in a tope is an
-``STShapeApp``.  Anonymous binders (``A -> B``, ``A * B``) and the point of
-a tuple-pattern lambda get fresh names; while the lambda's body is parsed,
-its pattern names stand for the projections of that point.
+The parser reads a file in one pass into resolved core terms, telescope
+parameters, declarations and shapes.  It takes the global environment
+read-only, together with the items read so far from the same input, and
+keeps one scope map from each bound name to its sort (``"cube"``,
+``"typed"``, or ``"unknown"`` for a λ binder) or, for a name of a
+tuple-pattern lambda, to the projection of the lambda's point it stands
+for.  So names are resolved as they are read:
+
+- an identifier becomes a local ``Var``, a ``Const`` (never of a statement
+  without a proof), or a ``ScopeError``; a tuple-pattern name becomes its
+  projection, with the span of its token;
+- a Π, arrow or extension domain that names a shape becomes an extension
+  type over that shape, with an empty boundary for Π and arrows;
+- a shape applied in a tope is expanded, and a name in a tope must be a
+  cube variable (or λ-bound) in scope;
+- the layer order of a telescope, a shape's pattern and the
+  well-formedness of a tope parameter or shape tope are checked as the
+  parameter or shape ends, and a declaration or shape that redefines a
+  global name is a ``ScopeError``.
+
+Anonymous binders (``A -> B``, ``A * B``, ``S -> B`` over a shape) and the
+point of a tuple-pattern lambda get fresh names.  Errors are reported in
+reading order; ``scope.elaborate_toplevels`` then adds a parsed file's
+items to the environment.
 
 Alternatives are chosen by lookahead, never by backtracking, with a table of
 matching parentheses built once per input:
@@ -19,6 +31,8 @@ matching parentheses built once per input:
 - ``(x : D)`` is a Π binder iff the token after its ``)`` is ``->``;
 - a binder domain or parameter is a cube type iff its tokens up to ``)`` or
   ``|`` are only ``1``, ``2``, ``*`` and parentheses;
+- a Π or arrow domain is a shape iff it is a shape's name, possibly in
+  parentheses, that no bound name hides;
 - a parenthesized tope is a relation iff ``<=`` or ``===`` follows its ``)``;
 - an identifier in a tope starts a relation iff ``<=`` or ``===`` follows
   it, and applies a shape otherwise.
@@ -28,12 +42,13 @@ So every token is parsed once.  The grammar is documented in docs/syntax.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .core import (
     Ann,
     App,
+    Const,
     CubeLit,
     CubeParam,
     Decl,
@@ -69,14 +84,19 @@ from .cube import (
     CVar,
     CZERO,
     CONE,
+    CubeError,
     CubeExpr,
     CubeType,
     INTERVAL,
     ProdCube,
     UNIT_CUBE,
+    split_cube,
     split_point,
 )
-from .tope import BOT, TOP, Shape, TAnd, TEq, TLe, TOr, Tope
+from .scope import GlobalEnv, ScopeError
+from .tope import (
+    BOT, TOP, Shape, TAnd, TEq, TLe, TOr, Tope, TopeError, normalize_tope, tope_or,
+)
 
 
 class ParseError(Exception):
@@ -170,22 +190,12 @@ def lex(src: str, filename: str = "<input>") -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
-# Tope placeholder
-
-@dataclass(frozen=True)
-class STShapeApp:
-    """Unresolved shape applied to a cube point, in tope position."""
-
-    name: str
-    arg: CubeExpr
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
-
-
-STope = Union[Tope, STShapeApp]  # shape apps may also sit under TAnd/TOr
-
-
-# ---------------------------------------------------------------------------
 # Parser
+
+# What a bound name stands for: its sort ("cube", "typed", or "unknown" for a
+# λ binder), or the projection of a tuple-pattern lambda's point
+Bound = Union[str, CubeExpr]
+
 
 def _matching_parens(toks: list[Token]) -> dict[int, int]:
     """The index of the ``)`` closing each ``(``; an unbalanced one has none."""
@@ -200,14 +210,20 @@ def _matching_parens(toks: list[Token]) -> dict[int, int]:
 
 
 class Parser:
-    def __init__(self, src: str, filename: str = "<input>"):
+    """``env`` None parses topes only, as in a sequent: no shape may be
+    applied, and the solver checks the names."""
+
+    def __init__(self, src: str, filename: str = "<input>",
+                 env: Optional[GlobalEnv] = None,
+                 scope: Optional[dict[str, Bound]] = None):
         self.toks = lex(src, filename)
         self.pos = 0
         self.filename = filename
         self.close = _matching_parens(self.toks)
-        # the names of the enclosing tuple-pattern lambdas, each mapped to a
-        # projection of its lambda's point
-        self.points: dict[str, CubeExpr] = {}
+        self.env = env
+        self.scope: dict[str, Bound] = dict(scope or {})
+        # the declarations and shapes read so far from this input
+        self.items: dict[str, Union[Decl, Shape]] = {}
 
     # -- token plumbing
 
@@ -272,30 +288,92 @@ class Parser:
             i += 1
         return i > self.pos
 
-    def hide(self, name: str) -> dict[str, CubeExpr]:
-        """Stop replacing ``name``, which a binder rebinds; returns the
-        replacements to restore at the end of the binder's scope."""
-        saved = self.points
-        if name in saved:
-            self.points = {k: v for k, v in saved.items() if k != name}
+    def shape_ahead(self, stop: str) -> Optional[Shape]:
+        """The shape named from here, possibly in parentheses, if ``stop``
+        follows the name and no bound name hides it; the shape is then
+        consumed up to ``stop``."""
+        toks, i = self.toks, self.pos
+        while toks[i].kind == "(":
+            i += 1
+        j = 2 * i - self.pos + 1  # the token after the closing parentheses
+        name = toks[i]
+        if (name.kind != "ident" or j >= len(toks) or toks[j].kind != stop
+                or any(t.kind != ")" for t in toks[i + 1:j])
+                or name.value in self.scope):
+            return None
+        sh = self.global_(name.value)
+        if not isinstance(sh, Shape):
+            return None
+        self.pos = j
+        return sh
+
+    # -- names
+
+    def global_(self, name: str) -> Union[Decl, Shape, None]:
+        """The declaration or shape called ``name``: one read earlier from
+        this input, or one of the environment."""
+        item = self.items.get(name)
+        if item is None:
+            item = self.env.decls.get(name) or self.env.shapes.get(name)
+        return item
+
+    def term_name(self, t: Token) -> Expr:
+        bound = self.scope.get(t.value)
+        if isinstance(bound, str):
+            return Var(t.value, span=t.span)
+        if bound is not None:
+            return cube_to_term(bound, t.span)
+        item = self.global_(t.value)
+        if isinstance(item, Decl):
+            if item.tag == DeclTag.THEOREM_STATED:
+                raise ScopeError(
+                    f"{t.value!r} is a statement without a proof and cannot be used",
+                    t.span)
+            return Const(t.value, span=t.span)
+        if item is not None:
+            raise ScopeError(f"shape {t.value!r} used as a term", t.span)
+        raise ScopeError(f"unbound name {t.value!r}", t.span)
+
+    def cube_name(self, t: Token) -> CubeExpr:
+        bound = self.scope.get(t.value)
+        if bound is None:
+            if self.env is None:
+                return CVar(t.value)
+            raise ScopeError(f"unbound variable {t.value!r} in tope", t.span)
+        if bound == "typed":
+            raise ScopeError(
+                f"variable {t.value!r} has a type, not a cube, and cannot appear in a tope",
+                t.span)
+        return CVar(t.value) if isinstance(bound, str) else bound
+
+    def bind(self, name: str, bound: Bound) -> dict[str, Bound]:
+        """Bind ``name`` for the binder being parsed, hiding an outer one;
+        returns the scope to restore at the end of the binder."""
+        saved = self.scope
+        self.scope = {**saved, name: bound}
         return saved
+
+    def declare(self, name: str, sort: str, span: Span) -> None:
+        """Bind a parameter of the telescope being parsed."""
+        if name in self.scope:
+            raise ScopeError(f"repeated parameter name {name!r}", span)
+        if isinstance(self.global_(name), Shape):
+            raise ScopeError(f"parameter {name!r} shadows a shape", span)
+        self.scope[name] = sort
 
     # -- top level
 
     def parse_file(self) -> list[Union[Decl, Shape]]:
-        out: list[Union[Decl, Shape]] = []
-        seen: set[str] = set()
         while not self.at("eof"):
-            d = self.parse_toplevel()
-            if d.name in seen:
-                raise ParseError(
-                    f"duplicate declaration of {d.name!r}",
-                    self.toks[self.pos - 1].line, self.toks[self.pos - 1].col,
-                    self.filename,
-                )
-            seen.add(d.name)
-            out.append(d)
-        return out
+            item = self.parse_toplevel()
+            if item.name in self.items:
+                last = self.toks[self.pos - 1]
+                raise ParseError(f"duplicate declaration of {item.name!r}",
+                                 last.line, last.col, self.filename)
+            if self.env.taken(item.name):
+                raise ScopeError(f"redefinition of {item.name!r}", item.span)
+            self.items[item.name] = item
+        return list(self.items.values())
 
     def parse_toplevel(self) -> Union[Decl, Shape]:
         t = self.peek()
@@ -321,15 +399,23 @@ class Parser:
         self.expect(":")
         cube = self.parse_cube_type()
         self.expect("|")
+        self.scope = dict.fromkeys(pattern, "cube")
         tope = self.parse_tope()
         self.expect("}")
-        return Shape(name, pattern, cube, tope, span=self.span_from(start))
+        span = self.span_from(start)
+        try:
+            factors = split_cube(cube, len(pattern))
+        except CubeError as err:
+            raise ScopeError(str(err), span) from None
+        if len(set(pattern)) != len(pattern):
+            raise ScopeError("repeated variable in shape pattern", span)
+        _check_tope(dict(zip(pattern, factors)), tope, span)
+        return Shape(name, pattern, cube, tope, span=span)
 
     def parse_decl(self, kind: str, start: Token) -> Decl:
         name = self.expect("ident").value
-        params: list[TeleParam] = []
-        while self.at("(") or self.at("{"):
-            params.extend(self.parse_param())
+        self.scope = {}
+        telescope = self.parse_telescope()
         self.expect(":")
         ty = self.parse_expr()
         body: Optional[Expr] = None
@@ -342,30 +428,56 @@ class Parser:
             body, tag = self.parse_expr(), DeclTag.THEOREM_PROVED
         else:
             tag = DeclTag.THEOREM_STATED
-        return Decl(name, tag, tuple(params), ty, body, span=self.span_from(start))
+        return Decl(name, tag, telescope, ty, body, span=self.span_from(start))
 
-    def parse_param(self) -> list[TeleParam]:
-        start = self.peek()
-        if self.accept("{"):
-            tope = self.parse_tope()
-            self.expect("}")
-            return [TopeParam(tope, span=self.span_from(start))]
-        self.expect("(")
-        names = [self.expect("ident").value]
-        while self.at("ident"):
-            names.append(self.next().value)
-        self.expect(":")
-        if self.cube_ahead():
-            cube = self.parse_cube_type()
-            self.expect(")")
-            span = self.span_from(start)
-            return [CubeParam(n, cube, span=span) for n in names]
-        # the names of a group share one type, which scope resolves before
-        # binding any of them
-        ty = self.parse_expr()
-        self.expect(")")
-        span = self.span_from(start)
-        return [TypedParam(n, ty, span=span) for n in names]
+    def parse_telescope(self) -> tuple[TeleParam, ...]:
+        """Cube parameters, then tope parameters, then typed parameters; the
+        names of a group ``(x y : A)`` share one type, read before any of
+        them is bound."""
+        params: list[TeleParam] = []
+        cube_ctx: dict[str, CubeType] = {}
+        phase = 0  # 0: cube params, 1: tope params, 2: typed params
+        while self.at("(") or self.at("{"):
+            start = self.peek()
+            if self.accept("{"):
+                tope = self.parse_tope()
+                self.expect("}")
+                span = self.span_from(start)
+                if phase > 1:
+                    raise ScopeError(
+                        "tope parameters must come before typed parameters", span)
+                if not cube_ctx:
+                    raise ScopeError(
+                        "a tope parameter needs a cube parameter in scope", span)
+                phase = 1
+                _check_tope(cube_ctx, tope, span)
+                params.append(TopeParam(tope, span=span))
+                continue
+            self.expect("(")
+            names = [self.expect("ident").value]
+            while self.at("ident"):
+                names.append(self.next().value)
+            self.expect(":")
+            if self.cube_ahead():
+                cube = self.parse_cube_type()
+                self.expect(")")
+                span = self.span_from(start)
+                if phase > 0:
+                    raise ScopeError(
+                        "cube parameters must come before tope and typed parameters", span)
+                for n in names:
+                    self.declare(n, "cube", span)
+                    cube_ctx[n] = cube
+                    params.append(CubeParam(n, cube, span=span))
+            else:
+                ty = self.parse_expr()
+                self.expect(")")
+                span = self.span_from(start)
+                phase = 2
+                for n in names:
+                    self.declare(n, "typed", span)
+                    params.append(TypedParam(n, ty, span=span))
+        return tuple(params)
 
     # -- cube types
 
@@ -386,14 +498,14 @@ class Parser:
             return t
         raise self.fail("expected a cube type (1, 2, or a product)")
 
-    def parse_cube_domain(self, var: str) -> tuple[CubeType, STope]:
+    def parse_cube_domain(self, var: str) -> tuple[CubeType, Tope]:
         """``C`` or ``C | psi``, where ``psi`` may mention the bound ``var``."""
         cube = self.parse_cube_type()
         if not self.accept("|"):
             return cube, TOP
-        saved = self.hide(var)
+        saved = self.bind(var, "cube")
         psi = self.parse_tope()
-        self.points = saved
+        self.scope = saved
         return cube, psi
 
     # -- cube expressions
@@ -413,9 +525,7 @@ class Parser:
         if self.accept("kw", "snd"):
             return CSnd(self.parse_cube_atom())
         if self.at("ident"):
-            name = self.next().value
-            point = self.points.get(name)
-            return CVar(name) if point is None else point
+            return self.cube_name(self.next())
         if self.accept("("):
             e = self.parse_cube_expr()
             while self.accept(","):
@@ -426,19 +536,19 @@ class Parser:
 
     # -- topes
 
-    def parse_tope(self) -> STope:
+    def parse_tope(self) -> Tope:
         left = self.parse_tope_conj()
         while self.accept("\\/"):
             left = TOr(left, self.parse_tope_conj())
         return left
 
-    def parse_tope_conj(self) -> STope:
+    def parse_tope_conj(self) -> Tope:
         left = self.parse_tope_atom()
         while self.accept("/\\"):
             left = TAnd(left, self.parse_tope_atom())
         return left
 
-    def parse_tope_atom(self) -> STope:
+    def parse_tope_atom(self) -> Tope:
         if self.accept("kw", "TOP"):
             return TOP
         if self.accept("kw", "BOT"):
@@ -450,8 +560,13 @@ class Parser:
             return t
         if self.at("ident") and self.peek(1).kind not in ("<=", "==="):
             tok = self.next()
-            arg = self.parse_cube_atom()
-            return STShapeApp(tok.value, arg, span=self.span_from(tok))
+            if self.env is None:
+                raise ParseError(f"unknown tope form {tok.value!r}",
+                                 tok.line, tok.col, self.filename)
+            sh = self.global_(tok.value)
+            if not isinstance(sh, Shape):
+                raise ScopeError(f"unknown shape {tok.value!r}", tok.span)
+            return sh.applied_to(self.parse_cube_atom())
         return self.parse_tope_relation()
 
     def parse_tope_relation(self) -> Tope:
@@ -478,16 +593,16 @@ class Parser:
         else:
             names = [self.expect("ident").value]
         self.expect(".")
-        saved = self.points
+        saved = self.scope
         if len(names) == 1:
             var = names[0]
-            self.hide(var)
+            self.scope = {**saved, var: "unknown"}
         else:
             var = fresh("p")
             comps = split_point(CVar(var), len(names))
-            self.points = {**saved, **dict(zip(names, comps))}
+            self.scope = {**saved, var: "unknown", **dict(zip(names, comps))}
         body = self.parse_expr()
-        self.points = saved
+        self.scope = saved
         return Lam(var, body, span=self.span_from(start))
 
     def parse_arrow(self) -> Expr:
@@ -495,28 +610,35 @@ class Parser:
         if (self.at("(") and self.peek(1).kind == "ident"
                 and self.peek(2).kind == ":" and self.after_group("->")):
             return self.parse_pi_binder(start)
+        sh = self.shape_ahead("->")
+        if sh is not None:
+            self.next()
+            t = fresh("t")
+            return Ext(t, sh.cube, sh.applied_to(CVar(t)), self.parse_arrow(),
+                       BOT, TopeCase(()), span=self.span_from(start))
         left = self.parse_sigma_op()
         if self.accept("->"):
             return Pi(fresh("x"), left, self.parse_arrow(), span=self.span_from(start))
         return left
 
     def parse_pi_binder(self, start: Token) -> Expr:
-        """``(x : D) -> B``.  A cube domain makes an extension type with an
-        empty boundary; any other domain a Π, which scope turns into an
-        extension type if the domain names a shape."""
+        """``(x : D) -> B``: an extension type with an empty boundary if
+        ``D`` is a cube type or a shape, a Π otherwise."""
         self.expect("(")
         var = self.next().value
         self.expect(":")
         cube: Optional[CubeType] = None
         if self.cube_ahead():
             cube, psi = self.parse_cube_domain(var)
+        elif (sh := self.shape_ahead(")")) is not None:
+            cube, psi = sh.cube, sh.applied_to(CVar(var))
         else:
             dom = self.parse_expr()
         self.expect(")")
         self.expect("->")
-        saved = self.hide(var)
+        saved = self.bind(var, "typed" if cube is None else "cube")
         cod = self.parse_arrow()
-        self.points = saved
+        self.scope = saved
         if cube is not None:
             return Ext(var, cube, psi, cod, BOT, TopeCase(()), span=self.span_from(start))
         return Pi(var, dom, cod, span=self.span_from(start))
@@ -574,9 +696,9 @@ class Parser:
             self.expect(":")
             dom = self.parse_expr()
             self.expect(")")
-            saved = self.hide(var)
+            saved = self.bind(var, "typed")
             body = self.parse_app()
-            self.points = saved
+            self.scope = saved
             return Sigma(var, dom, body, span=self.span_from(start))
         return self.parse_atom()
 
@@ -594,9 +716,7 @@ class Parser:
                 raise ParseError("the interval is not a term", t.line, t.col, self.filename)
             return CubeLit(CONE if t.value == "1" else CZERO, span=t.span)
         if self.at("ident"):
-            t = self.next()
-            point = self.points.get(t.value)
-            return Var(t.value, span=t.span) if point is None else cube_to_term(point)
+            return self.term_name(self.next())
         if self.at("<"):
             return self.parse_ext(start)
         if self.at("["):
@@ -620,41 +740,50 @@ class Parser:
         raise self.fail("expected an expression")
 
     def parse_ext(self, start: Token) -> Expr:
-        """``<Pi (t : D) -> F [branches]>``, its branches kept as a tope case
-        whose topes scope expands; scope also makes the boundary tope."""
+        """``<Pi (t : D) -> F [branches]>``; the branches make the boundary
+        tope (their disjunction) and term (a tope case, unless there is
+        one branch)."""
         self.expect("<")
         self.expect("kw", "Pi")
         self.expect("(")
         var = self.expect("ident").value
         self.expect(":")
-        cube: Optional[CubeType] = None
         if self.cube_ahead():
             cube, psi = self.parse_cube_domain(var)
         elif self.at("ident"):
-            psi = STShapeApp(self.next().value, CVar(var))
+            t = self.next()
+            sh = None if t.value in self.scope else self.global_(t.value)
+            if not isinstance(sh, Shape):
+                raise ScopeError("an extension type needs a cube or shape domain", t.span)
+            cube, psi = sh.cube, sh.applied_to(CVar(var))
         else:
             raise self.fail("an extension type needs a cube or shape domain")
         self.expect(")")
         self.expect("->")
-        saved = self.hide(var)
+        saved = self.bind(var, "cube")
         family = self.parse_sigma_op()
         self.expect("[")
         branches = () if self.at("]") else self.parse_branches()
         self.expect("]")
-        self.points = saved
+        self.scope = saved
         self.expect(">")
-        return Ext(var, cube, psi, family, BOT, TopeCase(branches),
-                   span=self.span_from(start))
+        if not branches:
+            phi, bd = BOT, TopeCase(())
+        elif len(branches) == 1:
+            phi, bd = branches[0]
+        else:
+            phi, bd = tope_or(*(t for t, _ in branches)), TopeCase(branches)
+        return Ext(var, cube, psi, family, phi, bd, span=self.span_from(start))
 
     def parse_tope_case(self, start: Token) -> Expr:
         self.expect("[")
-        branches: tuple[tuple[STope, Expr], ...] = ()
+        branches: tuple[tuple[Tope, Expr], ...] = ()
         if not self.at("]"):
             branches = self.parse_branches()
         self.expect("]")
         return TopeCase(branches, span=self.span_from(start))
 
-    def parse_branches(self) -> tuple[tuple[STope, Expr], ...]:
+    def parse_branches(self) -> tuple[tuple[Tope, Expr], ...]:
         out = []
         while True:
             tope = self.parse_tope()
@@ -666,16 +795,30 @@ class Parser:
         return tuple(out)
 
 
+def _check_tope(ctx: dict[str, CubeType], t: Tope, span: Span) -> None:
+    """Check the points of a tope against the cube context it lives in."""
+    try:
+        normalize_tope(ctx, t)
+    except TopeError as err:
+        raise ScopeError(str(err), span) from None
+
+
 # ---------------------------------------------------------------------------
 # Entry points
 
-def parse_file(src: str, filename: str = "<input>") -> list[Union[Decl, Shape]]:
-    """Parse a file into its declarations and shapes, with names unresolved."""
-    return Parser(src, filename).parse_file()
+def parse_file(src: str, filename: str = "<input>",
+               env: Optional[GlobalEnv] = None) -> list[Union[Decl, Shape]]:
+    """Parse a file into its resolved declarations and shapes, against the
+    environment ``env`` (empty if None), which is not changed."""
+    return Parser(src, filename, env or GlobalEnv()).parse_file()
 
 
-def parse_expr(src: str, filename: str = "<input>") -> Expr:
-    p = Parser(src, filename)
+def parse_expr(src: str, filename: str = "<input>",
+               env: Optional[GlobalEnv] = None,
+               scope: Optional[dict[str, Bound]] = None) -> Expr:
+    """Parse a resolved term whose free names are the bound ones of
+    ``scope`` and the globals of ``env``."""
+    p = Parser(src, filename, env or GlobalEnv(), scope)
     e = p.parse_expr()
     p.expect("eof")
     return e
@@ -703,17 +846,4 @@ def parse_sequent_source(src: str, filename: str = "<sequent>"):
     p.expect("|-")
     goal = p.parse_tope()
     p.expect("eof")
-    for t in (hyp, goal):
-        _reject_shape_apps(t, p)
     return Sequent(tuple(ctx), hyp, goal)
-
-
-def _reject_shape_apps(t: STope, p: Parser) -> None:
-    match t:
-        case STShapeApp(name, _):
-            raise ParseError(f"unknown tope form {name!r}", 1, 1, p.filename)
-        case TAnd(a, b) | TOr(a, b):
-            _reject_shape_apps(a, p)
-            _reject_shape_apps(b, p)
-        case _:
-            pass

@@ -3,63 +3,65 @@
 A sequent over interval variables is valid iff it holds under every
 assignment of chain values to its variables.  A chain with n + 2 points
 realizes every weak order of n variables together with the endpoints, so
-exhausting such a grid is a complete decision procedure.
+exhausting the assignments into such a chain is a complete decision
+procedure.  A truth table over all assignments is a Python int used as a bit
+mask, one bit per assignment; the table of each atom is computed once.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import itertools
+import operator
+from functools import lru_cache
 
 from sstt.cube import CVar, CZero, COne
 from sstt.tope import Sequent, TAnd, TBot, TEq, TLe, TOr, TTop, Tope
 
 
-def chain(points: int) -> np.ndarray:
-    return np.linspace(0.0, 1.0, points)
+@lru_cache(maxsize=None)
+def _assignments(n_vars: int, points: int) -> tuple[tuple[int, ...], ...]:
+    """Every assignment of chain values 0 .. points - 1 to the variables."""
+    return tuple(itertools.product(range(points), repeat=n_vars))
 
 
-def _eval_point(c, names: list[str], grid: np.ndarray) -> np.ndarray:
+def _column(c, names: tuple[str, ...], points: int) -> list[int]:
+    """The value of a point under each assignment."""
+    rows = _assignments(len(names), points)
     match c:
         case CZero():
-            return np.zeros(grid.shape[0])
+            return [0] * len(rows)
         case COne():
-            return np.ones(grid.shape[0])
+            return [points - 1] * len(rows)
         case CVar(name):
-            return grid[:, names.index(name)]
+            i = names.index(name)
+            return [r[i] for r in rows]
     raise ValueError(f"oracle only handles interval points, got {c!r}")
 
 
-def eval_tope(t: Tope, names: list[str], grid: np.ndarray) -> np.ndarray:
-    """Truth value of the tope at every row of the valuation grid."""
+@lru_cache(maxsize=None)
+def _atom_mask(atom: Tope, names: tuple[str, ...], points: int) -> int:
+    holds = operator.le if isinstance(atom, TLe) else operator.eq
+    left, right = _column(atom.left, names, points), _column(atom.right, names, points)
+    return int("".join("1" if holds(x, y) else "0" for x, y in zip(left, right)), 2)
+
+
+def _mask(t: Tope, names: tuple[str, ...], points: int) -> int:
+    """The set of assignments at which the tope holds."""
     match t:
         case TTop():
-            return np.ones(grid.shape[0], dtype=bool)
+            return (1 << len(_assignments(len(names), points))) - 1
         case TBot():
-            return np.zeros(grid.shape[0], dtype=bool)
+            return 0
         case TAnd(l, r):
-            return eval_tope(l, names, grid) & eval_tope(r, names, grid)
+            return _mask(l, names, points) & _mask(r, names, points)
         case TOr(l, r):
-            return eval_tope(l, names, grid) | eval_tope(r, names, grid)
-        case TLe(l, r):
-            return _eval_point(l, names, grid) <= _eval_point(r, names, grid)
-        case TEq(l, r):
-            return _eval_point(l, names, grid) == _eval_point(r, names, grid)
+            return _mask(l, names, points) | _mask(r, names, points)
+        case TLe() | TEq():
+            return _atom_mask(t, names, points)
     raise ValueError(f"unknown tope {t!r}")
 
 
-def valuation_grid(n_vars: int, points: int) -> np.ndarray:
-    """All assignments of chain values to n_vars variables, one per row."""
-    values = chain(points)
-    grids = np.meshgrid(*([values] * n_vars), indexing="ij") if n_vars else []
-    if not grids:
-        return np.zeros((1, 0))
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
-def oracle_entails(seq: Sequent, points: int | None = None) -> bool:
-    names = [n for n, _ in seq.ctx]
-    pts = points if points is not None else max(5, len(names) + 2)
-    grid = valuation_grid(len(names), pts)
-    hyp = eval_tope(seq.hyp, names, grid)
-    goal = eval_tope(seq.goal, names, grid)
-    return bool(np.all(goal[hyp]))
+def oracle_entails(seq: Sequent) -> bool:
+    names = tuple(n for n, _ in seq.ctx)
+    points = max(5, len(names) + 2)
+    return _mask(seq.hyp, names, points) & ~_mask(seq.goal, names, points) == 0

@@ -19,12 +19,12 @@ from sstt.core import (
 )
 from sstt.cube import INTERVAL, CONE, CZERO, CVar
 from sstt.parser import parse_expr, parse_file
-from sstt.scope import GlobalEnv, Resolver, elaborate_toplevels
+from sstt.scope import GlobalEnv, elaborate_toplevels
 from sstt.tope import TAnd, TEq, TOr
 
 
 def E(env, src):
-    return Resolver(env).resolve(parse_expr(src), {})
+    return parse_expr(src, env=env)
 
 
 def test_whnf_beta(checker):
@@ -44,7 +44,7 @@ def test_whnf_fuel_counts_one_unfolding_and_one_beta_per_argument():
     env = GlobalEnv()
     fresh_checker = Checker(env)
     src = "def k3 (a : Unit) (b : Unit) (c : Unit) : Unit := a\n"
-    for d in elaborate_toplevels(parse_file(src, "k3.sstt"), env):
+    for d in elaborate_toplevels(parse_file(src, "k3.sstt", env), env):
         env.decls[d.name] = fresh_checker.check_decl(d)
     ctx = TriContext().bind_typed("u", UnitType())
     e = App(App(App(Const("k3"), UnitPoint()), Var("u")), Var("u"))

@@ -1,4 +1,6 @@
-"""Source hygiene: no module imports a name at top level that it never uses.
+"""Source hygiene: no module imports a name at top level that it never uses,
+and no module depends on a package outside the standard library, except
+that the tests may use pytest and hypothesis.
 
 Only the standard library's ``ast`` is used, so this needs no linter.  A
 name counts as used when it appears anywhere in the module, including in an
@@ -6,12 +8,14 @@ annotation written as a string.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "sstt").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+TEST_LOCAL = {p.stem for p in (ROOT / "tests").glob("*.py")}
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -58,3 +62,29 @@ def test_unused_import_is_reported():
     tree = ast.parse("import os\nfrom typing import Optional, Union\n"
                      "def f(x: 'Optional[int]') -> None:\n    pass\n")
     assert set(_imported(tree)) - _used(tree) == {"os", "Union"}
+
+
+def _packages(tree: ast.Module) -> set[str]:
+    """The top-level package of every absolute import, wherever it is."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_imports_only_the_standard_library(path):
+    allowed = set(sys.stdlib_module_names) | {"sstt"}
+    if path.parent.name == "tests":
+        allowed |= {"pytest", "hypothesis"} | TEST_LOCAL
+    foreign = sorted(_packages(ast.parse(path.read_text(), str(path))) - allowed)
+    assert not foreign, f"{path.name} imports {', '.join(foreign)}"
+
+
+def test_foreign_import_is_reported():
+    tree = ast.parse("import os.path\nfrom . import core\n"
+                     "def f():\n    import numpy as np\n    from yaml import load\n")
+    assert _packages(tree) - set(sys.stdlib_module_names) == {"numpy", "yaml"}

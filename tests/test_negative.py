@@ -28,3 +28,66 @@ def test_rejected_with_expected_kind(corpus, ledger, path):
     kinds = check_negative(corpus, ledger, path)
     assert kinds, f"{path.name} was accepted"
     assert kinds[0] == expected, f"{path.name}: got {kinds}, expected {expected}"
+
+
+def _first(corpus, ledger, path):
+    env = copy.copy(corpus.env)
+    env.decls = dict(env.decls)
+    env.shapes = dict(env.shapes)
+    reports, _ = check_files([path], env=env, ledger=ledger)
+    return next(d for r in reports for d in r.diagnostics), env
+
+
+def test_tuple_pattern_name_keeps_its_token_in_messages(corpus, ledger, tmp_path):
+    # the name of a tuple-pattern lambda stands for a projection of the
+    # lambda's generated point; a message about it shows no internal name
+    # and points at the name's token
+    src = (NEGATIVE_DIR / "05-wrong-hom2-edge.sstt").read_text()
+    body = "\\(t1, t2). f t1"
+    assert body in src
+    path = tmp_path / "swapped.sstt"
+    path.write_text(src.replace(body, "\\(t1, t2). t1 f"))
+    diag, _ = _first(corpus, ledger, path)
+    assert diag.kind == "type-mismatch"
+    assert "$" not in diag.message and "cube variable" in diag.message
+    t1 = path.read_text().rindex("t1 f")
+    assert diag.span.start <= t1 and t1 + 2 <= diag.span.end
+
+
+def test_checker_fault_is_an_internal_diagnostic(corpus, ledger, tmp_path, monkeypatch):
+    from sstt.checker import Checker
+
+    def broken(self, ctx, e):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(Checker, "infer", broken)
+    path = tmp_path / "fault.sstt"
+    path.write_text("def f (A : U) (x : A) : A := x\n")
+    diag, _ = _first(corpus, ledger, path)
+    assert (diag.kind, diag.decl) == ("internal", "f")
+    assert "ZeroDivisionError" in diag.message and "'f'" in diag.message
+
+
+def test_parser_fault_is_an_internal_diagnostic(corpus, ledger, tmp_path, monkeypatch):
+    from sstt.parser import Parser
+
+    def broken(self, t):
+        raise KeyError("injected")
+
+    monkeypatch.setattr(Parser, "term_name", broken)
+    path = tmp_path / "fault.sstt"
+    path.write_text("def g (A : U) : U := U\ndef f (A : U) (x : A) : A := x\n")
+    diag, env = _first(corpus, ledger, path)
+    assert diag.kind == "internal" and "KeyError" in diag.message
+    # a file that does not parse adds nothing to the environment
+    assert "g" not in env.decls
+
+
+def test_scope_errors_come_in_reading_order(corpus, ledger, tmp_path):
+    # names are resolved while the file is read, so an unbound name before
+    # a syntax error is the error reported
+    path = tmp_path / "order.sstt"
+    path.write_text("def f (A : U) : U := B\ndef g (A : U : U := A\n")
+    diag, env = _first(corpus, ledger, path)
+    assert (diag.kind, diag.message) == ("scope", "unbound name 'B'")
+    assert "f" not in env.decls

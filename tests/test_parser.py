@@ -10,6 +10,7 @@ from sstt.core import (
     App,
     Const,
     CubeParam,
+    Decl,
     DeclTag,
     Ext,
     Fst,
@@ -26,14 +27,13 @@ from sstt.core import (
 from sstt.cube import INTERVAL, CFst, CPair, CSnd, CVar, CZERO, ProdCube, display_name
 from sstt.parser import ParseError, parse_expr, parse_file, parse_sequent_source
 from sstt.printer import print_expr
-from sstt.scope import GlobalEnv, Resolver, elaborate_toplevels
+from sstt.scope import GlobalEnv, ScopeError, elaborate_toplevels
 from sstt.tope import BOT, TOP, TAnd, TEq, TLe
 
 
 def roundtrip(e):
     text = print_expr(e)
-    parsed = parse_expr(text)
-    back = Resolver(GlobalEnv()).resolve(parsed, {})
+    back = parse_expr(text)
     assert alpha_eq(e, back), f"{text!r} re-read as {print_expr(back)!r}"
 
 
@@ -56,10 +56,12 @@ def test_roundtrip_property(seed):
 
 
 def test_parse_file_kinds():
+    env = GlobalEnv(decls={"hom": Decl("hom", DeclTag.AXIOM, (), U(), None)})
     items = parse_file(
         "def idarr (A : U) (x : A) : hom A x x := \\t. x\n"
         "postulate ax (A : U) : A\n"
-        "thm stated (A : U) : U\n"
+        "thm stated (A : U) : U\n",
+        env=env,
     )
     tags = [d.tag for d in items]
     assert tags == [DeclTag.DEFINITION, DeclTag.AXIOM, DeclTag.THEOREM_STATED]
@@ -106,7 +108,7 @@ PRELUDE = (
 def resolved(src, *names):
     env = GlobalEnv()
     elaborate_toplevels(parse_file(PRELUDE), env)
-    return Resolver(env).resolve(parse_expr(src), {n: "typed" for n in names})
+    return parse_expr(src, env=env, scope={n: "typed" for n in names})
 
 
 def test_binder_with_cube_domain_against_parenthesized_type():
@@ -180,3 +182,33 @@ def test_grouped_parameters_share_a_type_resolved_before_their_names():
     _, decl = elaborate_toplevels(parse_file(
         "def B : U := Unit\ndef f (B C : B) : U := U\n"), env)
     assert decl.telescope == (TypedParam("B", Const("B")), TypedParam("C", Const("B")))
+
+
+def test_shape_domain_in_parentheses_and_hidden_shape():
+    over_delta1 = Ext("t", INTERVAL, TOP, Var("A"), BOT, TopeCase(()))
+    assert alpha_eq(resolved("(Delta1) -> A", "A"), over_delta1)
+    assert resolved("(t : (Delta1)) -> A", "A") == over_delta1
+    # a bound name hides the shape: the domain is that variable
+    assert alpha_eq(resolved("\\Delta1. Delta1 -> A", "A"),
+                    Lam("D", Pi("x", Var("D"), Var("A"))))
+
+
+def test_scope_error_in_tope_points_at_its_token():
+    src = "\\t. [ t <= s |-> t ]"
+    with pytest.raises(ScopeError) as e:
+        parse_expr(src)
+    assert e.value.message == "unbound variable 's' in tope"
+    assert (e.value.span.start, e.value.span.end) == (src.index("s"), src.index("s") + 1)
+
+
+def test_names_resolve_against_earlier_items_and_leave_env_unchanged():
+    env = GlobalEnv()
+    items = parse_file(PRELUDE + "def B : U := Unit\ndef C : U := B\n", env=env)
+    assert [i.name for i in items] == ["Delta1", "Delta2", "B", "C"]
+    assert items[-1].inner_body == Const("B")
+    assert env.decls == {} and env.shapes == {}
+    elaborate_toplevels(items, env)
+    with pytest.raises(ScopeError, match="redefinition of 'B'"):
+        parse_file("def B : U := U\n", env=env)
+    with pytest.raises(ScopeError, match="statement without a proof"):
+        parse_file("thm s : U\ndef t : U := s\n")
