@@ -25,7 +25,6 @@ eta; extension types do not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import (
@@ -72,6 +71,7 @@ from .cube import (
     CubeError,
     CubeExpr,
     CVar,
+    Node,
     cube_type_of,
     display_name,
     print_cube_type,
@@ -111,16 +111,18 @@ DIAGNOSTIC_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    kind: str
-    message: str
-    decl: Optional[str] = None
-    span: Optional[Span] = field(default=None, compare=False)
+class Diagnostic(Node):
+    __slots__ = __match_args__ = ("kind", "message", "decl", "span")
 
-    def __post_init__(self):
-        if self.kind not in DIAGNOSTIC_KINDS:
-            raise ValueError(f"unknown diagnostic kind: {self.kind!r}")
+    def __init__(self, kind: str, message: str, decl: Optional[str] = None,
+                 span: Optional[Span] = None):
+        if kind not in DIAGNOSTIC_KINDS:
+            raise ValueError(f"unknown diagnostic kind: {kind!r}")
+        self.kind = kind
+        self.message = message
+        self.decl = decl
+        self.span = span
+        self._hash = None
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "message": self.message}

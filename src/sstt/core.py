@@ -18,7 +18,6 @@ on the result.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Mapping, Optional, Union
@@ -32,6 +31,7 @@ from .cube import (
     CubeExpr,
     CubeType,
     CVar,
+    Node,
     cube_free_vars,
     subst_cube_sim,
 )
@@ -45,10 +45,13 @@ from .tope import (
 )
 
 
-@dataclass(frozen=True)
-class Span:
-    start: int
-    end: int
+class Span(Node):
+    __slots__ = __match_args__ = ("start", "end")
+
+    def __init__(self, start: int, end: int):
+        self.start = start
+        self.end = end
+        self._hash = None
 
     def contains(self, other: "Span") -> bool:
         return self.start <= other.start and other.end <= self.end
@@ -72,156 +75,218 @@ def reset_fresh() -> None:
 # ---------------------------------------------------------------------------
 # Terms
 
-def _span_field():
-    return field(default=None, compare=False, repr=False)
+
+class U(Node):
+    __slots__ = __match_args__ = ("span",)
+
+    def __init__(self, span: Optional[Span] = None):
+        self.span = span
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class U:
-    span: Optional[Span] = _span_field()
+class UnitType(Node):
+    __slots__ = __match_args__ = ("span",)
+
+    def __init__(self, span: Optional[Span] = None):
+        self.span = span
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class UnitType:
-    span: Optional[Span] = _span_field()
+class UnitPoint(Node):
+    __slots__ = __match_args__ = ("span",)
+
+    def __init__(self, span: Optional[Span] = None):
+        self.span = span
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class UnitPoint:
-    span: Optional[Span] = _span_field()
+class Var(Node):
+    __slots__ = __match_args__ = ("name", "span")
+
+    def __init__(self, name: str, span: Optional[Span] = None):
+        self.name = name
+        self.span = span
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    span: Optional[Span] = _span_field()
+class Const(Node):
+    __slots__ = __match_args__ = ("name", "span")
+
+    def __init__(self, name: str, span: Optional[Span] = None):
+        self.name = name
+        self.span = span
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class Const:
-    name: str
-    span: Optional[Span] = _span_field()
+class Pi(Node):
+    __slots__ = __match_args__ = ("var", "dom", "cod", "span")
+
+    def __init__(self, var: str, dom: Expr, cod: Expr, span: Optional[Span] = None):
+        self.var = var
+        self.dom = dom
+        self.cod = cod
+        self.span = span
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class Pi:
-    var: str
-    dom: "Expr"
-    cod: "Expr"
-    span: Optional[Span] = _span_field()
+class Lam(Node):
+    __slots__ = __match_args__ = ("var", "body", "span")
+
+    def __init__(self, var: str, body: Expr, span: Optional[Span] = None):
+        self.var = var
+        self.body = body
+        self.span = span
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class Lam:
-    var: str
-    body: "Expr"
-    span: Optional[Span] = _span_field()
+class App(Node):
+    __slots__ = __match_args__ = ("fn", "arg", "span")
+
+    def __init__(self, fn: Expr, arg: Expr, span: Optional[Span] = None):
+        self.fn = fn
+        self.arg = arg
+        self.span = span
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class App:
-    fn: "Expr"
-    arg: "Expr"
-    span: Optional[Span] = _span_field()
+class Sigma(Node):
+    __slots__ = __match_args__ = ("var", "fst_ty", "snd_ty", "span")
+
+    def __init__(self, var: str, fst_ty: Expr, snd_ty: Expr,
+                 span: Optional[Span] = None):
+        self.var = var
+        self.fst_ty = fst_ty
+        self.snd_ty = snd_ty
+        self.span = span
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class Sigma:
-    var: str
-    fst_ty: "Expr"
-    snd_ty: "Expr"
-    span: Optional[Span] = _span_field()
+class Pair(Node):
+    __slots__ = __match_args__ = ("fst", "snd", "span")
+
+    def __init__(self, fst: Expr, snd: Expr, span: Optional[Span] = None):
+        self.fst = fst
+        self.snd = snd
+        self.span = span
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class Pair:
-    fst: "Expr"
-    snd: "Expr"
-    span: Optional[Span] = _span_field()
+class Fst(Node):
+    __slots__ = __match_args__ = ("arg", "span")
+
+    def __init__(self, arg: Expr, span: Optional[Span] = None):
+        self.arg = arg
+        self.span = span
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class Fst:
-    arg: "Expr"
-    span: Optional[Span] = _span_field()
+class Snd(Node):
+    __slots__ = __match_args__ = ("arg", "span")
+
+    def __init__(self, arg: Expr, span: Optional[Span] = None):
+        self.arg = arg
+        self.span = span
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class Snd:
-    arg: "Expr"
-    span: Optional[Span] = _span_field()
+class IdT(Node):
+    __slots__ = __match_args__ = ("ty", "lhs", "rhs", "span")
+
+    def __init__(self, ty: Expr, lhs: Expr, rhs: Expr, span: Optional[Span] = None):
+        self.ty = ty
+        self.lhs = lhs
+        self.rhs = rhs
+        self.span = span
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class IdT:
-    ty: "Expr"
-    lhs: "Expr"
-    rhs: "Expr"
-    span: Optional[Span] = _span_field()
+class Refl(Node):
+    __slots__ = __match_args__ = ("arg", "span")
+
+    def __init__(self, arg: Optional[Expr] = None, span: Optional[Span] = None):
+        self.arg = arg
+        self.span = span
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class Refl:
-    arg: Optional["Expr"] = None
-    span: Optional[Span] = _span_field()
+class J(Node):
+    __slots__ = __match_args__ = ("motive", "base", "path", "span")
+
+    def __init__(self, motive: Expr, base: Expr, path: Expr,
+                 span: Optional[Span] = None):
+        self.motive = motive
+        self.base = base
+        self.path = path
+        self.span = span
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class J:
-    motive: "Expr"
-    base: "Expr"
-    path: "Expr"
-    span: Optional[Span] = _span_field()
-
-
-@dataclass(frozen=True)
-class Ext:
+class Ext(Node):
     """Extension type: sections of ``family`` over the shape ``{var : cube |
     shape_tope}`` that restrict on the sub-shape ``boundary_tope`` to
     ``boundary``.  ``var`` scopes over both topes, the family and the
     boundary term.  The parser builds it complete: over a shape domain it
     takes the shape's cube and its tope at ``var``."""
 
-    var: str
-    cube: CubeType
-    shape_tope: Tope
-    family: "Expr"
-    boundary_tope: Tope
-    boundary: "Expr"
-    span: Optional[Span] = _span_field()
+    __slots__ = __match_args__ = (
+        "var", "cube", "shape_tope", "family", "boundary_tope", "boundary", "span")
+
+    def __init__(self, var: str, cube: CubeType, shape_tope: Tope, family: Expr,
+                 boundary_tope: Tope, boundary: Expr, span: Optional[Span] = None):
+        self.var = var
+        self.cube = cube
+        self.shape_tope = shape_tope
+        self.family = family
+        self.boundary_tope = boundary_tope
+        self.boundary = boundary
+        self.span = span
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class ExtApp:
-    fn: "Expr"
-    arg: CubeExpr
-    span: Optional[Span] = _span_field()
+class ExtApp(Node):
+    __slots__ = __match_args__ = ("fn", "arg", "span")
+
+    def __init__(self, fn: Expr, arg: CubeExpr, span: Optional[Span] = None):
+        self.fn = fn
+        self.arg = arg
+        self.span = span
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class TopeCase:
+class TopeCase(Node):
     """Case split over tope disjuncts; branches must agree where they
     overlap.  Topes refer to cube variables already in scope."""
 
-    branches: tuple[tuple[Tope, "Expr"], ...]
-    span: Optional[Span] = _span_field()
+    __slots__ = __match_args__ = ("branches", "span")
+
+    def __init__(self, branches: tuple[tuple[Tope, Expr], ...],
+                 span: Optional[Span] = None):
+        self.branches = branches
+        self.span = span
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class Ann:
-    expr: "Expr"
-    ty: "Expr"
-    span: Optional[Span] = _span_field()
+class Ann(Node):
+    __slots__ = __match_args__ = ("expr", "ty", "span")
+
+    def __init__(self, expr: Expr, ty: Expr, span: Optional[Span] = None):
+        self.expr = expr
+        self.ty = ty
+        self.span = span
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class CubeLit:
+class CubeLit(Node):
     """An interval endpoint in term position.  Compound cube points embed
     into terms through pairs and projections (see ``cube_to_term``), so
     this only ever wraps an endpoint."""
 
-    expr: CubeExpr
-    span: Optional[Span] = _span_field()
+    __slots__ = __match_args__ = ("expr", "span")
+
+    def __init__(self, expr: CubeExpr, span: Optional[Span] = None):
+        self.expr = expr
+        self.span = span
+        self._hash = None
 
 
 Expr = Union[
@@ -491,14 +556,18 @@ def alpha_eq(a: Expr, b: Expr, env: Optional[dict[str, str]] = None) -> bool:
 # ---------------------------------------------------------------------------
 # Contexts
 
-@dataclass(frozen=True)
-class TriContext:
+class TriContext(Node):
     """Three-layer context: cube variables, tope constraints, typed
     variables.  Tope refinement is monotone: binding only ever conjoins."""
 
-    cube_vars: tuple[tuple[str, CubeType], ...] = ()
-    tope: Tope = TOP
-    typed_vars: tuple[tuple[str, Optional[Expr]], ...] = ()
+    __slots__ = __match_args__ = ("cube_vars", "tope", "typed_vars")
+
+    def __init__(self, cube_vars: tuple[tuple[str, CubeType], ...] = (), tope: Tope = TOP,
+                 typed_vars: tuple[tuple[str, Optional[Expr]], ...] = ()):
+        self.cube_vars = cube_vars
+        self.tope = tope
+        self.typed_vars = typed_vars
+        self._hash = None
 
     def bind_cube(self, name: str, cube: CubeType) -> "TriContext":
         return TriContext(self.cube_vars + ((name, cube),), self.tope, self.typed_vars)
@@ -542,42 +611,57 @@ class DeclTag(Enum):
     THEOREM_STATED = "theorem-stated"
 
 
-@dataclass(frozen=True)
-class CubeParam:
-    name: str
-    cube: CubeType
-    span: Optional[Span] = _span_field()
+class CubeParam(Node):
+    __slots__ = __match_args__ = ("name", "cube", "span")
+
+    def __init__(self, name: str, cube: CubeType, span: Optional[Span] = None):
+        self.name = name
+        self.cube = cube
+        self.span = span
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class TopeParam:
-    tope: Tope
-    span: Optional[Span] = _span_field()
+class TopeParam(Node):
+    __slots__ = __match_args__ = ("tope", "span")
+
+    def __init__(self, tope: Tope, span: Optional[Span] = None):
+        self.tope = tope
+        self.span = span
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class TypedParam:
-    name: str
-    ty: Expr
-    span: Optional[Span] = _span_field()
+class TypedParam(Node):
+    __slots__ = __match_args__ = ("name", "ty", "span")
+
+    def __init__(self, name: str, ty: Expr, span: Optional[Span] = None):
+        self.name = name
+        self.ty = ty
+        self.span = span
+        self._hash = None
 
 
 TeleParam = Union[CubeParam, TopeParam, TypedParam]
 
 
-@dataclass(frozen=True)
-class Decl:
+class Decl(Node):
     """A declaration: a telescope, a stated type, and (for definitions and
     proved theorems) a body.  The parser builds it with its names resolved,
     and the checker returns it checked.  ``ty``/``body`` are the
     telescope-folded forms consumed by the checker."""
 
-    name: str
-    tag: DeclTag
-    telescope: tuple[TeleParam, ...]
-    inner_ty: Expr
-    inner_body: Optional[Expr]
-    span: Optional[Span] = _span_field()
+    __match_args__ = ("name", "tag", "telescope", "inner_ty", "inner_body", "span")
+    # the instance dict holds the lazily folded type and body
+    __slots__ = __match_args__ + ("__dict__",)
+
+    def __init__(self, name: str, tag: DeclTag, telescope: tuple[TeleParam, ...],
+                 inner_ty: Expr, inner_body: Optional[Expr], span: Optional[Span] = None):
+        self.name = name
+        self.tag = tag
+        self.telescope = telescope
+        self.inner_ty = inner_ty
+        self.inner_body = inner_body
+        self.span = span
+        self._hash = None
 
     @cached_property
     def _folded(self) -> tuple[Expr, Optional[Expr]]:

@@ -10,7 +10,6 @@ axiom base.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -34,23 +33,24 @@ def read_ledger(path: Path) -> set[str]:
     return names
 
 
-@dataclass
 class FileReport:
-    path: str
-    decls: list[Decl] = field(default_factory=list)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    def __init__(self, path: str):
+        self.path = path
+        self.decls: list[Decl] = []
+        self.diagnostics: list[Diagnostic] = []
 
     @property
     def ok(self) -> bool:
         return not self.diagnostics
 
 
-@dataclass
 class CorpusResult:
-    files: list[FileReport]
-    env: GlobalEnv
-    ledger: set[str]
-    elapsed: float
+    def __init__(self, files: list[FileReport], env: GlobalEnv, ledger: set[str],
+                 elapsed: float):
+        self.files = files
+        self.env = env
+        self.ledger = ledger
+        self.elapsed = elapsed
 
     @property
     def ok(self) -> bool:

@@ -17,7 +17,7 @@ every message that shows a cube goes through them.  ``tope.print_tope`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, Union
 
 
@@ -26,22 +26,65 @@ class CubeError(Exception):
 
 
 # ---------------------------------------------------------------------------
+# Syntax nodes
+
+class Node:
+    """Base of the immutable syntax nodes of every layer.
+
+    A subclass lists its fields in ``__slots__`` and ``__match_args__``, in
+    the order of its ``__init__`` parameters, and its ``__init__`` sets each
+    of them and ``_hash = None``; nothing assigns to a node afterwards.  Two
+    nodes are equal iff they have the same class and equal fields, ``span``
+    aside.  The hash is of the same fields, computed on first use and kept.
+    The repr shows the compared fields, as ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ("_hash",)
+    __match_args__: tuple[str, ...] = ()
+    _fields: tuple[str, ...] = ()
+    _key = staticmethod(lambda node: ())
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(f for f in cls.__match_args__ if f != "span")
+        if cls._fields:
+            cls._key = attrgetter(*cls._fields)
+
+    def __init__(self) -> None:
+        self._hash = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.__class__, self._key(self)))
+        return self._hash
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__name__}({fields})"
+
+
+# ---------------------------------------------------------------------------
 # Cube types
 
-@dataclass(frozen=True)
-class Interval:
-    pass
+class Interval(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class UnitCube:
-    pass
+class UnitCube(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ProdCube:
-    left: "CubeType"
-    right: "CubeType"
+class ProdCube(Node):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: CubeType, right: CubeType):
+        self.left = left
+        self.right = right
+        self._hash = None
 
 
 CubeType = Union[Interval, UnitCube, ProdCube]
@@ -53,40 +96,51 @@ UNIT_CUBE = UnitCube()
 # ---------------------------------------------------------------------------
 # Cube expressions
 
-@dataclass(frozen=True)
-class CVar:
-    name: str
+class CVar(Node):
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class CZero:
-    pass
+class CZero(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class COne:
-    pass
+class COne(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CStar:
+class CStar(Node):
     """The unique point of the one-point cube."""
 
-
-@dataclass(frozen=True)
-class CPair:
-    fst: "CubeExpr"
-    snd: "CubeExpr"
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CFst:
-    arg: "CubeExpr"
+class CPair(Node):
+    __slots__ = __match_args__ = ("fst", "snd")
+
+    def __init__(self, fst: CubeExpr, snd: CubeExpr):
+        self.fst = fst
+        self.snd = snd
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class CSnd:
-    arg: "CubeExpr"
+class CFst(Node):
+    __slots__ = __match_args__ = ("arg",)
+
+    def __init__(self, arg: CubeExpr):
+        self.arg = arg
+        self._hash = None
+
+
+class CSnd(Node):
+    __slots__ = __match_args__ = ("arg",)
+
+    def __init__(self, arg: CubeExpr):
+        self.arg = arg
+        self._hash = None
 
 
 CubeExpr = Union[CVar, CZero, COne, CStar, CPair, CFst, CSnd]

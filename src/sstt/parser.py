@@ -34,15 +34,14 @@ matching parentheses built once per input:
 - a Π or arrow domain is a shape iff it is a shape's name, possibly in
   parentheses, that no bound name hides;
 - a parenthesized tope is a relation iff ``<=`` or ``===`` follows its ``)``;
-- an identifier in a tope starts a relation iff ``<=`` or ``===`` follows
-  it, and applies a shape otherwise.
+- an identifier in a tope starts a relation iff it is a bound name or
+  ``<=`` or ``===`` follows it, and applies a shape otherwise.
 
 So every token is parsed once.  The grammar is documented in docs/syntax.md.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .core import (
@@ -88,6 +87,7 @@ from .cube import (
     CubeExpr,
     CubeType,
     INTERVAL,
+    Node,
     ProdCube,
     UNIT_CUBE,
     split_cube,
@@ -123,14 +123,18 @@ PUNCT = [
 ]
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident", "kw", "num", or the punctuation itself; "eof"
-    value: str
-    start: int
-    end: int
-    line: int
-    col: int
+class Token(Node):
+    # kind: "ident", "kw", "num", or the punctuation itself; "eof"
+    __slots__ = __match_args__ = ("kind", "value", "start", "end", "line", "col")
+
+    def __init__(self, kind: str, value: str, start: int, end: int, line: int, col: int):
+        self.kind = kind
+        self.value = value
+        self.start = start
+        self.end = end
+        self.line = line
+        self.col = col
+        self._hash = None
 
     @property
     def span(self) -> Span:
@@ -216,7 +220,9 @@ class Parser:
     def __init__(self, src: str, filename: str = "<input>",
                  env: Optional[GlobalEnv] = None,
                  scope: Optional[dict[str, Bound]] = None):
-        self.toks = lex(src, filename)
+        toks = lex(src, filename)
+        # two more ``eof`` tokens keep ``peek`` (2 ahead at most) in range
+        self.toks = toks + [toks[-1]] * 2
         self.pos = 0
         self.filename = filename
         self.close = _matching_parens(self.toks)
@@ -228,7 +234,7 @@ class Parser:
     # -- token plumbing
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos + ahead]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -365,11 +371,11 @@ class Parser:
 
     def parse_file(self) -> list[Union[Decl, Shape]]:
         while not self.at("eof"):
+            name = self.peek(1)  # after the keyword
             item = self.parse_toplevel()
             if item.name in self.items:
-                last = self.toks[self.pos - 1]
                 raise ParseError(f"duplicate declaration of {item.name!r}",
-                                 last.line, last.col, self.filename)
+                                 name.line, name.col, self.filename)
             if self.env.taken(item.name):
                 raise ScopeError(f"redefinition of {item.name!r}", item.span)
             self.items[item.name] = item
@@ -558,7 +564,8 @@ class Parser:
             t = self.parse_tope()
             self.expect(")")
             return t
-        if self.at("ident") and self.peek(1).kind not in ("<=", "==="):
+        if (self.at("ident") and self.peek().value not in self.scope
+                and self.peek(1).kind not in ("<=", "===")):
             tok = self.next()
             if self.env is None:
                 raise ParseError(f"unknown tope form {tok.value!r}",

@@ -8,7 +8,6 @@ files see them.  A file that fails to parse or resolve adds nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .core import Decl, Span
@@ -22,12 +21,13 @@ class ScopeError(Exception):
         self.span = span
 
 
-@dataclass
 class GlobalEnv:
     """Shapes and checked declarations accumulated across files."""
 
-    shapes: dict[str, Shape] = field(default_factory=dict)
-    decls: dict[str, Decl] = field(default_factory=dict)
+    def __init__(self, shapes: Optional[dict[str, Shape]] = None,
+                 decls: Optional[dict[str, Decl]] = None):
+        self.shapes = {} if shapes is None else shapes
+        self.decls = {} if decls is None else decls
 
     def taken(self, name: str) -> bool:
         return name in self.shapes or name in self.decls

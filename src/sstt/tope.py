@@ -29,7 +29,6 @@ too: ``print_tope`` writes a tope in the surface syntax, its points through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Union
 
 from .cube import (
@@ -45,6 +44,7 @@ from .cube import (
     CZero,
     CubeError,
     Interval,
+    Node,
     cube_free_vars,
     cube_type_of,
     interval_atoms,
@@ -73,38 +73,48 @@ class TopeTooLargeError(TopeError):
 # ---------------------------------------------------------------------------
 # Tope syntax
 
-@dataclass(frozen=True)
-class TTop:
-    pass
+class TTop(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TBot:
-    pass
+class TBot(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TAnd:
-    left: "Tope"
-    right: "Tope"
+class TAnd(Node):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Tope, right: Tope):
+        self.left = left
+        self.right = right
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class TOr:
-    left: "Tope"
-    right: "Tope"
+class TOr(Node):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Tope, right: Tope):
+        self.left = left
+        self.right = right
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class TLe:
-    left: CubeExpr
-    right: CubeExpr
+class TLe(Node):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: CubeExpr, right: CubeExpr):
+        self.left = left
+        self.right = right
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class TEq:
-    left: CubeExpr
-    right: CubeExpr
+class TEq(Node):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: CubeExpr, right: CubeExpr):
+        self.left = left
+        self.right = right
+        self._hash = None
 
 
 Tope = Union[TTop, TBot, TAnd, TOr, TLe, TEq]
@@ -185,30 +195,37 @@ def tope_free_vars(t: Tope) -> set[str]:
 # ---------------------------------------------------------------------------
 # Shapes and sequents
 
-@dataclass(frozen=True)
-class Shape:
+class Shape(Node):
     """A named sub-shape {pattern : cube | tope} of a cube.  The pattern
     names the components of a point of a right-nested product, one variable
     for the whole cube if it has a single entry."""
 
-    name: str
-    pattern: tuple[str, ...]
-    cube: CubeType
-    tope: Tope
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
+    __slots__ = __match_args__ = ("name", "pattern", "cube", "tope", "span")
+
+    def __init__(self, name: str, pattern: tuple[str, ...], cube: CubeType,
+                 tope: Tope, span: Optional[Span] = None):
+        self.name = name
+        self.pattern = pattern
+        self.cube = cube
+        self.tope = tope
+        self.span = span
+        self._hash = None
 
     def applied_to(self, point: CubeExpr) -> Tope:
         comps = split_point(point, len(self.pattern))
         return subst_tope_sim(self.tope, dict(zip(self.pattern, comps)))
 
 
-@dataclass(frozen=True)
-class Sequent:
+class Sequent(Node):
     """Entailment judgment: cube context, hypothesis tope, goal tope."""
 
-    ctx: tuple[tuple[str, CubeType], ...]
-    hyp: Tope
-    goal: Tope
+    __slots__ = __match_args__ = ("ctx", "hyp", "goal")
+
+    def __init__(self, ctx: tuple[tuple[str, CubeType], ...], hyp: Tope, goal: Tope):
+        self.ctx = ctx
+        self.hyp = hyp
+        self.goal = goal
+        self._hash = None
 
     def cube_context(self) -> CubeContext:
         return dict(self.ctx)
@@ -291,12 +308,15 @@ def dnf(t: Tope) -> list[list[Tope]]:
 # ---------------------------------------------------------------------------
 # Weak orders
 
-@dataclass(frozen=True)
-class WeakOrder:
+class WeakOrder(Node):
     """A total preorder on the atoms together with 0 and 1, reported as an
     ordered partition (blocks of tied atoms, listed from bottom to top)."""
 
-    blocks: tuple[tuple[str, ...], ...]
+    __slots__ = __match_args__ = ("blocks",)
+
+    def __init__(self, blocks: tuple[tuple[str, ...], ...]):
+        self.blocks = blocks
+        self._hash = None
 
     def __str__(self) -> str:
         return " < ".join(" = ".join(block) for block in self.blocks)
@@ -308,10 +328,13 @@ class WeakOrder:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class EntailResult:
-    yes: bool
-    counter_model: Optional[WeakOrder] = None
+class EntailResult(Node):
+    __slots__ = __match_args__ = ("yes", "counter_model")
+
+    def __init__(self, yes: bool, counter_model: Optional[WeakOrder] = None):
+        self.yes = yes
+        self.counter_model = counter_model
+        self._hash = None
 
     def __bool__(self) -> bool:
         return self.yes

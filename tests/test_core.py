@@ -1,9 +1,14 @@
+import copy
 import random
 
+import pytest
+
 from generators import random_expr
+from sstt import core, cube, tope
 from sstt.core import (
     U,
     App,
+    Const,
     CubeLit,
     CubeParam,
     Ext,
@@ -11,6 +16,8 @@ from sstt.core import (
     Lam,
     Pair,
     Pi,
+    Snd,
+    Span,
     TopeParam,
     TypedParam,
     Var,
@@ -23,8 +30,9 @@ from sstt.core import (
     subst_cube,
     subst_typed,
 )
-from sstt.cube import INTERVAL, CONE, CZERO, CFst, CPair, CVar, display_name
-from sstt.tope import TEq, TLe, TTop
+from sstt.cube import INTERVAL, CONE, CZERO, CFst, CPair, CVar, Node, display_name
+from sstt.scope import GlobalEnv
+from sstt.tope import TAnd, TEq, TLe, TOr, TTop
 
 
 def test_alpha_eq_binders():
@@ -108,3 +116,54 @@ def test_fold_telescope_cube_becomes_extension():
     ty, body = fold_telescope(tele, U(), U())
     assert isinstance(ty, Ext)
     assert isinstance(body, Lam)
+
+
+# -- the node contract: equality and hash by field, span aside
+
+NODE_CLASSES = sorted(
+    (c for m in (core, cube, tope) for c in vars(m).values()
+     if isinstance(c, type) and issubclass(c, Node) and c is not Node
+     and c.__module__ == m.__name__),
+    key=lambda c: c.__name__)
+
+
+def _node(cls, span, **changed):
+    fields = {f: (f, 1) for f in cls.__match_args__ if f != "span"}
+    fields.update(changed)
+    if "span" in cls.__match_args__:
+        fields["span"] = span
+    return cls(**fields)
+
+
+@pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: c.__name__)
+def test_nodes_compare_and_hash_by_field_not_span(cls):
+    a, b = _node(cls, Span(0, 1)), _node(cls, Span(5, 9))
+    assert a == b and not a != b and hash(a) == hash(b)
+    fields = [f for f in cls.__match_args__ if f != "span"]
+    for f in fields:
+        assert a != _node(cls, Span(0, 1), **{f: (f, 2)}), f
+    shown = ", ".join(f"{f}={(f, 1)!r}" for f in fields)
+    assert repr(a) == f"{cls.__name__}({shown})"
+
+
+def test_same_shaped_nodes_of_different_classes_differ():
+    x, y = CVar("x"), CVar("y")
+    for a, b in [(Var("x"), Const("x")), (TLe(x, y), TEq(x, y)),
+                 (TAnd(TTop(), TTop()), TOr(TTop(), TTop())),
+                 (Fst(Var("p")), Snd(Var("p")))]:
+        assert a != b and b != a
+
+
+def test_node_repr_shows_compared_fields():
+    assert repr(Var("x", Span(0, 1))) == "Var(name='x')"
+    assert repr(TLe(CFst(CVar("t")), CZERO)) == (
+        "TLe(left=CFst(arg=CVar(name='t')), right=CZero())")
+
+
+def test_copy_of_global_env_is_independent():
+    env = GlobalEnv(decls={"a": None})
+    other = copy.copy(env)
+    other.decls = {**other.decls, "b": None}
+    other.shapes = dict(other.shapes)
+    assert other is not env and isinstance(other, GlobalEnv)
+    assert env.decls == {"a": None} and other.decls == {"a": None, "b": None}

@@ -8,13 +8,15 @@ annotation written as a string.
 """
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "sstt").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+SRC_MODULES = sorted((ROOT / "src" / "sstt").glob("*.py"))
+MODULES = SRC_MODULES + sorted((ROOT / "tests").glob("*.py"))
 TEST_LOCAL = {p.stem for p in (ROOT / "tests").glob("*.py")}
 
 
@@ -88,3 +90,23 @@ def test_foreign_import_is_reported():
     tree = ast.parse("import os.path\nfrom . import core\n"
                      "def f():\n    import numpy as np\n    from yaml import load\n")
     assert _packages(tree) - set(sys.stdlib_module_names) == {"numpy", "yaml"}
+
+
+# Syntax nodes are plain slotted classes: creating dataclasses, and importing
+# ``dataclasses`` and the ``inspect`` it loads, made up most of the time a
+# fresh ``sstt`` process spent importing the kernel.
+
+def test_no_module_imports_dataclasses():
+    users = [p.name for p in SRC_MODULES
+             if "dataclasses" in _packages(ast.parse(p.read_text(), str(p)))]
+    assert not users, f"{', '.join(users)} import dataclasses"
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, sstt.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -74,6 +74,7 @@ def test_duplicate_names_rejected():
     with pytest.raises(ParseError) as e:
         parse_file("def a (A : U) : U := A\ndef a (A : U) : U := A\n")
     assert "a" in str(e.value.message)
+    assert (e.value.line, e.value.col) == (2, 5)  # the second name
 
 
 def test_parse_error_has_location():
@@ -149,6 +150,15 @@ def test_shape_application_against_relation():
     ts = CPair(CVar("t"), CVar("s"))
     assert decl.telescope[2] == TopeParam(
         TAnd(TLe(CSnd(ts), CFst(ts)), TLe(CVar("t"), CVar("s"))))
+
+
+def test_bound_name_in_tope_starts_a_relation():
+    # a bound name is never read as a shape, also with no relation after it
+    with pytest.raises(ParseError) as e:
+        resolved("<Pi (t : Delta1) -> A [t 0 |-> x]>", "A", "x")
+    assert (e.value.message, e.value.col) == ("expected '===', found '0'", 26)
+    with pytest.raises(ScopeError, match="variable 'x' has a type"):
+        resolved("<Pi (t : 2) -> A [x |-> x]>", "A", "x")
 
 
 def test_tuple_pattern_names_project_the_point():
