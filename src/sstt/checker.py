@@ -17,6 +17,9 @@ when it is pushed.  Type inference treats an application spine
 ``f a1 ... an`` the same way: each Π domain is instantiated when its
 argument is checked, and the final codomain once.
 
+No context binds a name twice: a binder whose name it binds already is
+renamed first, to the first ``name$k`` it does not bind.
+
 Equality is tope-aware.  The context's tope constraint is split into
 disjuncts and conversion must hold under every consistent one; an
 inconsistent constraint makes all terms equal.  Pi and Sigma types enjoy
@@ -57,9 +60,7 @@ from .core import (
     Var,
     alpha_eq,
     cube_to_term,
-    free_vars,
-    fresh,
-    rename_var,
+    rename_binder,
     subst_cube,
     subst_typed,
 )
@@ -93,7 +94,6 @@ from .tope import (
     subst_tope,
     subst_tope_sim,
     tope_and,
-    tope_free_vars,
     tope_or,
 )
 
@@ -190,6 +190,8 @@ class Checker:
         self.fuel = fuel
         self.steps = 0
         self.current_decl: Optional[str] = None
+        # the sequents this checker decided, keyed as written
+        self.entailed: dict[tuple, bool] = {}
 
     # -- plumbing
 
@@ -208,12 +210,14 @@ class Checker:
     # -- tope layer access
 
     def entails_ctx(self, ctx: TriContext, goal: Tope) -> bool:
-        try:
-            return bool(entails(Sequent(ctx.cube_vars, ctx.tope, goal)))
-        except TopeTooLargeError as e:
-            self._err("tope-too-large", str(e))
-        except TopeError:
-            return False
+        key = (ctx.cube_vars, ctx.tope, goal)
+        yes = self.entailed.get(key)
+        if yes is None:
+            try:
+                yes = self.entailed[key] = bool(entails(Sequent(*key)))
+            except TopeTooLargeError as e:
+                self._err("tope-too-large", str(e))
+        return yes
 
     def ctx_unsat(self, ctx: TriContext) -> bool:
         return self.entails_ctx(ctx, BOT)
@@ -431,7 +435,7 @@ class Checker:
             case UnitType():
                 return True
             case Pi(x, dom, cod):
-                v = fresh(x)
+                v = ctx.fresh(x)
                 ctx2 = ctx.bind_typed(v, dom)
                 return self.equal(
                     ctx2,
@@ -448,7 +452,7 @@ class Checker:
                 # no eta here: only compare pointwise when both sides are
                 # literal functions
                 if isinstance(a, Lam) and isinstance(b, Lam):
-                    v = fresh(t)
+                    v = ctx.fresh(t)
                     ctx2 = ctx.bind_cube(v, cube).bind_tope(
                         subst_tope(psi, t, CVar(v)))
                     return self.equal(
@@ -574,7 +578,7 @@ class Checker:
             case Lam(x, b1), Lam(y, b2):
                 # sort of the binder is unknown without a type; treat it as
                 # an opaque typed variable
-                v = fresh(x)
+                v = ctx.fresh(x)
                 ctx2 = ctx.bind_typed(v, None)
                 return self.equal(
                     ctx2, subst_typed(b1, {x: Var(v)}), subst_typed(b2, {y: Var(v)}))
@@ -585,14 +589,14 @@ class Checker:
             case Pi(x, d1, c1), Pi(y, d2, c2):
                 if not self.equal(ctx, d1, d2, U()):
                     return False
-                v = fresh(x)
+                v = ctx.fresh(x)
                 ctx2 = ctx.bind_typed(v, d1)
                 return self.equal(
                     ctx2, subst_typed(c1, {x: Var(v)}), subst_typed(c2, {y: Var(v)}), U())
             case Sigma(x, d1, c1), Sigma(y, d2, c2):
                 if not self.equal(ctx, d1, d2, U()):
                     return False
-                v = fresh(x)
+                v = ctx.fresh(x)
                 ctx2 = ctx.bind_typed(v, d1)
                 return self.equal(
                     ctx2, subst_typed(c1, {x: Var(v)}), subst_typed(c2, {y: Var(v)}), U())
@@ -626,7 +630,7 @@ class Checker:
     def _equal_ext(self, ctx: TriContext, a: Ext, b: Ext) -> bool:
         if a.cube != b.cube:
             return False
-        v = fresh(a.var)
+        v = ctx.fresh(a.var)
         psi_a = subst_tope(a.shape_tope, a.var, CVar(v))
         psi_b = subst_tope(b.shape_tope, b.var, CVar(v))
         ctx_v = ctx.bind_cube(v, a.cube)
@@ -691,14 +695,12 @@ class Checker:
                 te = self.check(ctx, t, U())
                 xe = self.check(ctx, x, te)
                 return te, xe
-            case Pi(x, dom, cod):
+            case Pi(x, dom, cod) | Sigma(x, dom, cod):
+                if x in ctx.names():  # no context binds a name twice
+                    return self.infer(ctx, rename_binder(e, ctx.fresh(x)))
                 de = self.check(ctx, dom, U())
                 ce = self.check(ctx.bind_typed(x, de), cod, U())
-                return U(), Pi(x, de, ce, span=e.span)
-            case Sigma(x, dom, cod):
-                de = self.check(ctx, dom, U())
-                ce = self.check(ctx.bind_typed(x, de), cod, U())
-                return U(), Sigma(x, de, ce, span=e.span)
+                return U(), type(e)(x, de, ce, span=e.span)
             case IdT(t, l, r):
                 te = self.check(ctx, t, U())
                 le = self.check(ctx, l, te)
@@ -816,7 +818,7 @@ class Checker:
                 "type-mismatch",
                 f"path induction needs an identification, got {print_expr(w)}", span)
         a_ty, lhs, rhs = w.ty, w.lhs, w.rhs
-        u, v, q = fresh("u"), fresh("v"), fresh("q")
+        u, v, q = (ctx.fresh(b) for b in "uvq")
         motive_ty = Pi(u, a_ty, Pi(v, a_ty,
                        Pi(q, IdT(a_ty, Var(u), Var(v)), U())))
         ce = self.check(ctx, c, motive_ty)
@@ -827,6 +829,8 @@ class Checker:
 
     def _check_ext_formation(self, ctx: TriContext, e: Ext) -> Expr:
         t = e.var
+        if t in ctx.names():  # no context binds a name twice
+            return self._check_ext_formation(ctx, rename_binder(e, ctx.fresh(t)))
         ctx_t = ctx.bind_cube(t, e.cube)
         try:
             normalize_tope(ctx_t.cube_context(), e.shape_tope)
@@ -886,20 +890,14 @@ class Checker:
     def check(self, ctx: TriContext, e: Expr, ty: Expr) -> Expr:
         w = self.whnf(ctx, ty)
         match e, w:
+            case Lam(x, _), Pi() | Ext() if x in ctx.names():
+                # no context binds a name twice
+                return self.check(ctx, rename_binder(e, ctx.fresh(x)), w)
             case Lam(x, body), Pi(y, dom, cod):
-                if x in free_vars(cod) - {y}:
-                    # the binder shadows a name the codomain mentions
-                    nx = fresh(x)
-                    body, x = rename_var(body, x, nx), nx
                 ctx2 = ctx.bind_typed(x, dom)
                 be = self.check(ctx2, body, subst_typed(cod, {y: Var(x)}))
                 return Lam(x, be, span=e.span)
             case Lam(x, body), Ext(t, cube, psi, fam, phi, bd):
-                shadows = (free_vars(fam) | free_vars(bd)
-                           | tope_free_vars(psi) | tope_free_vars(phi)) - {t}
-                if x in shadows:
-                    nx = fresh(x)
-                    body, x = rename_var(body, x, nx), nx
                 psi_x = subst_tope(psi, t, CVar(x))
                 fam_x = subst_cube(fam, {t: CVar(x)})
                 ctx2 = ctx.bind_cube(x, cube).bind_tope(psi_x)

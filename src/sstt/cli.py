@@ -82,6 +82,9 @@ def cmd_check(args) -> int:
     ordered, wanted = _with_siblings(paths)
     reports, _ = check_files(ordered, fuel=args.fuel)
     ok = all(r.ok for r in reports)
+    # checking stops at the first failure, so requested files after it are
+    # reported as not checked, naming the file that failed
+    unreached = [str(p) for p in ordered[len(reports):] if p in wanted]
     if args.machine:
         payload = {
             "ok": ok,
@@ -93,6 +96,10 @@ def cmd_check(args) -> int:
                     "diagnostics": [d.to_json() for d in r.diagnostics],
                 }
                 for r in reports
+            ] + [
+                {"path": p, "requested": True, "decls": [], "diagnostics": [],
+                 "not_checked": reports[-1].path}
+                for p in unreached
             ],
         }
         print(_machine_dump(payload))
@@ -103,6 +110,8 @@ def cmd_check(args) -> int:
         for d in r.diagnostics:
             where = f" [{d.decl}]" if d.decl else ""
             print(f"  {style.bad(d.kind)}{where}: {d.message}")
+    for p in unreached:
+        print(f"{style.bad('not checked')} {p}: {reports[-1].path} failed first")
     return 0 if ok else 1
 
 

@@ -8,7 +8,8 @@ Substitution is simultaneous and capture-avoiding: ``subst_typed`` and
 ``subst_cube`` take a whole mapping, for typed values and cube points alike
 (cube variables occur inside extension types, extension applications and
 tope-case scrutinees).  A binder is renamed only when it would capture a
-free variable of a substituted value; a binder that neither captures nor
+free variable of a substituted value, to the first ``name$k`` that is free
+in neither the values nor the term; a binder that neither captures nor
 shadows a substituted name is passed through without copying the mapping.
 The checker collects the arguments of a whole β-reduction or application
 spine in a pending environment and calls one of these two functions once
@@ -17,10 +18,9 @@ on the result.
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
 from functools import cached_property
-from typing import Mapping, Optional, Union
+from typing import Container, Mapping, Optional, Union
 
 from .cube import (
     CFst,
@@ -57,19 +57,13 @@ class Span(Node):
         return self.start <= other.start and other.end <= self.end
 
 
-_counter = itertools.count(1)
-
-
-def fresh(base: str = "x") -> str:
+def fresh(base: str, avoid: Container[str]) -> str:
+    """The first ``base$k`` (k = 1, 2, ...) not in ``avoid``, the names in scope."""
     base = base.split("$")[0] or "x"
-    return f"{base}${next(_counter)}"
-
-
-def reset_fresh() -> None:
-    """Restart the fresh-name counter (called per checking run so that
-    printed names, and hence reports, are reproducible)."""
-    global _counter
-    _counter = itertools.count(1)
+    k = 1
+    while f"{base}${k}" in avoid:
+        k += 1
+    return f"{base}${k}"
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +352,7 @@ class _Subst:
     def active(self) -> bool:
         return bool(self.typed or self.cubes)
 
-    def under(self, x: str) -> tuple[str, "_Subst"]:
+    def under(self, x: str, node: Expr) -> tuple[str, "_Subst"]:
         if x not in self.typed and x not in self.cubes and x not in self.value_fvs:
             # the binder neither shadows a substituted name nor captures
             return x, self
@@ -367,7 +361,7 @@ class _Subst:
             {k: v for k, v in self.cubes.items() if k != x},
         )
         if x in self.value_fvs:
-            nx = fresh(x)
+            nx = fresh(x, {*self.typed, *self.cubes} | self.value_fvs | free_vars(node))
             sub.cubes[x] = CVar(nx)
             sub.typed[x] = Var(nx)
             sub.value_fvs = self.value_fvs | {nx}
@@ -390,14 +384,14 @@ class _Subst:
                 return e
             case Pi(x, a, b):
                 na = self.expr(a)
-                nx, sub = self.under(x)
+                nx, sub = self.under(x, e)
                 return Pi(nx, na, sub.expr(b), span=e.span)
             case Sigma(x, a, b):
                 na = self.expr(a)
-                nx, sub = self.under(x)
+                nx, sub = self.under(x, e)
                 return Sigma(nx, na, sub.expr(b), span=e.span)
             case Lam(x, b):
-                nx, sub = self.under(x)
+                nx, sub = self.under(x, e)
                 return Lam(nx, sub.expr(b), span=e.span)
             case App(f, a):
                 return App(self.expr(f), self.expr(a), span=e.span)
@@ -414,7 +408,7 @@ class _Subst:
             case J(c, d, p):
                 return J(self.expr(c), self.expr(d), self.expr(p), span=e.span)
             case Ext(t, cube, psi, fam, phi, bd):
-                nt, sub = self.under(t)
+                nt, sub = self.under(t, e)
                 return Ext(
                     nt, cube, sub.tope(psi), sub.expr(fam), sub.tope(phi), sub.expr(bd),
                     span=e.span,
@@ -469,9 +463,19 @@ def subst_cube(e: Expr, points: Mapping[str, CubeExpr]) -> Expr:
     return _Subst({n: cube_to_term(c) for n, c in points.items()}, points).expr(e)
 
 
-def rename_var(e: Expr, old: str, new: str) -> Expr:
-    """Rename a free variable of either sort."""
-    return _Subst({old: Var(new)}, {old: CVar(new)}).expr(e)
+def rename_binder(e: Union[Pi, Sigma, Lam, Ext], new: str) -> Expr:
+    """``e`` with its bound name changed to ``new``, which is not free in
+    ``e``."""
+    sub = _Subst({e.var: Var(new)}, {e.var: CVar(new)})
+    match e:
+        case Pi(_, a, b) | Sigma(_, a, b):
+            return type(e)(new, a, sub.expr(b), span=e.span)
+        case Lam(_, b):
+            return Lam(new, sub.expr(b), span=e.span)
+        case Ext(_, cube, psi, fam, phi, bd):
+            return Ext(new, cube, sub.tope(psi), sub.expr(fam), sub.tope(phi), sub.expr(bd),
+                       span=e.span)
+    raise TypeError(f"not a binder: {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +572,14 @@ class TriContext(Node):
         self.tope = tope
         self.typed_vars = typed_vars
         self._hash = None
+
+    def names(self) -> set[str]:
+        """Every name the context binds, of either sort."""
+        return {n for n, _ in self.cube_vars + self.typed_vars}
+
+    def fresh(self, base: str) -> str:
+        """A name for a new binder that the context does not bind yet."""
+        return fresh(base, self.names())
 
     def bind_cube(self, name: str, cube: CubeType) -> "TriContext":
         return TriContext(self.cube_vars + ((name, cube),), self.tope, self.typed_vars)

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Optional
 
 from .checker import CheckError, Checker, DEFAULT_FUEL, Diagnostic
-from .core import Decl, DeclTag, reset_fresh
+from .core import Decl, DeclTag
 from .parser import ParseError, parse_file
 from .scope import GlobalEnv, ScopeError, elaborate_toplevels
 
@@ -162,7 +162,6 @@ def _check_decls(checker: Checker, decls: list[Decl], ledger: Optional[set[str]]
 def load_corpus(directory: Optional[Path] = None,
                 fuel: int = DEFAULT_FUEL) -> CorpusResult:
     directory = directory or CORPUS_DIR
-    reset_fresh()
     ledger = read_ledger(directory / LEDGER_NAME)
     paths = sorted(p for p in directory.glob("*.sstt"))
     start = time.monotonic()

@@ -21,9 +21,9 @@ for.  So names are resolved as they are read:
   global name is a ``ScopeError``.
 
 Anonymous binders (``A -> B``, ``A * B``, ``S -> B`` over a shape) and the
-point of a tuple-pattern lambda get fresh names.  Errors are reported in
-reading order; ``scope.elaborate_toplevels`` then adds a parsed file's
-items to the environment.
+point of a tuple-pattern lambda get the first ``name$k`` not in scope.
+Errors are reported in reading order; ``scope.elaborate_toplevels`` then
+adds a parsed file's items to the environment.
 
 Alternatives are chosen by lookahead, never by backtracking, with a table of
 matching parentheses built once per input:
@@ -605,7 +605,7 @@ class Parser:
             var = names[0]
             self.scope = {**saved, var: "unknown"}
         else:
-            var = fresh("p")
+            var = fresh("p", self.scope)
             comps = split_point(CVar(var), len(names))
             self.scope = {**saved, var: "unknown", **dict(zip(names, comps))}
         body = self.parse_expr()
@@ -620,12 +620,12 @@ class Parser:
         sh = self.shape_ahead("->")
         if sh is not None:
             self.next()
-            t = fresh("t")
+            t = fresh("t", self.scope)
             return Ext(t, sh.cube, sh.applied_to(CVar(t)), self.parse_arrow(),
                        BOT, TopeCase(()), span=self.span_from(start))
         left = self.parse_sigma_op()
         if self.accept("->"):
-            return Pi(fresh("x"), left, self.parse_arrow(), span=self.span_from(start))
+            return Pi(fresh("x", self.scope), left, self.parse_arrow(), span=self.span_from(start))
         return left
 
     def parse_pi_binder(self, start: Token) -> Expr:
@@ -654,7 +654,8 @@ class Parser:
         start = self.peek()
         left = self.parse_app()
         if self.accept("*"):
-            return Sigma(fresh("x"), left, self.parse_sigma_op(), span=self.span_from(start))
+            return Sigma(fresh("x", self.scope), left, self.parse_sigma_op(),
+                         span=self.span_from(start))
         return left
 
     def parse_app(self) -> Expr:
@@ -846,6 +847,7 @@ def parse_sequent_source(src: str, filename: str = "<sequent>"):
             p.expect(":")
             cube = p.parse_cube_type()
             ctx.append((name, cube))
+            p.scope[name] = "cube"
             if not p.accept(","):
                 break
     p.expect("|")

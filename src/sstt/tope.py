@@ -486,25 +486,12 @@ def _weak_order(up: list[int], names: list[str]) -> WeakOrder:
     return WeakOrder(tuple(tuple(sorted(block)) for _, block in ordered))
 
 
-_ENTAILS_CACHE: dict[tuple[Tope, Tope], EntailResult] = {}
-
-
 def entails(seq: Sequent) -> EntailResult:
     """Decide the sequent.  Yes iff the goal holds in every model of the
     hypothesis; otherwise one violating weak order is returned."""
     ctx = seq.cube_context()
     hyp = normalize_tope(ctx, seq.hyp)
     goal = normalize_tope(ctx, seq.goal)
-    key = (hyp, goal)
-    cached = _ENTAILS_CACHE.get(key)
-    if cached is not None:
-        return cached
-    result = _entails_normalized(hyp, goal)
-    _ENTAILS_CACHE[key] = result
-    return result
-
-
-def _entails_normalized(hyp: Tope, goal: Tope) -> EntailResult:
     disjuncts = dnf(hyp)
     atoms = _collect_atoms([hyp, goal])
     index: dict[CubeExpr, int] = {CZERO: 0, CONE: 1}
@@ -535,10 +522,6 @@ def _entails_normalized(hyp: Tope, goal: Tope) -> EntailResult:
             for alt in reversed(first):
                 stack.append((up[:], above[:], rest + alt))
     return EntailResult(True)
-
-
-def clear_caches() -> None:
-    _ENTAILS_CACHE.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from sstt.core import (
     UnitType,
     Var,
     alpha_eq,
-    fresh,
     subst_cube,
 )
 from sstt.cube import INTERVAL, CONE, CZERO, CFst, CSnd, CVar, ProdCube
@@ -181,7 +180,7 @@ def test_boundary_laws_hold_everywhere(checker, corpus_env):
         ext = _interval_extension(checker, ctx, decl.inner_ty)
         if ext is None:
             continue
-        f = fresh("f")
+        f = ctx.fresh("f")
         fctx = ctx.bind_typed(f, ext)
         for endpoint in (CZERO, CONE):
             # only endpoints on the declared boundary have a prescription
@@ -259,7 +258,7 @@ def test_equality_is_a_per_and_congruence(checker, corpus_env):
         assert checker.equal(ctx, b, a, ty)
         assert checker.equal(ctx, b, checker.whnf(ctx, b), ty)
         # congruence: pairing preserves equality
-        pair_ty = Sigma(fresh("w"), ty, ty)
+        pair_ty = Sigma(ctx.fresh("w"), ty, ty)
         assert checker.equal(ctx, Pair(a, b), Pair(b, a), pair_ty)
         instances += 5
     assert instances >= 1000

@@ -17,10 +17,11 @@ from sstt.core import (
     Var,
     alpha_eq,
 )
+from sstt.corpus import load_corpus
 from sstt.cube import INTERVAL, CONE, CZERO, CVar
 from sstt.parser import parse_expr, parse_file
 from sstt.scope import GlobalEnv, elaborate_toplevels
-from sstt.tope import TAnd, TEq, TOr
+from sstt.tope import BOT, TOP, TAnd, TEq, TOr
 
 
 def E(env, src):
@@ -173,6 +174,30 @@ def test_ext_app_outside_shape_rejected(checker, corpus_env):
     with pytest.raises(CheckError) as err:
         checker.infer_type(ctx, ExtApp(Var("q"), CPair(CVar("t1"), CVar("t2"))))
     assert err.value.diagnostic.kind == "tope-unsolved"
+
+
+def test_no_context_binds_a_name_twice(monkeypatch):
+    # a binder whose name the context binds already is renamed first, so a
+    # lookup never misses an outer variable that a type still mentions
+    rebound = []
+    for method in ("bind_typed", "bind_cube"):
+        def bind(self, name, sort, original=getattr(TriContext, method)):
+            if any(n == name for n, _ in self.cube_vars + self.typed_vars):
+                rebound.append(name)
+            return original(self, name, sort)
+
+        monkeypatch.setattr(TriContext, method, bind)
+    assert load_corpus().ok
+    # each site that binds a parsed binder, with a name already in scope
+    checker = Checker(GlobalEnv())
+    ctx = TriContext().bind_typed("A", U()).bind_typed("x", Var("A")).bind_cube("t", INTERVAL)
+    over_2 = Ext("t", INTERVAL, TOP, Var("A"), BOT, TopeCase(()))
+    assert alpha_eq(checker.check(ctx, Lam("x", Var("x")), Pi("y", Var("A"), Var("A"))),
+                    Lam("z", Var("z")))
+    assert alpha_eq(checker.check(ctx, Lam("t", Var("x")), over_2), Lam("s", Var("x")))
+    assert checker.infer(ctx, Pi("x", Var("A"), Var("A")))[0] == U()
+    assert checker.infer(ctx, over_2)[0] == U()
+    assert rebound == []
 
 
 def test_diagnostic_rejects_unknown_kind():

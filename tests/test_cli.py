@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from conftest import NEGATIVE_DIR
 from sstt.cli import main
 from sstt.corpus import CORPUS_DIR
 
@@ -105,6 +106,28 @@ def test_tope_parse_error(capsys):
 def test_tope_ill_typed_point_is_an_input_error(capsys, sequent, error):
     assert main(["--machine", "tope", sequent]) == 2
     assert json.loads(capsys.readouterr().out) == {"error": error}
+
+
+def test_tope_context_names_are_cube_variables(capsys):
+    # a context name is bound, so on its own it starts a relation
+    assert main(["--machine", "tope", "t : 2 | t |- TOP"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "<sequent>:1:11: expected '===', found '|-'"}
+
+
+def test_check_reports_requested_file_never_reached(capsys):
+    # checking stops at the failing sibling 01, which 07 does not need
+    target = NEGATIVE_DIR / "07-tope-unsolved.sstt"
+    failed = str((NEGATIVE_DIR / "01-unbound-var.sstt").resolve())
+    code = main(["--machine", "check", str(target)])
+    files = json.loads(capsys.readouterr().out)["files"]
+    assert code == 1
+    assert [f["path"] for f in files] == [failed, str(target.resolve())]
+    assert files[-1] == {"path": str(target.resolve()), "requested": True, "decls": [],
+                         "diagnostics": [], "not_checked": failed}
+    assert main(["--no-color", "check", str(target)]) == 1
+    out = capsys.readouterr().out
+    assert f"not checked {target.resolve()}: {failed} failed first" in out
 
 
 def test_no_color_env(monkeypatch, capsys):

@@ -26,7 +26,7 @@ from sstt.core import (
     fold_telescope,
     free_vars,
     fresh,
-    rename_var,
+    rename_binder,
     subst_cube,
     subst_typed,
 )
@@ -89,15 +89,31 @@ def test_cube_to_term_projections():
 
 
 def test_fresh_names_display():
-    n = fresh("x")
+    n = fresh("x", set())
     assert "$" in n
     assert "$" not in display_name(n)
 
 
-def test_rename_var():
-    e = App(Var("x"), Lam("x", Var("x")))
-    out = rename_var(e, "x", "w")
-    assert alpha_eq(out, App(Var("w"), Lam("x", Var("x"))))
+def test_fresh_is_the_first_unused_name():
+    assert fresh("x", set()) == "x$1"
+    assert fresh("x$1", {"x$1", "x$2", "y$3"}) == "x$3"
+
+
+def test_renamed_binder_avoids_the_body_free_names():
+    # y captures the substituted value, and y$1 is free in the body
+    e = subst_typed(Lam("y", App(Var("x"), Var("y$1"))), {"x": Var("y")})
+    assert alpha_eq(e, Lam("z", App(Var("y"), Var("y$1"))))
+
+
+def test_rename_binder():
+    # free occurrences follow the binder; an inner binder of the same name
+    # hides them
+    out = rename_binder(Lam("x", App(Var("x"), Lam("x", Var("x")))), "w")
+    assert out.var == "w" and out.body == App(Var("w"), Lam("x", Var("x")))
+    ext = rename_binder(Ext("t", INTERVAL, TLe(CVar("t"), CONE), Var("A"),
+                            TEq(CVar("t"), CZERO), Var("t")), "s")
+    assert ext == Ext("s", INTERVAL, TLe(CVar("s"), CONE), Var("A"),
+                      TEq(CVar("s"), CZERO), Var("s"))
 
 
 def test_free_vars():

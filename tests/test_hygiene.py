@@ -110,3 +110,34 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# The kernel keeps no state between runs: a generated name is chosen against
+# the names in scope, and decided sequents are cached on the ``Checker``, so
+# a check gives the same answer and message whatever ran before it.
+
+def test_no_module_has_a_global_statement():
+    users = [f"{p.name}:{node.lineno}" for p in SRC_MODULES
+             for node in ast.walk(ast.parse(p.read_text(), str(p)))
+             if isinstance(node, ast.Global)]
+    assert not users, f"global statements at {', '.join(users)}"
+
+
+def test_checking_leaves_module_globals_unchanged():
+    import sstt.cli  # loads every module
+    from sstt.corpus import load_corpus
+    from sstt.parser import parse_sequent_source
+    from sstt.tope import entails
+
+    modules = [m for name, m in sorted(sys.modules.items()) if name.split(".")[0] == "sstt"]
+
+    def state():
+        return {(m.__name__, key): (id(value), len(value)
+                                    if isinstance(value, dict | list | set) else None)
+                for m in modules for key, value in vars(m).items()
+                if not key.startswith("__")}
+
+    before = state()
+    assert load_corpus().ok
+    entails(parse_sequent_source("t : 2, s : 2 | t <= s /\\ s <= t |- t === s"))
+    assert state() == before

@@ -68,6 +68,34 @@ def test_checker_fault_is_an_internal_diagnostic(corpus, ledger, tmp_path, monke
     assert "ZeroDivisionError" in diag.message and "'f'" in diag.message
 
 
+def test_tope_solver_fault_is_an_internal_diagnostic(corpus, ledger, tmp_path, monkeypatch):
+    # a solver error is a kernel bug, not a sequent that fails to hold
+    from sstt.tope import TopeError
+
+    def broken(seq):
+        raise TopeError("injected")
+
+    monkeypatch.setattr("sstt.checker.entails", broken)
+    path = tmp_path / "fault.sstt"
+    path.write_text("def f (t : 2) (A : U) (a : A) : A := [t === 0 |-> a | t === 1 |-> a]\n")
+    diag, _ = _first(corpus, ledger, path)
+    assert (diag.kind, diag.decl) == ("internal", "f")
+    assert "TopeError: injected" in diag.message
+
+
+def test_diagnostics_do_not_depend_on_earlier_checks(corpus, ledger):
+    # generated names are chosen against the names in scope, not by a
+    # process-wide counter, so a message reads the same on every check
+    path = NEGATIVE_DIR / "16-j-bad-motive.sstt"
+    first = _first(corpus, ledger, path)[0]
+    assert first.message == ("expected a term of type (v_1 : A) -> Id A u v_1 -> U, "
+                             "found one of type A")
+    assert _first(corpus, ledger, path)[0] == first
+    _first(corpus, ledger, NEGATIVE_DIR / "05-wrong-hom2-edge.sstt")
+    again = _first(corpus, ledger, path)[0]
+    assert (again.message, again.span) == (first.message, first.span)
+
+
 def test_parser_fault_is_an_internal_diagnostic(corpus, ledger, tmp_path, monkeypatch):
     from sstt.parser import Parser
 

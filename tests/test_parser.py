@@ -172,6 +172,13 @@ def test_tuple_pattern_names_project_the_point():
                     Lam("p", Pi("s", U(), Var("s"))))
 
 
+def test_anonymous_binders_are_named_alike_on_every_parse():
+    # a generated name depends only on the names in scope
+    first = resolved("A -> B -> A", "A", "B")
+    assert first == resolved("A -> B -> A", "A", "B")
+    assert (first.var, first.cod.var) == ("x$1", "x$1")
+
+
 def test_shape_domains_become_extension_types():
     over_delta1 = Ext("t", INTERVAL, TOP, Var("A"), BOT, TopeCase(()))
     arrow = resolved("Delta1 -> A", "A")
