@@ -6,24 +6,31 @@ endpoint.  Reduction (``whnf``) therefore never has to guess the sort of a
 binder.
 
 Reduction is an environment machine.  It walks the head of a term with a
-pending simultaneous environment of typed values and cube points, and an
-explicit stack of the eliminations around the head (application, cube
-application, projections, ``J``).  A β-step or an extension β-step only
-extends the environment, and unfolding a definition starts afresh on its
-closed body.  The environment is applied once, by one capture-avoiding
-substitution, to the head where reduction stops, and the stack is then
-rebuilt around it; an argument met under a non-empty environment is closed
-when it is pushed.  Type inference treats an application spine
-``f a1 ... an`` the same way: each Π domain is instantiated when its
-argument is checked, and the final codomain once.
+pending ``core.Subst`` of typed values and cube points, and an explicit
+stack of the eliminations around the head (application, cube application,
+projections, ``J``).  A β-step or an extension β-step only extends the
+substitution, and unfolding a definition starts afresh on its closed body.
+The substitution is applied once, to the head where reduction stops, and
+the stack is then rebuilt around it; an argument met under a non-empty
+substitution is closed when it is pushed.
+
+One step, ``_elim``, types an application, a cube application or a
+projection, with the type's substitution kept pending.  Inference walks an
+elimination spine ``f a1 ... an`` with it, checking each argument against
+its domain and instantiating the final type once.  The comparison of two
+neutral spines and boundary reduction use the same step without checking
+anything again: a stuck neutral's type is read off its spine, from the
+type of its head in the context or the environment.
 
 No context binds a name twice: a binder whose name it binds already is
 renamed first, to the first ``name$k`` it does not bind.
 
 Equality is tope-aware.  The context's tope constraint is split into
 disjuncts and conversion must hold under every consistent one; an
-inconsistent constraint makes all terms equal.  Pi and Sigma types enjoy
-eta; extension types do not.
+inconsistent constraint makes all terms equal.  Two cube points are equal
+when they lie in the same cube and the context entails their equality.
+Every entailment goes through ``Checker.entails_ctx`` and its cache.  Pi
+and Sigma types enjoy eta; extension types do not.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from .core import (
     CubeLit,
     CubeParam,
     Decl,
+    EMPTY,
     Ext,
     ExtApp,
     Expr,
@@ -50,6 +58,7 @@ from .core import (
     Sigma,
     Snd,
     Span,
+    Subst,
     TopeCase,
     TopeParam,
     TriContext,
@@ -59,7 +68,6 @@ from .core import (
     UnitType,
     Var,
     alpha_eq,
-    cube_to_term,
     rename_binder,
     subst_cube,
     subst_typed,
@@ -76,23 +84,21 @@ from .cube import (
     cube_type_of,
     display_name,
     print_cube_type,
-    subst_cube_sim,
 )
 from .printer import print_expr
 from .scope import GlobalEnv
 from .tope import (
     BOT,
     Sequent,
+    TEq,
     Tope,
     TopeError,
     TopeTooLargeError,
     dnf,
     entails,
-    eq_under,
     normalize_tope,
     print_tope,
     subst_tope,
-    subst_tope_sim,
     tope_and,
     tope_or,
 )
@@ -143,47 +149,6 @@ class CheckError(Exception):
 DEFAULT_FUEL = 10_000
 
 
-class _Env:
-    """A pending simultaneous substitution: typed values and cube points for
-    disjoint sets of names, each closed in the context.  Binding only
-    extends it; ``close`` applies it to a term in one substitution."""
-
-    __slots__ = ("values", "points")
-
-    def __init__(self, values: dict[str, Expr], points: dict[str, CubeExpr]):
-        self.values = values
-        self.points = points
-
-    def bind(self, x: str, value: Expr) -> "_Env":
-        points = self.points
-        if x in points:
-            points = {k: c for k, c in points.items() if k != x}
-        return _Env({**self.values, x: value}, points)
-
-    def bind_point(self, x: str, point: CubeExpr) -> "_Env":
-        values = self.values
-        if x in values:
-            values = {k: v for k, v in values.items() if k != x}
-        return _Env(values, {**self.points, x: point})
-
-    def lookup(self, x: str) -> Expr:
-        return self.values[x] if x in self.values else cube_to_term(self.points[x])
-
-    def close(self, e: Expr) -> Expr:
-        if not self.values and not self.points:
-            return e
-        return subst_typed(e, self.values, self.points)
-
-    def point(self, c: CubeExpr) -> CubeExpr:
-        return subst_cube_sim(c, self.points) if self.points else c
-
-    def tope(self, t: Tope) -> Tope:
-        return subst_tope_sim(t, self.points) if self.points else t
-
-
-_EMPTY = _Env({}, {})
-
-
 class Checker:
     def __init__(self, env: GlobalEnv, fuel: int = DEFAULT_FUEL):
         self.env = env
@@ -229,8 +194,6 @@ class Checker:
             parts = dnf(norm)
         except TopeTooLargeError as e:
             self._err("tope-too-large", str(e))
-        except TopeError:
-            return [ctx]
         out = []
         for atoms in parts:
             branch = ctx.with_tope(tope_and(*atoms))
@@ -267,12 +230,12 @@ class Checker:
     def whnf(self, ctx: TriContext, e: Expr, unfold: bool = True) -> Expr:
         """Weak head normal form, by the environment machine described in
         the module docstring."""
-        env = _EMPTY
+        env = EMPTY
         stack: list[tuple[str, object]] = []  # innermost elimination last
         while True:
             match e:
                 case Var(n) if n in env.values or n in env.points:
-                    e, env = env.lookup(n), _EMPTY
+                    e, env = env.lookup(n), EMPTY
                     continue
                 case Ann(x, _):
                     e = x
@@ -281,7 +244,7 @@ class Checker:
                     d = self.env.decls.get(n)
                     if d is not None and d.body is not None:
                         self._tick()
-                        e, env = d.body, _EMPTY
+                        e, env = d.body, EMPTY
                         continue
                 case App(f, a):
                     stack.append(("app", env.close(a)))
@@ -325,9 +288,9 @@ class Checker:
                     _, (_, d) = stack.pop()
                     self._tick()
                     stack.append(("app", env.close(a)))
-                    e, env = d, _EMPTY
+                    e, env = d, EMPTY
                     continue
-            e, env = env.close(e), _EMPTY
+            e, env = env.close(e), EMPTY
             while stack:
                 kind, arg = stack.pop()
                 if kind == "ext":
@@ -352,23 +315,20 @@ class Checker:
                          c: CubeExpr) -> Optional[Expr]:
         """Reduce an application of a neutral extension-typed term at a point
         of its boundary sub-shape."""
-        try:
-            ty = self.infer_type(ctx, neutral)
-        except CheckError:
+        typed = self._neutral_type(ctx, neutral)
+        if typed is None:
             return None
-        wty = self.whnf(ctx, ty)
-        if not isinstance(wty, Ext):
+        w, sub = self._type_former(ctx, *typed)
+        if not isinstance(w, Ext):
             return None
-        phi_c = subst_tope(wty.boundary_tope, wty.var, c)
-        if not self.entails_ctx(ctx, phi_c):
+        sub = sub.bind_point(w.var, c)
+        if not self.entails_ctx(ctx, sub.tope(w.boundary_tope)):
             return None
-        bd = wty.boundary
+        bd = w.boundary
         if isinstance(bd, TopeCase):
-            for t, body in bd.branches:
-                if self.entails_ctx(ctx, subst_tope(t, wty.var, c)):
-                    return subst_cube(body, {wty.var: c})
-            return None
-        return subst_cube(bd, {wty.var: c})
+            bd = next((body for t, body in bd.branches
+                       if self.entails_ctx(ctx, sub.tope(t))), None)
+        return None if bd is None else sub.close(bd)
 
     # -- equality
 
@@ -409,12 +369,15 @@ class Checker:
         if alpha_eq(a, b):
             return True
         ca, cb = self.as_cube_expr(ctx, a), self.as_cube_expr(ctx, b)
-        if ca is not None and cb is not None:
-            try:
-                return eq_under(ctx.cube_context(), ctx.tope, ca, cb)
-            except TopeError:
-                return False
-        return False
+        return ca is not None and cb is not None and self._points_equal(ctx, ca, cb)
+
+    def _points_equal(self, ctx: TriContext, a: CubeExpr, b: CubeExpr) -> bool:
+        """Two points are equal when they lie in the same cube and the
+        context entails their equality, which the solver splits into
+        components."""
+        cubes = ctx.cube_context()
+        return (cube_type_of(cubes, a) == cube_type_of(cubes, b)
+                and self.entails_ctx(ctx, TEq(a, b)))
 
     def _equal_split_case(self, ctx: TriContext, case: TopeCase, other: Expr,
                           ty: Optional[Expr]) -> bool:
@@ -465,34 +428,83 @@ class Checker:
             case _:
                 return None
 
-    def _spine(self, e: Expr):
-        items = []
-        while True:
-            match e:
-                case App(f, a):
-                    items.append(("app", a))
-                    e = f
-                case ExtApp(f, c):
-                    items.append(("ext", c))
-                    e = f
-                case Fst(p):
-                    items.append(("fst", None))
-                    e = p
-                case Snd(p):
-                    items.append(("snd", None))
-                    e = p
-                case _:
-                    items.reverse()
-                    return e, items
+    def _spine(self, e: Expr) -> tuple[Expr, list[Expr]]:
+        """The head of an elimination spine and its eliminations (application,
+        cube application, projections), innermost first.  A literal β-redex
+        counts as a head."""
+        spine = []
+        while (isinstance(e, (ExtApp, Fst, Snd))
+               or isinstance(e, App) and not isinstance(e.fn, Lam)):
+            spine.append(e)
+            e = e.fn if isinstance(e, (App, ExtApp)) else e.arg
+        spine.reverse()
+        return e, spine
 
-    def _head_key(self, e: Expr):
-        match e:
+    def _head_type(self, ctx: TriContext, head: Expr) -> Optional[Expr]:
+        """The type of the head of a neutral term, read off the context, the
+        environment or, for a stuck ``J``, the type of its path; None when
+        the head has none of these."""
+        match head:
             case Var(n):
-                return ("var", n)
-            case Const(n):
-                return ("const", n)
-            case _:
+                return ctx.lookup_typed(n)
+            case Const(n) if n in self.env.decls:
+                return self.env.decls[n].ty
+            case J(c, _, p):
+                path = self._neutral_type(ctx, p)
+                w = path and self._type_former(ctx, *path)[0]
+                if isinstance(w, IdT):
+                    return App(App(App(c, w.lhs), w.rhs), p)
+        return None
+
+    def _neutral_type(self, ctx: TriContext, e: Expr) -> Optional[tuple[Expr, Subst]]:
+        """The type of a neutral term, read off its spine without checking
+        the arguments again, with its substitution still pending."""
+        head, spine = self._spine(e)
+        ty = self._head_type(ctx, head)
+        if ty is None:
+            return None
+        term, sub = head, EMPTY
+        for node in spine:
+            step = self._elim(ctx, term, ty, sub, node)
+            if step is None:
                 return None
+            term, ty, sub = step
+        return ty, sub
+
+    def _elim(self, ctx: TriContext, term: Expr, ty: Expr, sub: Subst, node: Expr,
+              check: bool = False) -> Optional[tuple[Expr, Expr, Subst]]:
+        """Eliminate ``term``, of type ``ty`` under the pending ``sub``, by
+        ``node``, an application, cube application or projection of it.
+        Returns the eliminated term, its type and the substitution pending on
+        that type.  With ``check`` the argument is checked, and elaborated,
+        against the domain, an application of an extension-typed function
+        becomes a cube application, and a mismatch is an error; without it a
+        mismatch gives None."""
+        w, sub = self._type_former(ctx, ty, sub)
+        if isinstance(node, App) and isinstance(w, Pi):
+            a = self.check(ctx, node.arg, sub.close(w.dom)) if check else node.arg
+            return App(term, a, span=node.span), w.cod, sub.bind(w.var, a)
+        if isinstance(w, Ext) and (isinstance(node, ExtApp) or check and isinstance(node, App)):
+            c = node.arg if isinstance(node, ExtApp) else self.as_cube_expr(ctx, node.arg)
+            if c is None:
+                self._err(
+                    "type-mismatch",
+                    "this function takes a point of a cube, but the argument "
+                    f"is {print_expr(node.arg)}", node.span)
+            if check:
+                self._check_cube_arg(ctx, w, sub, c, node.span)
+            return ExtApp(term, c, span=node.span), w.family, sub.bind_point(w.var, c)
+        if isinstance(node, Fst) and isinstance(w, Sigma):
+            return Fst(term, span=node.span), w.fst_ty, sub
+        if isinstance(node, Snd) and isinstance(w, Sigma):
+            return Snd(term, span=node.span), w.snd_ty, sub.bind(w.var, Fst(term))
+        if not check:
+            return None
+        what = ("first projection of" if isinstance(node, Fst) else
+                "second projection of" if isinstance(node, Snd) else "cannot apply")
+        to_point = " to a cube point" if isinstance(node, ExtApp) else ""
+        self._err("type-mismatch",
+                  f"{what} a term of type {print_expr(sub.close(w))}{to_point}", node.span)
 
     def _equal_spines(self, ctx: TriContext, a: Expr, b: Expr) -> Optional[bool]:
         """Compare two neutral spines with the same rigid head, argument by
@@ -501,63 +513,34 @@ class Checker:
         still unfold to equal terms)."""
         ha, sa = self._spine(a)
         hb, sb = self._spine(b)
-        ka, kb = self._head_key(ha), self._head_key(hb)
-        if ka is None or kb is None or not sa or not sb:
+        if not (sa and sb and isinstance(ha, (Var, Const)) and isinstance(hb, (Var, Const))):
             return None
 
-        def is_rigid(k) -> bool:
-            if k[0] == "var":
-                return True
-            d = self.env.decls.get(k[1])
+        def rigid(head) -> bool:  # a variable, or a constant that does not unfold
+            d = self.env.decls.get(head.name) if isinstance(head, Const) else None
             return d is None or d.body is None
 
-        rigid = is_rigid(ka) and is_rigid(kb)
-        inconclusive = None if not rigid else False
-        if ka != kb or len(sa) != len(sb):
+        inconclusive = False if rigid(ha) and rigid(hb) else None
+        if ha != hb or len(sa) != len(sb):
             return inconclusive
-        try:
-            head_ty = self.infer_type(ctx, ha)
-        except CheckError:
+        ty = self._head_type(ctx, ha)
+        if ty is None:
             return None
-        env = _EMPTY
-        term = ha
-        for (kind_a, arg_a), (kind_b, arg_b) in zip(sa, sb):
-            if kind_a != kind_b:
+        term, sub = ha, EMPTY
+        for na, nb in zip(sa, sb):
+            if type(na) is not type(nb):
                 return inconclusive
-            w, env = self._type_former(ctx, head_ty, env)
-            ok: Optional[bool]
-            if kind_a == "app":
-                if not isinstance(w, Pi):
-                    return None
-                ok = self.equal(ctx, arg_a, arg_b, env.close(w.dom))
-                env = env.bind(w.var, arg_a)
-                head_ty = w.cod
-                term = App(term, arg_a)
-            elif kind_a == "ext":
-                if not isinstance(w, Ext):
-                    return None
-                try:
-                    ok = eq_under(ctx.cube_context(), ctx.tope, arg_a, arg_b)
-                except TopeError:
-                    ok = False
-                env = env.bind_point(w.var, arg_a)
-                head_ty = w.family
-                term = ExtApp(term, arg_a)
-            elif kind_a == "fst":
-                if not isinstance(w, Sigma):
-                    return None
-                ok = True
-                head_ty = w.fst_ty
-                term = Fst(term)
+            ty, sub = self._type_former(ctx, ty, sub)
+            step = self._elim(ctx, term, ty, sub, na)
+            if step is None:
+                return None
+            if isinstance(na, App):
+                same = self.equal(ctx, na.arg, nb.arg, sub.close(ty.dom))
             else:
-                if not isinstance(w, Sigma):
-                    return None
-                ok = True
-                env = env.bind(w.var, Fst(term))
-                head_ty = w.snd_ty
-                term = Snd(term)
-            if not ok:
+                same = not isinstance(na, ExtApp) or self._points_equal(ctx, na.arg, nb.arg)
+            if not same:
                 return inconclusive
+            term, ty, sub = step
         return True
 
     def _equal_structural(self, ctx: TriContext, a: Expr, b: Expr) -> bool:
@@ -610,12 +593,7 @@ class Checker:
                 # constant (a stuck J, say) fall through the spine check
                 return self.equal(ctx, f1, f2) and self.equal(ctx, x1, x2)
             case ExtApp(f1, c1), ExtApp(f2, c2):
-                if not self.equal(ctx, f1, f2):
-                    return False
-                try:
-                    return eq_under(ctx.cube_context(), ctx.tope, c1, c2)
-                except TopeError:
-                    return False
+                return self.equal(ctx, f1, f2) and self._points_equal(ctx, c1, c2)
             case Fst(p1), Fst(p2):
                 return self.equal(ctx, p1, p2)
             case Snd(p1), Snd(p2):
@@ -655,10 +633,6 @@ class Checker:
         return self.equal(ctx_phi, bd_a, bd_b, fam_a)
 
     # -- inference
-
-    def infer_type(self, ctx: TriContext, e: Expr) -> Expr:
-        ty, _ = self.infer(ctx, e)
-        return ty
 
     def infer(self, ctx: TriContext, e: Expr) -> tuple[Expr, Expr]:
         match e:
@@ -713,24 +687,8 @@ class Checker:
                 # (such redexes arise from recorded refl endpoints)
                 self._tick()
                 return self.infer(ctx, subst_typed(body, {x: a}))
-            case App(_, _) | ExtApp(_, _):
+            case App(_, _) | ExtApp(_, _) | Fst(_) | Snd(_):
                 return self._infer_spine(ctx, e)
-            case Fst(p):
-                pty, pe = self.infer(ctx, p)
-                w = self.whnf(ctx, pty)
-                if not isinstance(w, Sigma):
-                    self._err(
-                        "type-mismatch",
-                        f"first projection of a term of type {print_expr(w)}", e.span)
-                return w.fst_ty, Fst(pe, span=e.span)
-            case Snd(p):
-                pty, pe = self.infer(ctx, p)
-                w = self.whnf(ctx, pty)
-                if not isinstance(w, Sigma):
-                    self._err(
-                        "type-mismatch",
-                        f"second projection of a term of type {print_expr(w)}", e.span)
-                return subst_typed(w.snd_ty, {w.var: Fst(pe)}), Snd(pe, span=e.span)
             case Refl(arg) if arg is not None:
                 aty, ae = self.infer(ctx, arg)
                 return IdT(aty, ae, ae), Refl(ae, span=e.span)
@@ -743,54 +701,28 @@ class Checker:
                     "add an annotation", getattr(e, "span", None))
 
     def _type_former(self, ctx: TriContext, ty: Expr,
-                     env: _Env) -> tuple[Expr, _Env]:
-        """``ty`` under ``env`` in weak head form.  A type that already has a
-        type former at its head keeps the environment pending."""
+                     sub: Subst) -> tuple[Expr, Subst]:
+        """``ty`` under ``sub`` in weak head form.  A type that already has a
+        type former at its head keeps the substitution pending."""
         if isinstance(ty, (Pi, Sigma, Ext)):
-            return ty, env
-        return self.whnf(ctx, env.close(ty)), _EMPTY
+            return ty, sub
+        return self.whnf(ctx, sub.close(ty)), EMPTY
 
     def _infer_spine(self, ctx: TriContext, e: Expr) -> tuple[Expr, Expr]:
-        """Infer an application spine ``f a1 ... an``.  The head's type is
+        """Infer an elimination spine ``f a1 ... an``.  The head's type is
         instantiated lazily: each domain when its argument is checked, the
-        final codomain once."""
-        spine = []
-        while isinstance(e, ExtApp) or (isinstance(e, App) and not isinstance(e.fn, Lam)):
-            spine.append(e)
-            e = e.fn
-        ty, term = self.infer(ctx, e)
-        env = _EMPTY
-        for node in reversed(spine):
-            ty, env = self._type_former(ctx, ty, env)
-            if isinstance(node, App) and isinstance(ty, Pi):
-                ae = self.check(ctx, node.arg, env.close(ty.dom))
-                env = env.bind(ty.var, ae)
-                ty, term = ty.cod, App(term, ae, span=node.span)
-                continue
-            if isinstance(ty, Ext):
-                c = node.arg
-                if isinstance(node, App):
-                    c = self.as_cube_expr(ctx, node.arg)
-                    if c is None:
-                        self._err(
-                            "type-mismatch",
-                            "this function takes a point of a cube, but the argument "
-                            f"is {print_expr(node.arg)}", node.span)
-                self._check_cube_arg(ctx, ty, env, c, node.span)
-                env = env.bind_point(ty.var, c)
-                ty, term = ty.family, ExtApp(term, c, span=node.span)
-                continue
-            to_point = "" if isinstance(node, App) else " to a cube point"
-            self._err(
-                "type-mismatch",
-                f"cannot apply a term of type {print_expr(env.close(ty))}{to_point}",
-                node.span)
-        return env.close(ty), term
+        final type once."""
+        head, spine = self._spine(e)
+        ty, term = self.infer(ctx, head)
+        sub = EMPTY
+        for node in spine:
+            term, ty, sub = self._elim(ctx, term, ty, sub, node, check=True)
+        return sub.close(ty), term
 
-    def _check_cube_arg(self, ctx: TriContext, w: Ext, env: _Env, c: CubeExpr,
+    def _check_cube_arg(self, ctx: TriContext, w: Ext, sub: Subst, c: CubeExpr,
                         span: Optional[Span]) -> None:
         """Check that the point ``c`` lies in the shape of ``w`` (under the
-        pending ``env``)."""
+        pending ``sub``)."""
         try:
             cty = cube_type_of(ctx.cube_context(), c)
         except CubeError as err:
@@ -802,7 +734,7 @@ class Checker:
                 f"but the function expects {print_cube_type(w.cube)}",
                 span,
             )
-        psi_c = subst_tope_sim(w.shape_tope, {**env.points, w.var: c})
+        psi_c = sub.bind_point(w.var, c).tope(w.shape_tope)
         if not self.entails_ctx(ctx, psi_c):
             self._err(
                 "tope-unsolved",
@@ -832,11 +764,7 @@ class Checker:
         if t in ctx.names():  # no context binds a name twice
             return self._check_ext_formation(ctx, rename_binder(e, ctx.fresh(t)))
         ctx_t = ctx.bind_cube(t, e.cube)
-        try:
-            normalize_tope(ctx_t.cube_context(), e.shape_tope)
-            normalize_tope(ctx_t.cube_context(), e.boundary_tope)
-        except TopeError as err:
-            self._err("scope", str(err), e.span)
+        self._well_formed(ctx_t, tope_and(e.shape_tope, e.boundary_tope), e.span)
         ctx_psi = ctx_t.bind_tope(e.shape_tope)
         fam = self.check(ctx_psi, e.family, U())
         if not self.entails_ctx(ctx_t.bind_tope(e.boundary_tope), e.shape_tope):
@@ -852,13 +780,16 @@ class Checker:
             bd = self.check(ctx_phi, e.boundary, fam)
         return Ext(t, e.cube, e.shape_tope, fam, e.boundary_tope, bd, span=e.span)
 
+    def _well_formed(self, ctx: TriContext, t: Tope, span: Optional[Span]) -> None:
+        """An ill-typed tope is a scope error."""
+        try:
+            normalize_tope(ctx.cube_context(), t)
+        except TopeError as err:
+            self._err("scope", str(err), span)
+
     def _check_tope_case(self, ctx: TriContext, e: TopeCase, ty: Expr) -> Expr:
-        for t, _ in e.branches:
-            try:
-                normalize_tope(ctx.cube_context(), t)
-            except TopeError as err:
-                self._err("scope", str(err), e.span)
         cover = tope_or(*(t for t, _ in e.branches))
+        self._well_formed(ctx, cover, e.span)
         if not self.entails_ctx(ctx, cover):
             self._err(
                 "tope-unsolved",

@@ -79,6 +79,9 @@ def cmd_check(args) -> int:
         if not p.exists():
             print(f"error: no such file: {p}", file=sys.stderr)
             return 2
+        if not p.is_file():
+            print(f"error: not a file: {p}", file=sys.stderr)
+            return 2
     ordered, wanted = _with_siblings(paths)
     reports, _ = check_files(ordered, fuel=args.fuel)
     ok = all(r.ok for r in reports)
@@ -121,7 +124,12 @@ def cmd_corpus(args) -> int:
     if directory is not None and not directory.is_dir():
         print(f"error: no such directory: {directory}", file=sys.stderr)
         return 2
-    result = load_corpus(directory, fuel=args.fuel)
+    try:
+        result = load_corpus(directory, fuel=args.fuel)
+    except UnicodeDecodeError as e:
+        print(f"error: the axiom ledger is not valid UTF-8: {e.reason} (byte {e.start})",
+              file=sys.stderr)
+        return 2
     if args.machine:
         print(_machine_dump(result.to_json()))
         return 0 if result.ok else 1
@@ -166,6 +174,13 @@ def cmd_tope(args) -> int:
     return 1
 
 
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sstt",
@@ -175,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="emit deterministic JSON on stdout")
     ap.add_argument("--no-color", action="store_true",
                     help="disable ANSI colors (NO_COLOR is also honored)")
-    ap.add_argument("--fuel", type=int, default=DEFAULT_FUEL,
+    ap.add_argument("--fuel", type=positive_int, default=DEFAULT_FUEL,
                     help="reduction step budget per declaration")
     sub = ap.add_subparsers(dest="command", required=True)
 

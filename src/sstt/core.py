@@ -4,16 +4,18 @@ One shared namespace covers cube variables and typed variables; the
 three-layer context tracks which sort each name has.  Terms are immutable
 trees, so they can be shared freely.
 
-Substitution is simultaneous and capture-avoiding: ``subst_typed`` and
-``subst_cube`` take a whole mapping, for typed values and cube points alike
-(cube variables occur inside extension types, extension applications and
-tope-case scrutinees).  A binder is renamed only when it would capture a
-free variable of a substituted value, to the first ``name$k`` that is free
-in neither the values nor the term; a binder that neither captures nor
-shadows a substituted name is passed through without copying the mapping.
-The checker collects the arguments of a whole β-reduction or application
-spine in a pending environment and calls one of these two functions once
-on the result.
+Substitution has one representation, ``Subst``: typed values and cube
+points for disjoint sets of names, applied simultaneously and without
+capture.  A cube point replaces its variable in cube position (extension
+types, extension applications, tope-case scrutinees) and, through its term
+embedding, in term position.  A binder is renamed only when it would
+capture a free variable of a substituted value, to the first ``name$k``
+that is free in neither the values nor the term; a binder that neither
+captures nor shadows a substituted name is passed through without copying
+the mapping.  The checker keeps a ``Subst`` pending while it reduces a term
+or walks an elimination spine, extends it with ``bind`` and
+``bind_point``, and applies it once with ``close``; ``subst_typed``,
+``subst_cube`` and ``rename_binder`` apply one directly.
 """
 
 from __future__ import annotations
@@ -335,51 +337,72 @@ def free_vars(e: Expr) -> set[str]:
 # ---------------------------------------------------------------------------
 # Renaming and substitution
 
-class _Subst:
-    """Simultaneous capture-avoiding substitution of typed values and cube
-    points for names.  ``typed`` also holds the term embedding of every cube
-    point, for occurrences of a cube variable in term position."""
+class Subst:
+    """A pending simultaneous capture-avoiding substitution: typed values
+    and cube points for disjoint sets of names.  A cube point also replaces
+    its variable in term position, through its term embedding.  Binding
+    only extends it; ``close`` applies it to a term in one pass."""
 
-    def __init__(self, typed: Mapping[str, Expr], cubes: Mapping[str, CubeExpr]):
-        self.typed = typed
-        self.cubes = cubes
-        self.value_fvs: set[str] = set()
-        for v in self.typed.values():
-            self.value_fvs |= free_vars(v)
-        for c in self.cubes.values():
-            self.value_fvs |= cube_free_vars(c)
+    __slots__ = ("values", "points", "_fvs")
 
-    def active(self) -> bool:
-        return bool(self.typed or self.cubes)
+    def __init__(self, values: Mapping[str, Expr], points: Mapping[str, CubeExpr]):
+        self.values = values
+        self.points = points
+        self._fvs: Optional[set[str]] = None
 
-    def under(self, x: str, node: Expr) -> tuple[str, "_Subst"]:
-        if x not in self.typed and x not in self.cubes and x not in self.value_fvs:
+    def __bool__(self) -> bool:
+        return bool(self.values or self.points)
+
+    def bind(self, x: str, value: Expr) -> "Subst":
+        points = self.points
+        if x in points:
+            points = {k: c for k, c in points.items() if k != x}
+        return Subst({**self.values, x: value}, points)
+
+    def bind_point(self, x: str, point: CubeExpr) -> "Subst":
+        values = self.values
+        if x in values:
+            values = {k: v for k, v in values.items() if k != x}
+        return Subst(values, {**self.points, x: point})
+
+    def lookup(self, x: str) -> Expr:
+        return self.values[x] if x in self.values else cube_to_term(self.points[x])
+
+    def close(self, e: Expr) -> Expr:
+        return subst_typed(e, self.values, self.points) if self else e
+
+    def point(self, c: CubeExpr) -> CubeExpr:
+        return subst_cube_sim(c, self.points) if self.points else c
+
+    def tope(self, t: Tope) -> Tope:
+        return subst_tope_sim(t, self.points) if self.points else t
+
+    def under(self, x: str, node: Expr) -> tuple[str, "Subst"]:
+        """The name of the binder ``x`` of ``node`` and the substitution for
+        its scope: ``x`` no longer substituted, and renamed if it would
+        capture a free name of a value."""
+        if self._fvs is None:  # the free names of the values, found once
+            self._fvs = set().union(*map(free_vars, self.values.values()),
+                                    *map(cube_free_vars, self.points.values()))
+        fvs = self._fvs
+        if x not in self.values and x not in self.points and x not in fvs:
             # the binder neither shadows a substituted name nor captures
             return x, self
-        sub = _Subst(
-            {k: v for k, v in self.typed.items() if k != x},
-            {k: v for k, v in self.cubes.items() if k != x},
-        )
-        if x in self.value_fvs:
-            nx = fresh(x, {*self.typed, *self.cubes} | self.value_fvs | free_vars(node))
-            sub.cubes[x] = CVar(nx)
-            sub.typed[x] = Var(nx)
-            sub.value_fvs = self.value_fvs | {nx}
+        sub = Subst({k: v for k, v in self.values.items() if k != x},
+                    {k: c for k, c in self.points.items() if k != x})
+        if x in fvs:
+            nx = fresh(x, {*self.values, *self.points} | fvs | free_vars(node))
+            sub.points[x] = CVar(nx)
+            sub._fvs = fvs | {nx}
             return nx, sub
         return x, sub
 
-    def cube_expr(self, c: CubeExpr) -> CubeExpr:
-        return subst_cube_sim(c, self.cubes)
-
-    def tope(self, t: Tope) -> Tope:
-        return subst_tope_sim(t, self.cubes)
-
     def expr(self, e: Expr) -> Expr:
-        if not self.active():
+        if not self:
             return e
         match e:
             case Var(n):
-                return self.typed.get(n, e)
+                return self.lookup(n) if n in self.values or n in self.points else e
             case Const(_) | U() | UnitType() | UnitPoint():
                 return e
             case Pi(x, a, b):
@@ -414,7 +437,7 @@ class _Subst:
                     span=e.span,
                 )
             case ExtApp(f, c):
-                return ExtApp(self.expr(f), self.cube_expr(c), span=e.span)
+                return ExtApp(self.expr(f), self.point(c), span=e.span)
             case TopeCase(branches):
                 return TopeCase(
                     tuple((self.tope(tp), self.expr(br)) for tp, br in branches),
@@ -423,8 +446,11 @@ class _Subst:
             case Ann(x, t):
                 return Ann(self.expr(x), self.expr(t), span=e.span)
             case CubeLit(c):
-                return CubeLit(self.cube_expr(c), span=e.span)
+                return CubeLit(self.point(c), span=e.span)
         raise TypeError(f"not an expression: {e!r}")
+
+
+EMPTY = Subst({}, {})
 
 
 def cube_to_term(c: CubeExpr, span: Optional[Span] = None) -> Expr:
@@ -452,21 +478,19 @@ def subst_typed(e: Expr, values: Mapping[str, Expr],
     disjoint variables.  A cube point replaces its variable both in cube
     position (topes, extension applications) and in term position (via the
     term embedding)."""
-    if points:
-        values = {**values, **{n: cube_to_term(c) for n, c in points.items()}}
-    return _Subst(values, points or {}).expr(e)
+    return Subst(values, points or {}).expr(e)
 
 
 def subst_cube(e: Expr, points: Mapping[str, CubeExpr]) -> Expr:
     """Capture-avoiding simultaneous substitution of cube points for cube
     variables, in both cube and term position."""
-    return _Subst({n: cube_to_term(c) for n, c in points.items()}, points).expr(e)
+    return Subst({}, points).expr(e)
 
 
 def rename_binder(e: Union[Pi, Sigma, Lam, Ext], new: str) -> Expr:
     """``e`` with its bound name changed to ``new``, which is not free in
     ``e``."""
-    sub = _Subst({e.var: Var(new)}, {e.var: CVar(new)})
+    sub = Subst({}, {e.var: CVar(new)})
     match e:
         case Pi(_, a, b) | Sigma(_, a, b):
             return type(e)(new, a, sub.expr(b), span=e.span)

@@ -26,7 +26,7 @@ def read_ledger(path: Path) -> set[str]:
     names: set[str] = set()
     if not path.exists():
         return names
-    for line in path.read_text().splitlines():
+    for line in path.read_text(encoding="utf-8").splitlines():
         line = line.split("#", 1)[0].strip()
         if line:
             names.add(line)
@@ -116,7 +116,10 @@ def check_files(paths: list[Path], env: Optional[GlobalEnv] = None,
         report = FileReport(str(path))
         reports.append(report)
         try:
-            items = parse_file(path.read_text(), str(path), env)
+            items = parse_file(path.read_text(encoding="utf-8"), str(path), env)
+        except UnicodeDecodeError as e:
+            report.diagnostics.append(Diagnostic(
+                "parse", f"the file is not valid UTF-8: {e.reason} (byte {e.start})"))
         except ParseError as e:
             report.diagnostics.append(
                 Diagnostic("parse", e.message + f" (line {e.line}, column {e.col})"))

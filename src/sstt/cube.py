@@ -18,7 +18,7 @@ every message that shows a cube goes through them.  ``tope.print_tope`` and
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Iterator, Union
+from typing import Union
 
 
 class CubeError(Exception):
@@ -288,20 +288,6 @@ def _proj(e: CubeExpr, first: bool) -> CubeExpr:
     if isinstance(e, CPair):
         return e.fst if first else e.snd
     return CFst(e) if first else CSnd(e)
-
-
-def interval_atoms(ctx: CubeContext, e: CubeExpr) -> Iterator[CubeExpr]:
-    """The interval-valued leaves of the tuple normal form of ``e``."""
-    n = normalize_cube(ctx, e)
-    yield from _leaves(n)
-
-
-def _leaves(n: CubeExpr) -> Iterator[CubeExpr]:
-    if isinstance(n, CPair):
-        yield from _leaves(n.fst)
-        yield from _leaves(n.snd)
-    elif not isinstance(n, CStar):
-        yield n
 
 
 def split_point(point: CubeExpr, k: int) -> list[CubeExpr]:

@@ -47,7 +47,6 @@ from .cube import (
     Node,
     cube_free_vars,
     cube_type_of,
-    interval_atoms,
     normalize_cube,
     print_cube_expr,
     print_cube_type,
@@ -542,21 +541,6 @@ def shape_included(sub: Shape, sup: Shape) -> EntailResult:
         point = CPair(CVar(var), point)
     seq = Sequent(tuple(zip(sub.pattern, factors)), sub.tope, sup.applied_to(point))
     return entails(seq)
-
-
-def eq_under(ctx: CubeContext, hyp: Tope, s: CubeExpr, t: CubeExpr) -> bool:
-    """Tope equality of two points, componentwise on tuple normal forms."""
-    ts, tt = cube_type_of(ctx, s), cube_type_of(ctx, t)
-    if ts != tt:
-        raise TopeError("points of different cubes: "
-                        f"{print_cube_type(ts)} vs {print_cube_type(tt)}")
-    ctx_items = tuple(sorted(ctx.items()))
-    leaves_s = list(interval_atoms(ctx, s))
-    leaves_t = list(interval_atoms(ctx, t))
-    return all(
-        entails(Sequent(ctx_items, hyp, TEq(a, b))).yes
-        for a, b in zip(leaves_s, leaves_t)
-    )
 
 
 def tope_unsatisfiable(ctx: CubeContext, hyp: Tope) -> bool:

@@ -5,9 +5,11 @@ from sstt.core import (
     U,
     App,
     Const,
+    CubeLit,
     Ext,
     ExtApp,
     IdT,
+    J,
     Lam,
     Pi,
     TopeCase,
@@ -18,7 +20,7 @@ from sstt.core import (
     alpha_eq,
 )
 from sstt.corpus import load_corpus
-from sstt.cube import INTERVAL, CONE, CZERO, CVar
+from sstt.cube import INTERVAL, CONE, CZERO, CVar, ProdCube
 from sstt.parser import parse_expr, parse_file
 from sstt.scope import GlobalEnv, elaborate_toplevels
 from sstt.tope import BOT, TOP, TAnd, TEq, TOr
@@ -75,6 +77,28 @@ def test_whnf_boundary_reduction_on_neutral(checker, corpus_env):
     assert checker.whnf(ctx, ExtApp(Var("f"), CONE)) == UnitPoint()
 
 
+def test_whnf_boundary_reduction_reads_the_type_off_the_spine(corpus_env, monkeypatch):
+    # the type of a stuck application is read off its head's type, without
+    # checking its arguments again
+    checker = Checker(corpus_env)
+    hom_ty = checker.check(TriContext(), E(corpus_env, "hom Unit star star"), U())
+    ctx = TriContext().bind_typed("g", Pi("u", UnitType(), hom_ty)).bind_typed("u", UnitType())
+    checked = []
+    monkeypatch.setattr(Checker, "check", lambda self, *args: checked.append(args))
+    assert checker.whnf(ctx, ExtApp(App(Var("g"), Var("u")), CZERO)) == UnitPoint()
+    assert checked == []
+
+
+def test_whnf_boundary_reduction_reads_a_stuck_j_off_its_path(checker, corpus_env):
+    hom_ty = checker.check(TriContext(), E(corpus_env, "hom Unit star star"), U())
+    ctx = TriContext().bind_typed("p", IdT(U(), UnitType(), UnitType()))
+    j = checker.check(ctx, J(Lam("u", Lam("v", Lam("q", hom_ty))),
+                             Lam("u", Lam("t", UnitPoint())), Var("p")), hom_ty)
+    assert isinstance(j, J)
+    assert checker.whnf(ctx, ExtApp(j, CZERO)) == UnitPoint()
+    assert checker.whnf(ctx, ExtApp(j, CONE)) == UnitPoint()
+
+
 def test_whnf_tope_case_picks_entailed_branch(checker):
     ctx = TriContext().bind_cube("t", INTERVAL).bind_tope(TEq(CVar("t"), CZERO))
     e = TopeCase(((TEq(CVar("t"), CZERO), UnitPoint()),))
@@ -107,6 +131,13 @@ def test_equal_under_inconsistent_context(checker):
     assert checker.equal(ctx, U(), UnitType(), U())
 
 
+def test_equal_points_of_different_cubes_are_unequal(checker):
+    square = ProdCube(INTERVAL, INTERVAL)
+    ctx = TriContext().bind_cube("p", square)
+    assert not checker.equal(ctx, Var("p"), CubeLit(CZERO))
+    assert not checker.equal(ctx, CubeLit(CZERO), Var("p"))
+
+
 def test_equal_splits_on_context_disjunction(checker, corpus_env):
     # under t === 0 \/ t === 1, f t reduces to an endpoint either way
     hom_ty = checker.check(TriContext(), E(corpus_env, "hom Unit star star"), U())
@@ -126,7 +157,7 @@ def test_equal_is_congruence_for_application(checker, corpus_env):
 
 
 def test_infer_const_type(checker, corpus_env):
-    ty = checker.infer_type(TriContext(), Const("idarr"))
+    ty = checker.infer(TriContext(), Const("idarr"))[0]
     assert alpha_eq(ty, corpus_env.decls["idarr"].ty)
 
 
@@ -136,7 +167,7 @@ def test_infer_spine_instantiates_telescope_simultaneously():
     f_ty = Pi("x", a, Pi("y", a, IdT(a, Var("x"), Var("y"))))
     ctx = (TriContext().bind_typed("A", U()).bind_typed("f", f_ty)
            .bind_typed("y", a).bind_typed("x", a))
-    ty = Checker(GlobalEnv()).infer_type(ctx, App(App(Var("f"), Var("y")), Var("x")))
+    ty = Checker(GlobalEnv()).infer(ctx, App(App(Var("f"), Var("y")), Var("x")))[0]
     assert alpha_eq(ty, IdT(a, Var("y"), Var("x")))
 
 
@@ -148,7 +179,7 @@ def test_check_mismatch_raises(checker):
 
 def test_cannot_infer_bare_lambda(checker):
     with pytest.raises(CheckError):
-        checker.infer_type(TriContext(), Lam("x", Var("x")))
+        checker.infer(TriContext(), Lam("x", Var("x")))
 
 
 def test_fuel_exhaustion(corpus_env):
@@ -172,7 +203,7 @@ def test_ext_app_outside_shape_rejected(checker, corpus_env):
     from sstt.cube import CPair
 
     with pytest.raises(CheckError) as err:
-        checker.infer_type(ctx, ExtApp(Var("q"), CPair(CVar("t1"), CVar("t2"))))
+        checker.infer(ctx, ExtApp(Var("q"), CPair(CVar("t1"), CVar("t2"))))
     assert err.value.diagnostic.kind == "tope-unsolved"
 
 

@@ -82,6 +82,34 @@ def test_check_missing_file(capsys):
     assert main(["check", "no-such-file.sstt"]) == 2
 
 
+def test_check_directory_is_an_input_error(capsys, tmp_path):
+    assert main(["--machine", "check", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: not a file: {tmp_path}\n"
+
+
+def test_check_undecodable_file_is_a_parse_diagnostic(capsys, tmp_path):
+    bad = tmp_path / "utf16.sstt"
+    bad.write_bytes("def f : U := U\n".encode("utf-16"))
+    assert main(["--machine", "check", str(bad)]) == 1
+    diags = [d for f in json.loads(capsys.readouterr().out)["files"] for d in f["diagnostics"]]
+    assert diags == [{"kind": "parse",
+                      "message": "the file is not valid UTF-8: invalid start byte (byte 0)"}]
+
+
+def test_corpus_undecodable_ledger_is_an_input_error(capsys, tmp_path):
+    (tmp_path / "axioms.ledger").write_bytes(b"ok\n\xff\n")
+    assert main(["corpus", str(tmp_path)]) == 2
+    assert "not valid UTF-8: invalid start byte (byte 3)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fuel", ["0", "-5"])
+def test_fuel_must_be_positive(capsys, fuel):
+    assert main(["--fuel", fuel, "corpus"]) == 2
+    assert f"argument --fuel: must be a positive integer, not {fuel}" in capsys.readouterr().err
+
+
 def test_tope_holds(capsys):
     code = main(["--machine", "tope", "t : 2 | TOP |- t <= 1"])
     payload = json.loads(capsys.readouterr().out)

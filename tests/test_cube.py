@@ -13,7 +13,6 @@ from sstt.cube import (
     ProdCube,
     cube_free_vars,
     cube_type_of,
-    interval_atoms,
     normalize_cube,
     subst_cube_sim,
 )
@@ -63,9 +62,9 @@ def test_normalize_nested_projection():
 
 
 def test_interval_atoms():
+    # the leaves of a point's tuple normal form are its interval atoms
     ctx = {"p": SQUARE}
-    atoms = interval_atoms(ctx, CVar("p"))
-    assert set(atoms) == {CFst(CVar("p")), CSnd(CVar("p"))}
+    assert normalize_cube(ctx, CVar("p")) == CPair(CFst(CVar("p")), CSnd(CVar("p")))
 
 
 def test_subst():

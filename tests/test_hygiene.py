@@ -141,3 +141,23 @@ def test_checking_leaves_module_globals_unchanged():
     assert load_corpus().ok
     entails(parse_sequent_source("t : 2, s : 2 | t <= s /\\ s <= t |- t === s"))
     assert state() == before
+
+
+# Every entailment the checker asks goes through ``Checker.entails_ctx``,
+# which caches it and turns a solver fault into a diagnostic.
+
+def test_checker_reaches_the_solver_only_through_its_cache():
+    path = ROOT / "src" / "sstt" / "checker.py"
+    uses = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef | ast.FunctionDef):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Name) and child.id == "entails":
+                uses.append(f"{where}:{child.lineno}")
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(), str(path)), "checker")
+    assert [use.split(":")[0] for use in uses] == ["checker.Checker.entails_ctx"], uses

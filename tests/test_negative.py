@@ -68,14 +68,17 @@ def test_checker_fault_is_an_internal_diagnostic(corpus, ledger, tmp_path, monke
     assert "ZeroDivisionError" in diag.message and "'f'" in diag.message
 
 
-def test_tope_solver_fault_is_an_internal_diagnostic(corpus, ledger, tmp_path, monkeypatch):
-    # a solver error is a kernel bug, not a sequent that fails to hold
+@pytest.mark.parametrize("solver", ["entails", "dnf"])
+def test_tope_solver_fault_is_an_internal_diagnostic(corpus, ledger, tmp_path, monkeypatch,
+                                                     solver):
+    # a solver error is a kernel bug, not a sequent that fails to hold nor
+    # a context that does not split
     from sstt.tope import TopeError
 
-    def broken(seq):
+    def broken(arg):
         raise TopeError("injected")
 
-    monkeypatch.setattr("sstt.checker.entails", broken)
+    monkeypatch.setattr(f"sstt.checker.{solver}", broken)
     path = tmp_path / "fault.sstt"
     path.write_text("def f (t : 2) (A : U) (a : A) : A := [t === 0 |-> a | t === 1 |-> a]\n")
     diag, _ = _first(corpus, ledger, path)

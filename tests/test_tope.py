@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from generators import random_sequent, random_tope
 from oracle import oracle_entails
 from sstt.cube import (
-    INTERVAL, CONE, CZERO, CFst, COne, CSnd, CVar, CZero, ProdCube,
+    INTERVAL, CONE, CZERO, CFst, COne, CPair, CSnd, CVar, CZero, ProdCube,
     print_cube_type,
 )
 from sstt.parser import parse_sequent_source
@@ -19,7 +19,6 @@ from sstt.tope import (
     TOr,
     TTop,
     entails,
-    eq_under,
     normalize_tope,
     print_tope,
     shape_included,
@@ -249,9 +248,14 @@ def test_normalize_decomposes_pair_equality():
 
 
 def test_eq_under():
-    ctx = {"t": INTERVAL}
-    assert eq_under(ctx, TEq(T, CZERO), T, CZERO)
-    assert not eq_under(ctx, TTop(), T, CZERO)
+    # two points are equal under a hypothesis when it entails their equality
+    assert holds(CTX1, TEq(T, CZERO), TEq(T, CZERO))
+    assert not holds(CTX1, TTop(), TEq(T, CZERO))
+    # an equality of pairs holds componentwise
+    p, square = CVar("p"), ProdCube(INTERVAL, INTERVAL)
+    hyp = TAnd(TEq(CFst(p), CZERO), TEq(CSnd(p), CONE))
+    assert holds((("p", square),), hyp, TEq(p, CPair(CZERO, CONE)))
+    assert not holds((("p", square),), TEq(CFst(p), CZERO), TEq(p, CPair(CZERO, CONE)))
 
 
 def test_unsatisfiable():
