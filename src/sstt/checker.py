@@ -12,7 +12,15 @@ projections, ``J``).  A β-step or an extension β-step only extends the
 substitution, and unfolding a definition starts afresh on its closed body.
 The substitution is applied once, to the head where reduction stops, and
 the stack is then rebuilt around it; an argument met under a non-empty
-substitution is closed when it is pushed.
+substitution is closed when it is pushed.  A Π, Σ or extension type at the
+head keeps its substitution pending, as a closure: checking a λ or a pair
+against it, comparing at it and eliminating with it instantiate its binder
+by extending that substitution, and close only the part they look at.
+``whnf`` closes the whole head.
+
+``check`` takes the expected type apart only for a λ, a pair or ``refl``.
+Any other term has its type inferred and compared with the expected type as
+written, which is reduced only to print a mismatch.
 
 One step, ``_elim``, types an application, a cube application or a
 projection, with the type's substitution kept pending.  Inference walks an
@@ -25,9 +33,10 @@ type of its head in the context or the environment.
 No context binds a name twice: a binder whose name it binds already is
 renamed first, to the first ``name$k`` it does not bind.
 
-Equality is tope-aware.  The context's tope constraint is split into
-disjuncts and conversion must hold under every consistent one; an
-inconsistent constraint makes all terms equal.  Two cube points are equal
+Equality is tope-aware.  Two α-equal terms are equal at once, in any
+context.  Otherwise the context's tope constraint is split into disjuncts
+and conversion must hold under every consistent one; an inconsistent
+constraint makes all terms equal.  Two cube points are equal
 when they lie in the same cube and the context entails their equality.
 Every entailment goes through ``Checker.entails_ctx`` and its cache.  Pi
 and Sigma types enjoy eta; extension types do not.
@@ -230,7 +239,13 @@ class Checker:
     def whnf(self, ctx: TriContext, e: Expr, unfold: bool = True) -> Expr:
         """Weak head normal form, by the environment machine described in
         the module docstring."""
-        env = EMPTY
+        w, sub = self._reduce(ctx, e, unfold=unfold)
+        return sub.close(w)
+
+    def _reduce(self, ctx: TriContext, e: Expr, env: Subst = EMPTY,
+                unfold: bool = True) -> tuple[Expr, Subst]:
+        """``e`` under ``env`` in weak head form.  A Π, Σ or extension type at
+        the head is returned with its substitution still pending."""
         stack: list[tuple[str, object]] = []  # innermost elimination last
         while True:
             match e:
@@ -290,6 +305,8 @@ class Checker:
                     stack.append(("app", env.close(a)))
                     e, env = d, EMPTY
                     continue
+                case Pi() | Sigma() | Ext() if not stack:
+                    return e, env
             e, env = env.close(e), EMPTY
             while stack:
                 kind, arg = stack.pop()
@@ -309,7 +326,7 @@ class Checker:
                 else:
                     e = J(arg[0], arg[1], e)
             else:
-                return e
+                return e, env
 
     def _boundary_reduce(self, ctx: TriContext, neutral: Expr,
                          c: CubeExpr) -> Optional[Expr]:
@@ -318,7 +335,7 @@ class Checker:
         typed = self._neutral_type(ctx, neutral)
         if typed is None:
             return None
-        w, sub = self._type_former(ctx, *typed)
+        w, sub = self._reduce(ctx, *typed)
         if not isinstance(w, Ext):
             return None
         sub = sub.bind_point(w.var, c)
@@ -334,6 +351,8 @@ class Checker:
 
     def equal(self, ctx: TriContext, a: Expr, b: Expr,
               ty: Optional[Expr] = None) -> bool:
+        if alpha_eq(a, b):  # convertible in every context
+            return True
         for branch in self._ctx_disjuncts(ctx):
             if not self._equal_branch(branch, a, b, ty):
                 return False
@@ -393,36 +412,36 @@ class Checker:
 
     def _equal_at_type(self, ctx: TriContext, a: Expr, b: Expr,
                        ty: Expr) -> Optional[bool]:
-        w = self.whnf(ctx, ty)
+        w, sub = self._reduce(ctx, ty)
         match w:
             case UnitType():
                 return True
             case Pi(x, dom, cod):
                 v = ctx.fresh(x)
-                ctx2 = ctx.bind_typed(v, dom)
+                ctx2 = ctx.bind_typed(v, sub.close(dom))
                 return self.equal(
                     ctx2,
                     App(a, Var(v)),
                     App(b, Var(v)),
-                    subst_typed(cod, {x: Var(v)}),
+                    sub.bind(x, Var(v)).close(cod),
                 )
             case Sigma(x, fst_ty, snd_ty):
-                if not self.equal(ctx, Fst(a), Fst(b), fst_ty):
+                if not self.equal(ctx, Fst(a), Fst(b), sub.close(fst_ty)):
                     return False
                 return self.equal(
-                    ctx, Snd(a), Snd(b), subst_typed(snd_ty, {x: Fst(a)}))
+                    ctx, Snd(a), Snd(b), sub.bind(x, Fst(a)).close(snd_ty))
             case Ext(t, cube, psi, fam, _, _):
                 # no eta here: only compare pointwise when both sides are
                 # literal functions
                 if isinstance(a, Lam) and isinstance(b, Lam):
                     v = ctx.fresh(t)
-                    ctx2 = ctx.bind_cube(v, cube).bind_tope(
-                        subst_tope(psi, t, CVar(v)))
+                    sub = sub.bind_point(t, CVar(v))
+                    ctx2 = ctx.bind_cube(v, cube).bind_tope(sub.tope(psi))
                     return self.equal(
                         ctx2,
                         ExtApp(a, CVar(v)),
                         ExtApp(b, CVar(v)),
-                        subst_cube(fam, {t: CVar(v)}),
+                        sub.close(fam),
                     )
                 return None
             case _:
@@ -451,7 +470,7 @@ class Checker:
                 return self.env.decls[n].ty
             case J(c, _, p):
                 path = self._neutral_type(ctx, p)
-                w = path and self._type_former(ctx, *path)[0]
+                w = path and self._reduce(ctx, *path)[0]
                 if isinstance(w, IdT):
                     return App(App(App(c, w.lhs), w.rhs), p)
         return None
@@ -480,7 +499,7 @@ class Checker:
         against the domain, an application of an extension-typed function
         becomes a cube application, and a mismatch is an error; without it a
         mismatch gives None."""
-        w, sub = self._type_former(ctx, ty, sub)
+        w, sub = self._reduce(ctx, ty, sub)
         if isinstance(node, App) and isinstance(w, Pi):
             a = self.check(ctx, node.arg, sub.close(w.dom)) if check else node.arg
             return App(term, a, span=node.span), w.cod, sub.bind(w.var, a)
@@ -530,7 +549,7 @@ class Checker:
         for na, nb in zip(sa, sb):
             if type(na) is not type(nb):
                 return inconclusive
-            ty, sub = self._type_former(ctx, ty, sub)
+            ty, sub = self._reduce(ctx, ty, sub)
             step = self._elim(ctx, term, ty, sub, na)
             if step is None:
                 return None
@@ -700,14 +719,6 @@ class Checker:
                     f"cannot infer a type for {print_expr(e)}; "
                     "add an annotation", getattr(e, "span", None))
 
-    def _type_former(self, ctx: TriContext, ty: Expr,
-                     sub: Subst) -> tuple[Expr, Subst]:
-        """``ty`` under ``sub`` in weak head form.  A type that already has a
-        type former at its head keeps the substitution pending."""
-        if isinstance(ty, (Pi, Sigma, Ext)):
-            return ty, sub
-        return self.whnf(ctx, sub.close(ty)), EMPTY
-
     def _infer_spine(self, ctx: TriContext, e: Expr) -> tuple[Expr, Expr]:
         """Infer an elimination spine ``f a1 ... an``.  The head's type is
         instantiated lazily: each domain when its argument is checked, the
@@ -819,25 +830,26 @@ class Checker:
     # -- checking
 
     def check(self, ctx: TriContext, e: Expr, ty: Expr) -> Expr:
-        w = self.whnf(ctx, ty)
+        if isinstance(e, TopeCase):
+            return self._check_tope_case(ctx, e, ty)
+        # only a lambda, a pair or refl takes the expected type apart
+        w, sub = self._reduce(ctx, ty) if isinstance(e, (Lam, Pair, Refl)) else (None, EMPTY)
+        if isinstance(e, Lam) and isinstance(w, (Pi, Ext)) and e.var in ctx.names():
+            e = rename_binder(e, ctx.fresh(e.var))  # no context binds a name twice
         match e, w:
-            case Lam(x, _), Pi() | Ext() if x in ctx.names():
-                # no context binds a name twice
-                return self.check(ctx, rename_binder(e, ctx.fresh(x)), w)
             case Lam(x, body), Pi(y, dom, cod):
-                ctx2 = ctx.bind_typed(x, dom)
-                be = self.check(ctx2, body, subst_typed(cod, {y: Var(x)}))
+                ctx2 = ctx.bind_typed(x, sub.close(dom))
+                be = self.check(ctx2, body, sub.bind(y, Var(x)).close(cod))
                 return Lam(x, be, span=e.span)
             case Lam(x, body), Ext(t, cube, psi, fam, phi, bd):
-                psi_x = subst_tope(psi, t, CVar(x))
-                fam_x = subst_cube(fam, {t: CVar(x)})
-                ctx2 = ctx.bind_cube(x, cube).bind_tope(psi_x)
+                sub = sub.bind_point(t, CVar(x))
+                fam_x = sub.close(fam)
+                ctx2 = ctx.bind_cube(x, cube).bind_tope(sub.tope(psi))
                 be = self.check(ctx2, body, fam_x)
-                phi_x = subst_tope(phi, t, CVar(x))
+                phi_x = sub.tope(phi)
                 ctx_phi = ctx2.bind_tope(phi_x)
                 if not self.ctx_unsat(ctx_phi):
-                    bd_x = subst_cube(bd, {t: CVar(x)})
-                    if not self.equal(ctx_phi, be, bd_x, fam_x):
+                    if not self.equal(ctx_phi, be, sub.close(bd), fam_x):
                         self._err(
                             "boundary",
                             "the function does not restrict to the required "
@@ -846,15 +858,15 @@ class Checker:
             case Lam(_, _), _:
                 self._err(
                     "type-mismatch",
-                    f"a function cannot have type {print_expr(w)}", e.span)
+                    f"a function cannot have type {print_expr(sub.close(w))}", e.span)
             case Pair(a, b), Sigma(y, fst_ty, snd_ty):
-                ae = self.check(ctx, a, fst_ty)
-                be = self.check(ctx, b, subst_typed(snd_ty, {y: ae}))
+                ae = self.check(ctx, a, sub.close(fst_ty))
+                be = self.check(ctx, b, sub.bind(y, ae).close(snd_ty))
                 return Pair(ae, be, span=e.span)
             case Pair(_, _), _:
                 self._err(
                     "type-mismatch",
-                    f"a pair cannot have type {print_expr(w)}", e.span)
+                    f"a pair cannot have type {print_expr(sub.close(w))}", e.span)
             case Refl(arg), IdT(a_ty, lhs, rhs):
                 if not self.equal(ctx, lhs, rhs, a_ty):
                     self._err(
@@ -869,15 +881,15 @@ class Checker:
                             "the endpoint of refl does not match the "
                             "identification being proved", e.span)
                 return Refl(lhs, span=e.span)
-            case TopeCase(_), _:
-                return self._check_tope_case(ctx, e, w)
             case _:
+                # compare with the expected type as written, reduced only
+                # to print a mismatch
                 ity, ee = self.infer(ctx, e)
-                if not self.equal(ctx, ity, w, U()):
+                if not self.equal(ctx, ity, ty, U()):
                     self._err(
                         "type-mismatch",
-                        f"expected a term of type {print_expr(w)}, found one of "
-                        f"type {print_expr(ity)}", getattr(e, "span", None))
+                        f"expected a term of type {print_expr(self.whnf(ctx, ty))}, "
+                        f"found one of type {print_expr(ity)}", getattr(e, "span", None))
                 return ee
 
     # -- declarations

@@ -14,7 +14,8 @@ Subcommands:
 ``sstt tope "x : 2, y : 2 | x <= y |- ..."``
     Decide a tope sequent and show a counter-model if it fails.
 
-``--machine`` switches any subcommand to deterministic JSON on stdout.
+``--machine`` switches any subcommand to deterministic JSON on stdout; an
+input error is then ``{"error": MESSAGE}`` there instead of text on stderr.
 Exit status: 0 success, 1 checking failure, 2 usage or input error.
 """
 
@@ -53,6 +54,15 @@ class Style:
         return self._wrap("2", s)
 
 
+def _input_error(args, message: str) -> int:
+    """Report an input error, as JSON on stdout under ``--machine``."""
+    if args.machine:
+        print(_machine_dump({"error": message}))
+    else:
+        print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _style(args) -> Style:
     enabled = (not args.no_color and not os.environ.get("NO_COLOR")
                and sys.stdout.isatty() and not args.machine)
@@ -77,11 +87,9 @@ def cmd_check(args) -> int:
     paths = [Path(p) for p in args.files]
     for p in paths:
         if not p.exists():
-            print(f"error: no such file: {p}", file=sys.stderr)
-            return 2
+            return _input_error(args, f"no such file: {p}")
         if not p.is_file():
-            print(f"error: not a file: {p}", file=sys.stderr)
-            return 2
+            return _input_error(args, f"not a file: {p}")
     ordered, wanted = _with_siblings(paths)
     reports, _ = check_files(ordered, fuel=args.fuel)
     ok = all(r.ok for r in reports)
@@ -122,14 +130,12 @@ def cmd_corpus(args) -> int:
     style = _style(args)
     directory = Path(args.dir) if args.dir else None
     if directory is not None and not directory.is_dir():
-        print(f"error: no such directory: {directory}", file=sys.stderr)
-        return 2
+        return _input_error(args, f"no such directory: {directory}")
     try:
         result = load_corpus(directory, fuel=args.fuel)
     except UnicodeDecodeError as e:
-        print(f"error: the axiom ledger is not valid UTF-8: {e.reason} (byte {e.start})",
-              file=sys.stderr)
-        return 2
+        return _input_error(
+            args, f"the axiom ledger is not valid UTF-8: {e.reason} (byte {e.start})")
     if args.machine:
         print(_machine_dump(result.to_json()))
         return 0 if result.ok else 1
@@ -155,11 +161,7 @@ def cmd_tope(args) -> int:
         seq = parse_sequent_source(args.sequent)
         result = entails(seq)
     except (ParseError, TopeTooLargeError, TopeError) as e:
-        if args.machine:
-            print(_machine_dump({"error": str(e)}))
-        else:
-            print(f"error: {e}", file=sys.stderr)
-        return 2
+        return _input_error(args, str(e))
     if args.machine:
         payload = {"holds": bool(result)}
         if result.counter_model is not None:

@@ -1,5 +1,6 @@
 import pytest
 
+import sstt.checker
 from sstt.checker import CheckError, Checker, Diagnostic
 from sstt.core import (
     U,
@@ -145,6 +146,62 @@ def test_equal_splits_on_context_disjunction(checker, corpus_env):
            .bind_tope(TOr(TEq(CVar("t"), CZERO), TEq(CVar("t"), CONE)))
            .bind_typed("f", hom_ty))
     assert checker.equal(ctx, ExtApp(Var("f"), CVar("t")), UnitPoint(), UnitType())
+
+
+def _count_calls(monkeypatch, owner, name, calls):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_equal_settles_alpha_equal_terms_at_once(checker, corpus_env, monkeypatch):
+    # alpha-equal terms are convertible in every context, so the context's
+    # disjunction is not split and neither side is reduced
+    hom_ty = checker.check(TriContext(), E(corpus_env, "hom Unit star star"), U())
+    ctx = (TriContext().bind_cube("t", INTERVAL)
+           .bind_tope(TOr(TEq(CVar("t"), CZERO), TEq(CVar("t"), CONE)))
+           .bind_typed("f", hom_ty))
+    a = Lam("x", App(Lam("y", ExtApp(Var("f"), CVar("t"))), Var("x")))
+    b = Lam("z", App(Lam("w", ExtApp(Var("f"), CVar("t"))), Var("z")))
+    calls = []
+    _count_calls(monkeypatch, sstt.checker, "dnf", calls)
+    _count_calls(monkeypatch, Checker, "whnf", calls)
+    assert checker.equal(ctx, a, b)
+    assert checker.equal(ctx, a, b, Pi("u", UnitType(), UnitType()))
+    assert calls == []
+
+
+def test_check_compares_types_as_written(checker, corpus_env, monkeypatch):
+    # a variable checked against its declared type, a definition applied to
+    # arguments, is accepted without unfolding that definition
+    hom_ty = checker.check(TriContext(), E(corpus_env, "hom Unit star star"), U())
+    assert isinstance(hom_ty, App)
+    ctx = TriContext().bind_typed("f", hom_ty)
+    calls = []
+    _count_calls(monkeypatch, Checker, "whnf", calls)
+    assert checker.check(ctx, Var("f"), hom_ty) == Var("f")
+    assert calls == []
+
+
+def test_check_lambda_against_unfolded_pi_avoids_capture():
+    # Arr A x unfolds to (x : A) -> B with B := x pending: the codomain is
+    # the outer x, not the function's own argument
+    env = GlobalEnv()
+    checker = Checker(env)
+    src = "def Arr (A : U) (B : U) : U := (x : A) -> B\n"
+    for d in elaborate_toplevels(parse_file(src, "arr.sstt", env), env):
+        env.decls[d.name] = checker.check_decl(d)
+    ctx = TriContext().bind_typed("A", U()).bind_typed("x", U()).bind_typed("b", Var("x"))
+    ty = App(App(Const("Arr"), Var("A")), Var("x"))
+    for name in ("y", "x"):
+        assert alpha_eq(checker.check(ctx, Lam(name, Var("b")), ty), Lam("z", Var("b")))
+        with pytest.raises(CheckError) as err:
+            checker.check(ctx, Lam(name, Var(name)), ty)
+        assert err.value.diagnostic.kind == "type-mismatch"
 
 
 def test_equal_is_congruence_for_application(checker, corpus_env):

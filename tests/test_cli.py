@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
+import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import NEGATIVE_DIR
 from sstt.cli import main
 from sstt.corpus import CORPUS_DIR
+from sstt.parser import lex
 
 
 def run_cli(*argv, timeout=None):
@@ -85,8 +90,33 @@ def test_check_missing_file(capsys):
 def test_check_directory_is_an_input_error(capsys, tmp_path):
     assert main(["--machine", "check", str(tmp_path)]) == 2
     captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"error": f"not a file: {tmp_path}"}
+    assert captured.err == ""
+    assert main(["check", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: not a file: {tmp_path}\n"
+
+
+@pytest.mark.parametrize("case", ["no-such-file", "no-such-directory", "undecodable-ledger"])
+def test_input_errors_are_json_under_machine(capsys, tmp_path, case):
+    # as for `sstt tope`: the error on stdout with --machine, on stderr
+    # without it, exit status 2 either way
+    missing = tmp_path / "missing"
+    argv, message = {
+        "no-such-file": (["check", str(missing)], f"no such file: {missing}"),
+        "no-such-directory": (["corpus", str(missing)], f"no such directory: {missing}"),
+        "undecodable-ledger": (["corpus", str(tmp_path)],
+                               "the axiom ledger is not valid UTF-8: invalid start byte (byte 3)"),
+    }[case]
+    (tmp_path / "axioms.ledger").write_bytes(b"ok\n\xff\n")
+    assert main(["--machine", *argv]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"error": message}
+    assert captured.err == ""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_check_undecodable_file_is_a_parse_diagnostic(capsys, tmp_path):
@@ -248,3 +278,55 @@ def test_check_nested_annotations_parse_in_linear_time(tmp_path):
     diags = [d for f in payload["files"] for d in f["diagnostics"]]
     assert diags == [{"kind": "scope", "message": "unbound name 'x0'",
                       "start": 22, "end": 24}]
+
+
+@pytest.fixture(scope="module")
+def corpus_copy(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("corpus")
+    for path in CORPUS_DIR.glob("*.sstt"):
+        shutil.copy(path, directory)
+    return directory
+
+
+@st.composite
+def token_mutation(draw):
+    """A corpus file name and its text with one token deleted, doubled,
+    swapped with the next one or replaced by another token of the file."""
+    path = draw(st.sampled_from(sorted(CORPUS_DIR.glob("*.sstt"))))
+    src = path.read_text(encoding="utf-8")
+    spans = [(t.start, t.end) for t in lex(src) if t.kind != "eof"]
+    i = draw(st.integers(0, len(spans) - 1))
+    (start, end), text = spans[i], src[spans[i][0]:spans[i][1]]
+    op = draw(st.sampled_from(["delete", "double", "swap", "replace"]))
+    if op == "swap" and i + 1 < len(spans):
+        nstart, nend = spans[i + 1]
+        return path.name, (src[:start] + src[nstart:nend] + src[end:nstart] + text
+                           + src[nend:])
+    if op == "replace":
+        other = spans[draw(st.integers(0, len(spans) - 1))]
+        text = src[other[0]:other[1]]
+    new = "" if op == "delete" else f"{text} {text}" if op == "double" else text
+    return path.name, src[:start] + new + src[end:]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(token_mutation())
+def test_mutated_corpus_file_ends_in_a_diagnostic(corpus_copy, mutation):
+    # every input ends in success or a structured diagnostic: the checker
+    # infers a term's type before it reduces the expected one, so an
+    # ill-typed term must not reach a reduction that assumes a well-typed one
+    name, text = mutation
+    path = corpus_copy / name
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        path.write_text(text, encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--machine", "check", str(path)])
+    finally:
+        shutil.copy(CORPUS_DIR / name, path)
+    assert code in (0, 1, 2)
+    assert err.getvalue() == ""
+    payload = json.loads(out.getvalue())
+    kinds = [d["kind"] for f in payload["files"] for d in f["diagnostics"]]
+    assert "internal" not in kinds, payload
+    assert payload["ok"] == (code == 0) == (kinds == [])

@@ -1,7 +1,7 @@
 import json
 from pathlib import Path
 
-from sstt.corpus import CORPUS_DIR
+from sstt.corpus import CORPUS_DIR, load_corpus
 
 DESIGNATED_PROVED = {
     # endpoint laws for arrows
@@ -63,3 +63,10 @@ def test_manifest_is_json_serializable(corpus):
 
 def test_corpus_fast(corpus):
     assert corpus.elapsed < 10.0
+
+
+def test_corpus_checks_within_a_small_fuel_budget():
+    # the checker unfolds only the types it takes apart: no declaration
+    # needs more than 118 steps, where unfolding every expected type took 248
+    result = load_corpus(fuel=130)
+    assert result.ok, [d.to_json() for d in result.diagnostics]
