@@ -30,7 +30,7 @@ from pathlib import Path
 from .checker import DEFAULT_FUEL
 from .corpus import check_files, load_corpus
 from .parser import ParseError, parse_sequent_source
-from .tope import TopeError, TopeTooLargeError, entails
+from .tope import TopeError, entails
 
 
 def _machine_dump(obj) -> str:
@@ -160,8 +160,10 @@ def cmd_tope(args) -> int:
     try:
         seq = parse_sequent_source(args.sequent)
         result = entails(seq)
-    except (ParseError, TopeTooLargeError, TopeError) as e:
+    except (ParseError, TopeError) as e:
         return _input_error(args, str(e))
+    except RecursionError:
+        return _input_error(args, "the sequent is nested too deeply")
     if args.machine:
         payload = {"holds": bool(result)}
         if result.counter_model is not None:

@@ -104,11 +104,11 @@ def _internal(stage: str, err: Exception, decl: Optional[str] = None) -> Diagnos
 def check_files(paths: list[Path], env: Optional[GlobalEnv] = None,
                 fuel: int = DEFAULT_FUEL,
                 ledger: Optional[set[str]] = None) -> tuple[list[FileReport], GlobalEnv]:
-    """Parse and check the given files in order, accumulating declarations
-    in one environment.  Stops at the first diagnostic, since later
-    declarations may depend on a failed one.  Input nested past Python's
-    recursion limit is reported as ``too-deep``, and any other exception as
-    ``internal``."""
+    """Parse and check the given files in order, adding each declaration
+    to one environment once it checks.  Stops at the first diagnostic, since
+    later declarations may depend on a failed one.  Input nested past
+    Python's recursion limit is reported as ``too-deep``, and any other
+    exception as ``internal``."""
     env = env if env is not None else GlobalEnv()
     reports: list[FileReport] = []
     checker = Checker(env, fuel=fuel)

@@ -1,5 +1,11 @@
 """Surface syntax: lexer and recursive-descent parser.
 
+The lexer matches one compiled pattern, built from ``PUNCT`` and
+``KEYWORDS``, at each position.  A token's kind is its own text (a keyword,
+a numeral ``0``/``1``/``2`` or punctuation), except ``"ident"`` for any
+other name and ``"eof"`` at the end of input, so the parser compares kinds
+only and picks each alternative with one ``match`` on the token in hand.
+
 The parser reads a file in one pass into resolved core terms, telescope
 parameters, declarations and shapes.  It takes the global environment
 read-only, together with the items read so far from the same input, and
@@ -23,7 +29,8 @@ for.  So names are resolved as they are read:
 Anonymous binders (``A -> B``, ``A * B``, ``S -> B`` over a shape) and the
 point of a tuple-pattern lambda get the first ``name$k`` not in scope.
 Errors are reported in reading order; ``scope.elaborate_toplevels`` then
-adds a parsed file's items to the environment.
+adds a parsed file's shapes to the environment, and the checker its
+declarations once they check.
 
 Alternatives are chosen by lookahead, never by backtracking, with a table of
 matching parentheses built once per input:
@@ -42,6 +49,7 @@ So every token is parsed once.  The grammar is documented in docs/syntax.md.
 
 from __future__ import annotations
 
+import re
 from typing import Optional, Union
 
 from .core import (
@@ -117,14 +125,24 @@ KEYWORDS = {
     "TOP", "BOT",
 }
 
+# where one symbol begins another, the longer comes first
 PUNCT = [
     "|->", "|-", ":=", "===", "<=", "->", "/\\", "\\/",
     "(", ")", "{", "}", "[", "]", "<", ">", ",", ".", ":", "|", "*", "\\",
 ]
 
+_TOKEN = re.compile("|".join([
+    r"(\n)",                                       # 1: a newline
+    r"[ \t\r]+|--[^\n]*",                          # blanks or a comment
+    r"([^\W\d][\w']*)",                            # 2: a name
+    r"(\d+)",                                      # 3: digits
+    "(" + "|".join(map(re.escape, PUNCT)) + ")",  # 4: punctuation
+    r"(.)",                                       # 5: anything else
+]))
+
 
 class Token(Node):
-    # kind: "ident", "kw", "num", or the punctuation itself; "eof"
+    # kind: "ident", "eof", or the token's own text
     __slots__ = __match_args__ = ("kind", "value", "start", "end", "line", "col")
 
     def __init__(self, kind: str, value: str, start: int, end: int, line: int, col: int):
@@ -143,54 +161,33 @@ class Token(Node):
 
 def lex(src: str, filename: str = "<input>") -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(src):
+        group = m.lastindex
+        if group == 1:
+            line, line_start = line + 1, m.end()
+        elif group:
+            start, end, text = m.start(), m.end(), m.group()
+            col = start - line_start + 1
+            # \w takes in numeric characters that are not letters, like ²,
+            # and \d+ stops before a digit of another kind, as in 1²
+            if (group == 5 or group == 2 and not (text[0].isalpha() or text[0] == "_")
+                    or group == 3 and (text not in ("0", "1", "2") or src[end:end + 1].isdigit())):
+                raise ParseError(_unexpected(src, start), line, col, filename)
+            kind = "ident" if group == 2 and text not in KEYWORDS else text
+            toks.append(Token(kind, text, start, end, line, col))
     n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if src.startswith("--", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] in "_'"):
-                j += 1
-            word = src[i:j]
-            kind = "kw" if word in KEYWORDS else "ident"
-            toks.append(Token(kind, word, i, j, line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            word = src[i:j]
-            if word not in ("0", "1", "2"):
-                raise ParseError(f"unexpected number {word!r}", line, col, filename)
-            toks.append(Token("num", word, i, j, line, col))
-            col += j - i
-            i = j
-            continue
-        for p in PUNCT:
-            if src.startswith(p, i):
-                toks.append(Token(p, p, i, i + len(p), line, col))
-                col += len(p)
-                i += len(p)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col, filename)
-    toks.append(Token("eof", "", n, n, line, col))
+    toks.append(Token("eof", "", n, n, line, n - line_start + 1))
     return toks
+
+
+def _unexpected(src: str, i: int) -> str:
+    """Why no token starts at ``src[i]``: a number other than a numeral,
+    read as a run of digits of any kind, or another character."""
+    j = i
+    while j < len(src) and src[j].isdigit():
+        j += 1
+    return f"unexpected number {src[i:j]!r}" if j > i else f"unexpected character {src[i]!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +196,17 @@ def lex(src: str, filename: str = "<input>") -> list[Token]:
 # What a bound name stands for: its sort ("cube", "typed", or "unknown" for a
 # λ binder), or the projection of a tuple-pattern lambda's point
 Bound = Union[str, CubeExpr]
+
+# the kinds of token that start an application argument; "[" does not, so a
+# tope case used as an argument must be parenthesized, which keeps
+# extension-type boundaries unambiguous
+_ATOM_START = frozenset({
+    "ident", "0", "1", "2", "U", "Unit", "star", "fst", "snd", "Id", "refl", "J",
+    "Sigma", "(", "<",
+})
+
+_TERM_CONSTANTS = {"U": U, "Unit": UnitType, "star": UnitPoint}
+_CUBE_CONSTANTS = {"0": CZERO, "1": CONE, "star": CSTAR}
 
 
 def _matching_parens(toks: list[Token]) -> dict[int, int]:
@@ -242,25 +250,25 @@ class Parser:
             self.pos += 1
         return t
 
-    def at(self, kind: str, value: Optional[str] = None) -> bool:
-        t = self.peek()
-        return t.kind == kind and (value is None or t.value == value)
+    def at(self, kind: str) -> bool:
+        return self.toks[self.pos].kind == kind
 
-    def accept(self, kind: str, value: Optional[str] = None) -> Optional[Token]:
-        if self.at(kind, value):
-            return self.next()
+    def accept(self, kind: str) -> Optional[Token]:
+        t = self.toks[self.pos]
+        if t.kind == kind:
+            self.pos += 1
+            return t
         return None
 
-    def expect(self, kind: str, value: Optional[str] = None) -> Token:
-        if self.at(kind, value):
+    def expect(self, kind: str) -> Token:
+        t = self.toks[self.pos]
+        if t.kind == kind:
             return self.next()
-        t = self.peek()
-        want = value or kind
-        got = t.value or t.kind
-        raise ParseError(f"expected {want!r}, found {got!r}", t.line, t.col, self.filename)
+        raise self.fail(f"expected {kind!r}, found {t.value or t.kind!r}")
 
-    def fail(self, message: str) -> "ParseError":
-        t = self.peek()
+    def fail(self, message: str, t: Optional[Token] = None) -> ParseError:
+        """An error at ``t``, by default the token in hand."""
+        t = t or self.peek()
         return ParseError(message, t.line, t.col, self.filename)
 
     def span_from(self, start: Token) -> Span:
@@ -280,16 +288,16 @@ class Parser:
         are only ``1``, ``2``, ``*`` and parentheses, as in a cube type."""
         i, depth = self.pos, 0
         while True:
-            t = self.toks[i]
-            if t.kind == "(":
+            kind = self.toks[i].kind
+            if kind == "(":
                 depth += 1
-            elif t.kind == ")":
+            elif kind == ")":
                 if depth == 0:
                     break
                 depth -= 1
-            elif t.kind == "|" and depth == 0:
+            elif kind == "|" and depth == 0:
                 break
-            elif t.kind != "*" and not (t.kind == "num" and t.value != "0"):
+            elif kind not in ("*", "1", "2"):
                 return False
             i += 1
         return i > self.pos
@@ -372,25 +380,22 @@ class Parser:
     def parse_file(self) -> list[Union[Decl, Shape]]:
         while not self.at("eof"):
             name = self.peek(1)  # after the keyword
-            item = self.parse_toplevel()
+            match self.peek().kind:
+                case "shape":
+                    item = self.parse_shape_decl()
+                case "def" | "postulate" | "thm":
+                    item = self.parse_decl()
+                case _:
+                    raise self.fail("expected a declaration (def, postulate, thm, or shape)")
             if item.name in self.items:
-                raise ParseError(f"duplicate declaration of {item.name!r}",
-                                 name.line, name.col, self.filename)
+                raise self.fail(f"duplicate declaration of {item.name!r}", name)
             if self.env.taken(item.name):
                 raise ScopeError(f"redefinition of {item.name!r}", item.span)
             self.items[item.name] = item
         return list(self.items.values())
 
-    def parse_toplevel(self) -> Union[Decl, Shape]:
-        t = self.peek()
-        if self.accept("kw", "shape"):
-            return self.parse_shape_decl(t)
-        for kw in ("def", "postulate", "thm"):
-            if self.accept("kw", kw):
-                return self.parse_decl(kw, t)
-        raise self.fail("expected a declaration (def, postulate, thm, or shape)")
-
-    def parse_shape_decl(self, start: Token) -> Shape:
+    def parse_shape_decl(self) -> Shape:
+        start = self.next()
         name = self.expect("ident").value
         self.expect(":=")
         self.expect("{")
@@ -418,17 +423,18 @@ class Parser:
         _check_tope(dict(zip(pattern, factors)), tope, span)
         return Shape(name, pattern, cube, tope, span=span)
 
-    def parse_decl(self, kind: str, start: Token) -> Decl:
+    def parse_decl(self) -> Decl:
+        start = self.next()
         name = self.expect("ident").value
         self.scope = {}
         telescope = self.parse_telescope()
         self.expect(":")
         ty = self.parse_expr()
         body: Optional[Expr] = None
-        if kind == "def":
+        if start.kind == "def":
             self.expect(":=")
             body, tag = self.parse_expr(), DeclTag.DEFINITION
-        elif kind == "postulate":
+        elif start.kind == "postulate":
             tag = DeclTag.AXIOM
         elif self.accept(":="):
             body, tag = self.parse_expr(), DeclTag.THEOREM_PROVED
@@ -443,9 +449,9 @@ class Parser:
         params: list[TeleParam] = []
         cube_ctx: dict[str, CubeType] = {}
         phase = 0  # 0: cube params, 1: tope params, 2: typed params
-        while self.at("(") or self.at("{"):
-            start = self.peek()
-            if self.accept("{"):
+        while self.peek().kind in ("(", "{"):
+            start = self.next()
+            if start.kind == "{":
                 tope = self.parse_tope()
                 self.expect("}")
                 span = self.span_from(start)
@@ -459,7 +465,6 @@ class Parser:
                 _check_tope(cube_ctx, tope, span)
                 params.append(TopeParam(tope, span=span))
                 continue
-            self.expect("(")
             names = [self.expect("ident").value]
             while self.at("ident"):
                 names.append(self.next().value)
@@ -485,7 +490,7 @@ class Parser:
                     params.append(TypedParam(n, ty, span=span))
         return tuple(params)
 
-    # -- cube types
+    # -- cubes
 
     def parse_cube_type(self) -> CubeType:
         left = self.parse_cube_type_atom()
@@ -494,15 +499,17 @@ class Parser:
         return left
 
     def parse_cube_type_atom(self) -> CubeType:
-        if self.accept("num", "2"):
-            return INTERVAL
-        if self.accept("num", "1"):
-            return UNIT_CUBE
-        if self.accept("("):
-            t = self.parse_cube_type()
-            self.expect(")")
-            return t
-        raise self.fail("expected a cube type (1, 2, or a product)")
+        t = self.next()
+        match t.kind:
+            case "2":
+                return INTERVAL
+            case "1":
+                return UNIT_CUBE
+            case "(":
+                cube = self.parse_cube_type()
+                self.expect(")")
+                return cube
+        raise self.fail("expected a cube type (1, 2, or a product)", t)
 
     def parse_cube_domain(self, var: str) -> tuple[CubeType, Tope]:
         """``C`` or ``C | psi``, where ``psi`` may mention the bound ``var``."""
@@ -514,31 +521,24 @@ class Parser:
         self.scope = saved
         return cube, psi
 
-    # -- cube expressions
-
-    def parse_cube_expr(self) -> CubeExpr:
-        return self.parse_cube_atom()
-
     def parse_cube_atom(self) -> CubeExpr:
-        if self.accept("num", "0"):
-            return CZERO
-        if self.accept("num", "1"):
-            return CONE
-        if self.accept("kw", "star"):
-            return CSTAR
-        if self.accept("kw", "fst"):
-            return CFst(self.parse_cube_atom())
-        if self.accept("kw", "snd"):
-            return CSnd(self.parse_cube_atom())
-        if self.at("ident"):
-            return self.cube_name(self.next())
-        if self.accept("("):
-            e = self.parse_cube_expr()
-            while self.accept(","):
-                e = CPair(e, self.parse_cube_expr())
-            self.expect(")")
-            return e
-        raise self.fail("expected a cube point")
+        t = self.next()
+        match t.kind:
+            case "0" | "1" | "star":
+                return _CUBE_CONSTANTS[t.kind]
+            case "fst":
+                return CFst(self.parse_cube_atom())
+            case "snd":
+                return CSnd(self.parse_cube_atom())
+            case "ident":
+                return self.cube_name(t)
+            case "(":
+                e = self.parse_cube_atom()
+                while self.accept(","):
+                    e = CPair(e, self.parse_cube_atom())
+                self.expect(")")
+                return e
+        raise self.fail("expected a cube point", t)
 
     # -- topes
 
@@ -555,33 +555,29 @@ class Parser:
         return left
 
     def parse_tope_atom(self) -> Tope:
-        if self.accept("kw", "TOP"):
-            return TOP
-        if self.accept("kw", "BOT"):
-            return BOT
-        if self.at("(") and not self.after_group("<=", "==="):
-            self.next()
-            t = self.parse_tope()
-            self.expect(")")
-            return t
-        if (self.at("ident") and self.peek().value not in self.scope
-                and self.peek(1).kind not in ("<=", "===")):
-            tok = self.next()
-            if self.env is None:
-                raise ParseError(f"unknown tope form {tok.value!r}",
-                                 tok.line, tok.col, self.filename)
-            sh = self.global_(tok.value)
-            if not isinstance(sh, Shape):
-                raise ScopeError(f"unknown shape {tok.value!r}", tok.span)
-            return sh.applied_to(self.parse_cube_atom())
-        return self.parse_tope_relation()
-
-    def parse_tope_relation(self) -> Tope:
-        a = self.parse_cube_expr()
+        t = self.peek()
+        match t.kind:
+            case "TOP" | "BOT":
+                self.next()
+                return TOP if t.kind == "TOP" else BOT
+            case "(" if not self.after_group("<=", "==="):
+                self.next()
+                tope = self.parse_tope()
+                self.expect(")")
+                return tope
+            case "ident" if t.value not in self.scope and self.peek(1).kind not in ("<=", "==="):
+                self.next()
+                if self.env is None:
+                    raise self.fail(f"unknown tope form {t.value!r}", t)
+                sh = self.global_(t.value)
+                if not isinstance(sh, Shape):
+                    raise ScopeError(f"unknown shape {t.value!r}", t.span)
+                return sh.applied_to(self.parse_cube_atom())
+        a = self.parse_cube_atom()
         if self.accept("<="):
-            return TLe(a, self.parse_cube_expr())
+            return TLe(a, self.parse_cube_atom())
         self.expect("===")
-        return TEq(a, self.parse_cube_expr())
+        return TEq(a, self.parse_cube_atom())
 
     # -- expressions
 
@@ -614,7 +610,7 @@ class Parser:
 
     def parse_arrow(self) -> Expr:
         start = self.peek()
-        if (self.at("(") and self.peek(1).kind == "ident"
+        if (start.kind == "(" and self.peek(1).kind == "ident"
                 and self.peek(2).kind == ":" and self.after_group("->")):
             return self.parse_pi_binder(start)
         sh = self.shape_ahead("->")
@@ -661,98 +657,80 @@ class Parser:
     def parse_app(self) -> Expr:
         start = self.peek()
         head = self.parse_prefix()
-        while self.starts_atom():
+        while self.toks[self.pos].kind in _ATOM_START:
             arg = self.parse_prefix()
             head = App(head, arg, span=self.span_from(start))
         return head
 
-    def starts_atom(self) -> bool:
-        t = self.peek()
-        if t.kind in ("ident", "num"):
-            return True
-        if t.kind == "kw":
-            return t.value in ("U", "Unit", "star", "fst", "snd", "Id", "refl",
-                              "J", "Sigma")
-        # "[" deliberately does not start an application argument: a
-        # tope-case used as an argument must be parenthesized, which keeps
-        # extension-type boundaries unambiguous
-        return t.kind in ("(", "<")
-
     def parse_prefix(self) -> Expr:
         """An atom possibly led by one of the prefix operators."""
         start = self.peek()
-        if self.accept("kw", "fst"):
-            return Fst(self.parse_prefix(), span=self.span_from(start))
-        if self.accept("kw", "snd"):
-            return Snd(self.parse_prefix(), span=self.span_from(start))
-        if self.accept("kw", "Id"):
-            ty = self.parse_atom()
-            lhs = self.parse_atom()
-            rhs = self.parse_atom()
-            return IdT(ty, lhs, rhs, span=self.span_from(start))
-        if self.accept("kw", "refl"):
-            arg = self.parse_atom() if self.starts_atom() else None
-            return Refl(arg, span=self.span_from(start))
-        if self.accept("kw", "J"):
-            motive = self.parse_atom()
-            base = self.parse_atom()
-            path = self.parse_atom()
-            return J(motive, base, path, span=self.span_from(start))
-        if self.accept("kw", "Sigma"):
-            self.expect("(")
-            var = self.expect("ident").value
-            self.expect(":")
-            dom = self.parse_expr()
-            self.expect(")")
-            saved = self.bind(var, "typed")
-            body = self.parse_app()
-            self.scope = saved
-            return Sigma(var, dom, body, span=self.span_from(start))
+        match start.kind:
+            case "fst":
+                self.next()
+                return Fst(self.parse_prefix(), span=self.span_from(start))
+            case "snd":
+                self.next()
+                return Snd(self.parse_prefix(), span=self.span_from(start))
+            case "Id":
+                self.next()
+                ty, lhs, rhs = self.parse_atom(), self.parse_atom(), self.parse_atom()
+                return IdT(ty, lhs, rhs, span=self.span_from(start))
+            case "refl":
+                self.next()
+                arg = self.parse_atom() if self.peek().kind in _ATOM_START else None
+                return Refl(arg, span=self.span_from(start))
+            case "J":
+                self.next()
+                motive, base, path = self.parse_atom(), self.parse_atom(), self.parse_atom()
+                return J(motive, base, path, span=self.span_from(start))
+            case "Sigma":
+                self.next()
+                self.expect("(")
+                var = self.expect("ident").value
+                self.expect(":")
+                dom = self.parse_expr()
+                self.expect(")")
+                saved = self.bind(var, "typed")
+                body = self.parse_app()
+                self.scope = saved
+                return Sigma(var, dom, body, span=self.span_from(start))
         return self.parse_atom()
 
     def parse_atom(self) -> Expr:
-        start = self.peek()
-        if self.accept("kw", "U"):
-            return U(span=start.span)
-        if self.accept("kw", "Unit"):
-            return UnitType(span=start.span)
-        if self.accept("kw", "star"):
-            return UnitPoint(span=start.span)
-        if self.at("num"):
-            t = self.next()
-            if t.value == "2":
-                raise ParseError("the interval is not a term", t.line, t.col, self.filename)
-            return CubeLit(CONE if t.value == "1" else CZERO, span=t.span)
-        if self.at("ident"):
-            return self.term_name(self.next())
-        if self.at("<"):
-            return self.parse_ext(start)
-        if self.at("["):
-            return self.parse_tope_case(start)
-        if self.accept("("):
-            if self.at("\\"):
-                self.next()
-                e = self.parse_lambda(start)
-            else:
-                e = self.parse_expr()
-            if self.accept(","):
-                snd = self.parse_expr()
+        start = self.next()
+        match start.kind:
+            case "U" | "Unit" | "star":
+                return _TERM_CONSTANTS[start.kind](span=start.span)
+            case "0" | "1":
+                return CubeLit(_CUBE_CONSTANTS[start.kind], span=start.span)
+            case "2":
+                raise self.fail("the interval is not a term", start)
+            case "ident":
+                return self.term_name(start)
+            case "<":
+                return self.parse_ext(start)
+            case "[":
+                return TopeCase(self.parse_branches(), span=self.span_from(start))
+            case "(":
+                e = self.parse_lambda(start) if self.accept("\\") else self.parse_expr()
+                if self.accept(","):
+                    snd = self.parse_expr()
+                    self.expect(")")
+                    return Pair(e, snd, span=self.span_from(start))
+                if self.accept(":"):
+                    ty = self.parse_expr()
+                    self.expect(")")
+                    return Ann(e, ty, span=self.span_from(start))
                 self.expect(")")
-                return Pair(e, snd, span=self.span_from(start))
-            if self.accept(":"):
-                ty = self.parse_expr()
-                self.expect(")")
-                return Ann(e, ty, span=self.span_from(start))
-            self.expect(")")
-            return e
-        raise self.fail("expected an expression")
+                return e
+        raise self.fail("expected an expression", start)
 
     def parse_ext(self, start: Token) -> Expr:
-        """``<Pi (t : D) -> F [branches]>``; the branches make the boundary
-        tope (their disjunction) and term (a tope case, unless there is
-        one branch)."""
-        self.expect("<")
-        self.expect("kw", "Pi")
+        """``<Pi (t : D) -> F [branches]>`` after the ``<``; the branches make
+        the boundary tope (their disjunction) and term (a tope case, unless
+        there is one branch)."""
+        self.expect("Pi")
         self.expect("(")
         var = self.expect("ident").value
         self.expect(":")
@@ -771,8 +749,7 @@ class Parser:
         saved = self.bind(var, "cube")
         family = self.parse_sigma_op()
         self.expect("[")
-        branches = () if self.at("]") else self.parse_branches()
-        self.expect("]")
+        branches = self.parse_branches()
         self.scope = saved
         self.expect(">")
         if not branches:
@@ -783,23 +760,18 @@ class Parser:
             phi, bd = tope_or(*(t for t, _ in branches)), TopeCase(branches)
         return Ext(var, cube, psi, family, phi, bd, span=self.span_from(start))
 
-    def parse_tope_case(self, start: Token) -> Expr:
-        self.expect("[")
-        branches: tuple[tuple[Tope, Expr], ...] = ()
-        if not self.at("]"):
-            branches = self.parse_branches()
-        self.expect("]")
-        return TopeCase(branches, span=self.span_from(start))
-
     def parse_branches(self) -> tuple[tuple[Tope, Expr], ...]:
+        """``tope |-> term | ...`` up to and including the ``]`` after the
+        ``[``; there may be none."""
         out = []
-        while True:
-            tope = self.parse_tope()
-            self.expect("|->")
-            body = self.parse_expr()
-            out.append((tope, body))
-            if not self.accept("|"):
-                break
+        if not self.accept("]"):
+            while True:
+                tope = self.parse_tope()
+                self.expect("|->")
+                out.append((tope, self.parse_expr()))
+                if not self.accept("|"):
+                    break
+            self.expect("]")
         return tuple(out)
 
 

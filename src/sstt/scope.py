@@ -2,8 +2,10 @@
 
 Names are resolved by the parser as it reads (see ``parser``), against a
 ``GlobalEnv`` that it only reads; ``elaborate_toplevels`` then adds a
-parsed file's shapes and declarations to the environment, so that later
-files see them.  A file that fails to parse or resolve adds nothing.
+parsed file's shapes to the environment, so that later files see them.
+A declaration enters the environment only once it checks, so the
+environment never holds one that failed or was never reached.  A file
+that fails to parse or resolve adds nothing.
 """
 
 from __future__ import annotations
@@ -34,13 +36,12 @@ class GlobalEnv:
 
 
 def elaborate_toplevels(items: list[Union[Decl, Shape]], env: GlobalEnv) -> list[Decl]:
-    """Add a parsed file's items to the environment, in order; returns its
-    declarations."""
+    """Add a parsed file's shapes to the environment; returns its
+    declarations, in order, for the checker to add as they check."""
     out: list[Decl] = []
     for item in items:
         if isinstance(item, Shape):
             env.shapes[item.name] = item
         else:
-            env.decls[item.name] = item
             out.append(item)
     return out

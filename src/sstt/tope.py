@@ -233,21 +233,31 @@ class Sequent(Node):
 # ---------------------------------------------------------------------------
 # Normalization: reduce every inequality/equality to interval atoms
 
+def _operands(t: Tope, kind: type) -> list[Tope]:
+    """The operands of the run of ``kind`` nodes at ``t``, left to right.
+    The run is walked with a stack, so that a long chain of one connective
+    does not recurse; only nesting of the two connectives does."""
+    out: list[Tope] = []
+    todo = [t]
+    while todo:
+        s = todo.pop()
+        if type(s) is kind:
+            todo += (s.right, s.left)
+        else:
+            out.append(s)
+    return out
+
+
 def normalize_tope(ctx: CubeContext, t: Tope) -> Tope:
     """Normalize cube arguments; equalities at product/unit cubes decompose
     componentwise.  After this, every TLe/TEq argument is an interval atom."""
     match t:
         case TTop() | TBot():
             return t
-        case TAnd(a, b):
-            return tope_and(normalize_tope(ctx, a), normalize_tope(ctx, b))
-        case TOr(a, b):
-            na, nb = normalize_tope(ctx, a), normalize_tope(ctx, b)
-            if isinstance(na, TBot):
-                return nb
-            if isinstance(nb, TBot):
-                return na
-            return TOr(na, nb)
+        case TAnd():
+            return tope_and(*(normalize_tope(ctx, s) for s in _operands(t, TAnd)))
+        case TOr():
+            return tope_or(*(normalize_tope(ctx, s) for s in _operands(t, TOr)))
         case TLe(a, b):
             ta, tb = _cube_types(ctx, a, b)
             if not isinstance(ta, Interval) or not isinstance(tb, Interval):
@@ -291,16 +301,21 @@ def dnf(t: Tope) -> list[list[Tope]]:
             return []
         case TLe(_, _) | TEq(_, _):
             return [[t]]
-        case TOr(a, b):
-            out = dnf(a) + dnf(b)
-            if len(out) > MAX_DISJUNCTS:
-                raise TopeTooLargeError(f"tope too large: more than {MAX_DISJUNCTS} disjuncts")
+        case TOr():
+            out = []
+            for s in _operands(t, TOr):
+                out += dnf(s)
+                if len(out) > MAX_DISJUNCTS:
+                    raise TopeTooLargeError(f"tope too large: more than {MAX_DISJUNCTS} disjuncts")
             return out
-        case TAnd(a, b):
-            da, db = dnf(a), dnf(b)
-            if len(da) * len(db) > MAX_DISJUNCTS:
-                raise TopeTooLargeError(f"tope too large: more than {MAX_DISJUNCTS} disjuncts")
-            return [x + y for x in da for y in db]
+        case TAnd():
+            out = [[]]
+            for s in _operands(t, TAnd):
+                ds = dnf(s)
+                if len(out) * len(ds) > MAX_DISJUNCTS:
+                    raise TopeTooLargeError(f"tope too large: more than {MAX_DISJUNCTS} disjuncts")
+                out = [x + y for x in out for y in ds]
+            return out
     raise TopeError(f"not a tope: {t!r}")
 
 
@@ -342,22 +357,16 @@ class EntailResult(Node):
 def _collect_atoms(ts: list[Tope]) -> list[CubeExpr]:
     atoms: list[CubeExpr] = []
     seen: set[CubeExpr] = set()
-
-    def visit(t: Tope) -> None:
-        match t:
+    todo = ts[::-1]
+    while todo:
+        match todo.pop():
             case TAnd(a, b) | TOr(a, b):
-                visit(a)
-                visit(b)
+                todo += (b, a)
             case TLe(a, b) | TEq(a, b):
                 for e in (a, b):
                     if not isinstance(e, (CZero, COne)) and e not in seen:
                         seen.add(e)
                         atoms.append(e)
-            case _:
-                pass
-
-    for t in ts:
-        visit(t)
     atoms.sort(key=print_cube_expr)
     return atoms
 
@@ -420,13 +429,17 @@ def _negate(t: Tope, index: dict[CubeExpr, int]) -> Optional[list]:
         case TEq(x, y):
             a, b = index[x], index[y]
             return [[[(a, b)], [(b, a)]]]
-        case TOr(l, r):
-            nl = _negate(l, index)
-            nr = None if nl is None else _negate(r, index)
-            return None if nr is None else nl + nr
-        case TAnd(l, r):
+        case TOr():
+            out: list = []
+            for s in _operands(t, TOr):
+                ns = _negate(s, index)
+                if ns is None:
+                    return None
+                out += ns
+            return out
+        case TAnd():
             alts: list = []
-            for side in (_negate(l, index), _negate(r, index)):
+            for side in [_negate(s, index) for s in _operands(t, TAnd)]:
                 if side is None:
                     continue
                 if not side:

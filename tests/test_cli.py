@@ -173,6 +173,54 @@ def test_tope_context_names_are_cube_variables(capsys):
         "error": "<sequent>:1:11: expected '===', found '|-'"}
 
 
+def long_chain(n, connective):
+    """Cube variables x0 ... xn and the run x1 <= x0 CONN ... CONN xn <= x(n-1)."""
+    ctx = ", ".join(f"x{i} : 2" for i in range(n + 1))
+    return ctx, f" {connective} ".join(f"x{i + 1} <= x{i}" for i in range(n))
+
+
+def test_tope_long_conjunction_holds(capsys):
+    # a run of one connective is walked as a list, so 1,000 conjuncts do not
+    # exhaust the recursion limit
+    ctx, hyp = long_chain(1000, "/\\")
+    assert main(["--machine", "tope", f"{ctx} | {hyp} |- x1000 <= x0"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"holds": True}
+
+
+def test_check_long_conjunction_parameter(capsys, tmp_path):
+    # the same run as a tope parameter is checked, not reported too deep
+    _, tope = long_chain(1000, "/\\")
+    names = " ".join(f"x{i}" for i in range(1001))
+    src = tmp_path / "flat.sstt"
+    src.write_text(f"def f ({names} : 2) {{{tope}}} (A : U) (a : A) : A := a\n")
+    assert main(["--machine", "check", str(src)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+def test_tope_long_disjunction_is_decided(capsys):
+    ctx, goal = long_chain(1000, "\\/")
+    code = main(["--machine", "tope", f"{ctx} | TOP |- {goal}"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code in (0, 1) and payload["holds"] == (code == 0)
+
+
+def test_tope_deep_nesting_is_an_input_error(capsys):
+    depth = 2000
+    sequent = f"t : 2 | {'(' * depth}t <= 1{')' * depth} |- TOP"
+    assert main(["--machine", "tope", sequent]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": "the sequent is nested too deeply"}
+
+
+def test_parse_error_after_trailing_comment_points_at_end_of_input(capsys, tmp_path):
+    # the end of input is at the column after the comment, not where it began
+    src = tmp_path / "comment.sstt"
+    src.write_text("def f (A : U) : U :=  -- trailing comment")
+    assert main(["--machine", "check", str(src)]) == 1
+    diags = [d for f in json.loads(capsys.readouterr().out)["files"] for d in f["diagnostics"]]
+    assert diags == [{"kind": "parse",
+                      "message": "expected an expression (line 1, column 42)"}]
+
+
 def test_check_reports_requested_file_never_reached(capsys):
     # checking stops at the failing sibling 01, which 07 does not need
     target = NEGATIVE_DIR / "07-tope-unsolved.sstt"

@@ -1,7 +1,7 @@
 import json
 from pathlib import Path
 
-from sstt.corpus import CORPUS_DIR, load_corpus
+from sstt.corpus import CORPUS_DIR, check_files, load_corpus
 
 DESIGNATED_PROVED = {
     # endpoint laws for arrows
@@ -70,3 +70,20 @@ def test_corpus_checks_within_a_small_fuel_budget():
     # needs more than 118 steps, where unfolding every expected type took 248
     result = load_corpus(fuel=130)
     assert result.ok, [d.to_json() for d in result.diagnostics]
+
+
+def test_env_holds_only_checked_declarations(tmp_path):
+    # a declaration that fails, and every one after it, stay out of the
+    # environment, so a later file cannot use them
+    first = tmp_path / "a.sstt"
+    first.write_text("def good : U := Unit\n"
+                     "def bad (A : U) (a : A) : A := A\n"
+                     "def later : U := Unit\n")
+    reports, env = check_files([first])
+    assert [d.kind for d in reports[0].diagnostics] == ["type-mismatch"]
+    assert list(env.decls) == ["good"]
+    second = tmp_path / "b.sstt"
+    second.write_text("def use (A : U) (a : A) : A := bad A a\n")
+    reports, _ = check_files([second], env=env)
+    assert [(d.kind, d.message) for d in reports[0].diagnostics] == [
+        ("scope", "unbound name 'bad'")]

@@ -1,7 +1,11 @@
-"""The concordance table in docs/ stays in step with the corpus."""
+"""The docs stay in step with the code: the concordance table with the
+corpus, and the lexical section of the syntax reference with the lexer."""
 
 import csv
+import re
 from pathlib import Path
+
+from sstt.parser import KEYWORDS, PUNCT
 
 DOCS = Path(__file__).parent.parent / "docs"
 
@@ -43,3 +47,11 @@ def test_files_column_is_accurate(corpus):
             assert by_file[row["decl"]] == row["file"], row["decl"]
         else:  # shapes live in the prelude
             assert row["file"] == "00-prelude.sstt"
+
+
+def test_lexical_section_lists_the_keywords_and_punctuation():
+    text = (DOCS / "syntax.md").read_text(encoding="utf-8")
+    section = text.split("## Lexical structure\n", 1)[1].split("\n## ", 1)[0]
+    keywords, punct = (block.split() for block in re.findall(r"```\n(.*?)```", section, re.S))
+    assert sorted(keywords) == sorted(KEYWORDS)
+    assert sorted(punct) == sorted(PUNCT)

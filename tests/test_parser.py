@@ -25,7 +25,10 @@ from sstt.core import (
     alpha_eq,
 )
 from sstt.cube import INTERVAL, CFst, CPair, CSnd, CVar, CZERO, ProdCube, display_name
-from sstt.parser import ParseError, parse_expr, parse_file, parse_sequent_source
+from sstt.corpus import CORPUS_DIR
+from sstt.parser import (
+    KEYWORDS, PUNCT, ParseError, lex, parse_expr, parse_file, parse_sequent_source,
+)
 from sstt.printer import print_expr
 from sstt.scope import GlobalEnv, ScopeError, elaborate_toplevels
 from sstt.tope import BOT, TOP, TAnd, TEq, TLe
@@ -53,6 +56,58 @@ def test_roundtrip_random_sample():
 @given(st.integers(0, 2**32 - 1))
 def test_roundtrip_property(seed):
     roundtrip(random_expr(random.Random(seed), depth=5))
+
+
+def test_roundtrip_corpus():
+    # the library's terms use syntax the random ones never build: constants,
+    # shape domains, product cubes, tuple-pattern lambdas, cube applications
+    # and tope cases of several branches
+    env = GlobalEnv()
+    terms = 0
+    for path in sorted(CORPUS_DIR.glob("*.sstt")):
+        for item in parse_file(path.read_text(encoding="utf-8"), path.name, env):
+            if isinstance(item, Decl):
+                for e in (item.ty, item.body):
+                    if e is not None:
+                        text = print_expr(e)
+                        back = parse_expr(text, env=env)
+                        assert alpha_eq(e, back), f"{item.name}: {text!r}"
+                        terms += 1
+                env.decls[item.name] = item
+            else:
+                env.shapes[item.name] = item
+    assert terms == 227
+
+
+def position(src, i):
+    """The line and column of ``src[i]``, both from 1."""
+    return src.count("\n", 0, i) + 1, i - (src.rfind("\n", 0, i) + 1) + 1
+
+
+LEXER_PIECES = sorted(KEYWORDS) + PUNCT + [
+    "0", "1", "2", "12", "x", "t1", "y'", "_a", "é", "²", "x²", "'", "-", "--",
+    " ", "\t", "\r", "\n"]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.lists(st.sampled_from(LEXER_PIECES), max_size=30).map("".join),
+    st.text(alphabet="".join(sorted(set("".join(LEXER_PIECES)))), max_size=40)))
+def test_lexer_invariants(src):
+    try:
+        toks = lex(src)
+    except ParseError:
+        return
+    *body, eof = toks
+    end = 0
+    for t in body:
+        assert end <= t.start < t.end
+        end = t.end
+        assert src[t.start:t.end] == t.value
+        assert t.kind in ("ident", t.value)
+        assert (t.line, t.col) == position(src, t.start)
+    assert (eof.kind, eof.start, eof.end) == ("eof", len(src), len(src))
+    assert (eof.line, eof.col) == position(src, len(src))
 
 
 def test_parse_file_kinds():
@@ -224,7 +279,9 @@ def test_names_resolve_against_earlier_items_and_leave_env_unchanged():
     assert [i.name for i in items] == ["Delta1", "Delta2", "B", "C"]
     assert items[-1].inner_body == Const("B")
     assert env.decls == {} and env.shapes == {}
-    elaborate_toplevels(items, env)
+    # the checker adds a declaration once it checks; these are added as parsed
+    for decl in elaborate_toplevels(items, env):
+        env.decls[decl.name] = decl
     with pytest.raises(ScopeError, match="redefinition of 'B'"):
         parse_file("def B : U := U\n", env=env)
     with pytest.raises(ScopeError, match="statement without a proof"):
