@@ -20,7 +20,9 @@ by extending that substitution, and close only the part they look at.
 
 ``check`` takes the expected type apart only for a λ, a pair or ``refl``.
 Any other term has its type inferred and compared with the expected type as
-written, which is reduced only to print a mismatch.
+written, which is reduced only to print a mismatch.  ``check``, ``infer``
+and ``_equal_structural`` pick a term's case by its class: the first two
+test the common classes first, and the last dispatches through a table.
 
 One step, ``_elim``, types an application, a cube application or a
 projection, with the type's substitution kept pending.  Inference walks an
@@ -34,17 +36,18 @@ No context binds a name twice: a binder whose name it binds already is
 renamed first, to the first ``name$k`` it does not bind.
 
 Equality is tope-aware.  Two α-equal terms are equal at once, in any
-context.  Otherwise the context's tope constraint is split into disjuncts
-and conversion must hold under every consistent one; an inconsistent
-constraint makes all terms equal.  Two cube points are equal
-when they lie in the same cube and the context entails their equality.
+context (``core.alpha_eq`` tries ``==`` first).  Otherwise the context's
+tope constraint is split into disjuncts and conversion must hold under
+every consistent one; an inconsistent constraint makes all terms equal.
+Two cube points are equal when they lie in the same cube and the context
+entails their equality.
 Every entailment goes through ``Checker.entails_ctx`` and its cache.  Pi
 and Sigma types enjoy eta; extension types do not.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 from .core import (
     Ann,
@@ -563,66 +566,32 @@ class Checker:
         return True
 
     def _equal_structural(self, ctx: TriContext, a: Expr, b: Expr) -> bool:
-        match a, b:
-            case U(), U():
-                return True
-            case UnitType(), UnitType():
-                return True
-            case UnitPoint(), UnitPoint():
-                return True
-            case Var(n), Var(m):
-                return n == m or self._alpha_mod_cube(ctx, a, b)
-            case Refl(_), Refl(_):
-                # endpoints agree by typing
-                return True
-            case Pair(a1, b1), Pair(a2, b2):
-                return self.equal(ctx, a1, a2) and self.equal(ctx, b1, b2)
-            case Lam(x, b1), Lam(y, b2):
-                # sort of the binder is unknown without a type; treat it as
-                # an opaque typed variable
-                v = ctx.fresh(x)
-                ctx2 = ctx.bind_typed(v, None)
-                return self.equal(
-                    ctx2, subst_typed(b1, {x: Var(v)}), subst_typed(b2, {y: Var(v)}))
-            case IdT(t1, l1, r1), IdT(t2, l2, r2):
-                return (self.equal(ctx, t1, t2, U())
-                        and self.equal(ctx, l1, l2, t1)
-                        and self.equal(ctx, r1, r2, t1))
-            case Pi(x, d1, c1), Pi(y, d2, c2):
-                if not self.equal(ctx, d1, d2, U()):
-                    return False
-                v = ctx.fresh(x)
-                ctx2 = ctx.bind_typed(v, d1)
-                return self.equal(
-                    ctx2, subst_typed(c1, {x: Var(v)}), subst_typed(c2, {y: Var(v)}), U())
-            case Sigma(x, d1, c1), Sigma(y, d2, c2):
-                if not self.equal(ctx, d1, d2, U()):
-                    return False
-                v = ctx.fresh(x)
-                ctx2 = ctx.bind_typed(v, d1)
-                return self.equal(
-                    ctx2, subst_typed(c1, {x: Var(v)}), subst_typed(c2, {y: Var(v)}), U())
-            case Ext(_, _, _, _, _, _), Ext(_, _, _, _, _, _):
-                return self._equal_ext(ctx, a, b)
-            case J(c1, d1, p1), J(c2, d2, p2):
-                return (self.equal(ctx, c1, c2) and self.equal(ctx, d1, d2)
-                        and self.equal(ctx, p1, p2))
-            case App(f1, x1), App(f2, x2):
-                # neutral applications whose head is not a variable or a
-                # constant (a stuck J, say) fall through the spine check
-                return self.equal(ctx, f1, f2) and self.equal(ctx, x1, x2)
-            case ExtApp(f1, c1), ExtApp(f2, c2):
-                return self.equal(ctx, f1, f2) and self._points_equal(ctx, c1, c2)
-            case Fst(p1), Fst(p2):
-                return self.equal(ctx, p1, p2)
-            case Snd(p1), Snd(p2):
-                return self.equal(ctx, p1, p2)
-            case CubeLit(_) | UnitPoint() | Var(_), _:
-                return self._alpha_mod_cube(ctx, a, b)
-            case _, CubeLit(_) | UnitPoint():
-                return self._alpha_mod_cube(ctx, a, b)
-            case _:
-                return False
+        """Compare two weak head forms node by node.  Sides of different
+        classes differ: two terms that are α-equal or equal as cube points
+        never get here."""
+        if a.__class__ is not b.__class__:
+            return False
+        case = _STRUCTURAL.get(a.__class__)
+        return case is not None and case(self, ctx, a, b)
+
+    def _equal_binder(self, ctx: TriContext, a: Union[Pi, Sigma],
+                      b: Union[Pi, Sigma]) -> bool:
+        x, d1, c1 = a._key(a)
+        y, d2, c2 = b._key(b)
+        if not self.equal(ctx, d1, d2, U()):
+            return False
+        v = ctx.fresh(x)
+        ctx2 = ctx.bind_typed(v, d1)
+        return self.equal(
+            ctx2, subst_typed(c1, {x: Var(v)}), subst_typed(c2, {y: Var(v)}), U())
+
+    def _equal_lam(self, ctx: TriContext, a: Lam, b: Lam) -> bool:
+        # sort of the binder is unknown without a type; treat it as an opaque
+        # typed variable
+        v = ctx.fresh(a.var)
+        ctx2 = ctx.bind_typed(v, None)
+        return self.equal(
+            ctx2, subst_typed(a.body, {a.var: Var(v)}), subst_typed(b.body, {b.var: Var(v)}))
 
     def _equal_ext(self, ctx: TriContext, a: Ext, b: Ext) -> bool:
         if a.cube != b.cube:
@@ -654,26 +623,30 @@ class Checker:
     # -- inference
 
     def infer(self, ctx: TriContext, e: Expr) -> tuple[Expr, Expr]:
+        cls = e.__class__
+        if cls is App and e.fn.__class__ is not Lam or cls is ExtApp or cls is Fst or cls is Snd:
+            return self._infer_spine(ctx, e)
+        if cls is Var:
+            n = e.name
+            ty = ctx.lookup_typed(n)
+            if ty is not None:
+                return ty, e
+            if ctx.lookup_cube(n) is not None:
+                self._err(
+                    "type-mismatch",
+                    f"cube variable {display_name(n)!r} used where a term "
+                    "of a type is expected", e.span)
+            if ctx.has_typed(n):
+                self._err(
+                    "type-mismatch",
+                    f"the type of {display_name(n)!r} is not known here", e.span)
+            self._err("scope", f"unbound variable {display_name(n)!r}", e.span)
+        if cls is Const:
+            d = self.env.decls.get(e.name)
+            if d is None:
+                self._err("scope", f"unknown constant {e.name!r}", e.span)
+            return d.ty, e
         match e:
-            case Var(n):
-                ty = ctx.lookup_typed(n)
-                if ty is not None:
-                    return ty, e
-                if ctx.lookup_cube(n) is not None:
-                    self._err(
-                        "type-mismatch",
-                        f"cube variable {display_name(n)!r} used where a term "
-                        "of a type is expected", e.span)
-                if ctx.has_typed(n):
-                    self._err(
-                        "type-mismatch",
-                        f"the type of {display_name(n)!r} is not known here", e.span)
-                self._err("scope", f"unbound variable {display_name(n)!r}", e.span)
-            case Const(n):
-                d = self.env.decls.get(n)
-                if d is None:
-                    self._err("scope", f"unknown constant {n!r}", e.span)
-                return d.ty, e
             case U():
                 return U(), e
             case UnitType():
@@ -706,8 +679,6 @@ class Checker:
                 # (such redexes arise from recorded refl endpoints)
                 self._tick()
                 return self.infer(ctx, subst_typed(body, {x: a}))
-            case App(_, _) | ExtApp(_, _) | Fst(_) | Snd(_):
-                return self._infer_spine(ctx, e)
             case Refl(arg) if arg is not None:
                 aty, ae = self.infer(ctx, arg)
                 return IdT(aty, ae, ae), Refl(ae, span=e.span)
@@ -830,67 +801,74 @@ class Checker:
     # -- checking
 
     def check(self, ctx: TriContext, e: Expr, ty: Expr) -> Expr:
-        if isinstance(e, TopeCase):
+        cls = e.__class__
+        if cls is TopeCase:
             return self._check_tope_case(ctx, e, ty)
-        # only a lambda, a pair or refl takes the expected type apart
-        w, sub = self._reduce(ctx, ty) if isinstance(e, (Lam, Pair, Refl)) else (None, EMPTY)
-        if isinstance(e, Lam) and isinstance(w, (Pi, Ext)) and e.var in ctx.names():
-            e = rename_binder(e, ctx.fresh(e.var))  # no context binds a name twice
-        match e, w:
-            case Lam(x, body), Pi(y, dom, cod):
-                ctx2 = ctx.bind_typed(x, sub.close(dom))
-                be = self.check(ctx2, body, sub.bind(y, Var(x)).close(cod))
-                return Lam(x, be, span=e.span)
-            case Lam(x, body), Ext(t, cube, psi, fam, phi, bd):
-                sub = sub.bind_point(t, CVar(x))
-                fam_x = sub.close(fam)
-                ctx2 = ctx.bind_cube(x, cube).bind_tope(sub.tope(psi))
-                be = self.check(ctx2, body, fam_x)
-                phi_x = sub.tope(phi)
-                ctx_phi = ctx2.bind_tope(phi_x)
-                if not self.ctx_unsat(ctx_phi):
-                    if not self.equal(ctx_phi, be, sub.close(bd), fam_x):
-                        self._err(
-                            "boundary",
-                            "the function does not restrict to the required "
-                            f"boundary on {print_tope(phi_x)}", e.span)
-                return Lam(x, be, span=e.span)
-            case Lam(_, _), _:
-                self._err(
-                    "type-mismatch",
-                    f"a function cannot have type {print_expr(sub.close(w))}", e.span)
-            case Pair(a, b), Sigma(y, fst_ty, snd_ty):
-                ae = self.check(ctx, a, sub.close(fst_ty))
-                be = self.check(ctx, b, sub.bind(y, ae).close(snd_ty))
+        if cls is Lam or cls is Pair or cls is Refl:  # these take the type apart
+            w, sub = self._reduce(ctx, ty)
+            if cls is Lam:
+                return self._check_lam(ctx, e, w, sub)
+            if cls is Pair:
+                if w.__class__ is not Sigma:
+                    self._err(
+                        "type-mismatch",
+                        f"a pair cannot have type {print_expr(sub.close(w))}", e.span)
+                ae = self.check(ctx, e.fst, sub.close(w.fst_ty))
+                be = self.check(ctx, e.snd, sub.bind(w.var, ae).close(w.snd_ty))
                 return Pair(ae, be, span=e.span)
-            case Pair(_, _), _:
+            if w.__class__ is IdT:
+                return self._check_refl(ctx, e, w)
+        # compare with the expected type as written, reduced only to print a
+        # mismatch
+        ity, ee = self.infer(ctx, e)
+        if not self.equal(ctx, ity, ty, U()):
+            self._err(
+                "type-mismatch",
+                f"expected a term of type {print_expr(self.whnf(ctx, ty))}, "
+                f"found one of type {print_expr(ity)}", getattr(e, "span", None))
+        return ee
+
+    def _check_lam(self, ctx: TriContext, e: Lam, w: Expr, sub: Subst) -> Expr:
+        if w.__class__ is not Pi and w.__class__ is not Ext:
+            self._err(
+                "type-mismatch",
+                f"a function cannot have type {print_expr(sub.close(w))}", e.span)
+        if e.var in ctx.names():  # no context binds a name twice
+            e = rename_binder(e, ctx.fresh(e.var))
+        x = e.var
+        if w.__class__ is Pi:
+            ctx2 = ctx.bind_typed(x, sub.close(w.dom))
+            be = self.check(ctx2, e.body, sub.bind(w.var, Var(x)).close(w.cod))
+            return Lam(x, be, span=e.span)
+        sub = sub.bind_point(w.var, CVar(x))
+        fam_x = sub.close(w.family)
+        ctx2 = ctx.bind_cube(x, w.cube).bind_tope(sub.tope(w.shape_tope))
+        be = self.check(ctx2, e.body, fam_x)
+        phi_x = sub.tope(w.boundary_tope)
+        ctx_phi = ctx2.bind_tope(phi_x)
+        if not self.ctx_unsat(ctx_phi):
+            if not self.equal(ctx_phi, be, sub.close(w.boundary), fam_x):
+                self._err(
+                    "boundary",
+                    "the function does not restrict to the required "
+                    f"boundary on {print_tope(phi_x)}", e.span)
+        return Lam(x, be, span=e.span)
+
+    def _check_refl(self, ctx: TriContext, e: Refl, w: IdT) -> Expr:
+        a_ty, lhs, rhs = w.ty, w.lhs, w.rhs
+        if not self.equal(ctx, lhs, rhs, a_ty):
+            self._err(
+                "type-mismatch",
+                "reflexivity needs equal endpoints, but "
+                f"{print_expr(lhs)} and {print_expr(rhs)} differ", e.span)
+        if e.arg is not None:
+            ae = self.check(ctx, e.arg, a_ty)
+            if not self.equal(ctx, ae, lhs, a_ty):
                 self._err(
                     "type-mismatch",
-                    f"a pair cannot have type {print_expr(sub.close(w))}", e.span)
-            case Refl(arg), IdT(a_ty, lhs, rhs):
-                if not self.equal(ctx, lhs, rhs, a_ty):
-                    self._err(
-                        "type-mismatch",
-                        "reflexivity needs equal endpoints, but "
-                        f"{print_expr(lhs)} and {print_expr(rhs)} differ", e.span)
-                if arg is not None:
-                    ae = self.check(ctx, arg, a_ty)
-                    if not self.equal(ctx, ae, lhs, a_ty):
-                        self._err(
-                            "type-mismatch",
-                            "the endpoint of refl does not match the "
-                            "identification being proved", e.span)
-                return Refl(lhs, span=e.span)
-            case _:
-                # compare with the expected type as written, reduced only
-                # to print a mismatch
-                ity, ee = self.infer(ctx, e)
-                if not self.equal(ctx, ity, ty, U()):
-                    self._err(
-                        "type-mismatch",
-                        f"expected a term of type {print_expr(self.whnf(ctx, ty))}, "
-                        f"found one of type {print_expr(ity)}", getattr(e, "span", None))
-                return ee
+                    "the endpoint of refl does not match the "
+                    "identification being proved", e.span)
+        return Refl(lhs, span=e.span)
 
     # -- declarations
 
@@ -916,3 +894,27 @@ class Checker:
         if decl.inner_body is not None:
             ibody = self.check(ctx, decl.inner_body, ity)
         return Decl(decl.name, decl.tag, tuple(tele), ity, ibody, span=decl.span)
+
+
+# The cases of ``Checker._equal_structural``, by the class both sides share.
+_STRUCTURAL = {
+    Refl: lambda self, ctx, a, b: True,  # endpoints agree by typing
+    Pair: lambda self, ctx, a, b: self.equal(ctx, a.fst, b.fst) and self.equal(ctx, a.snd, b.snd),
+    Lam: Checker._equal_lam,
+    IdT: lambda self, ctx, a, b: (self.equal(ctx, a.ty, b.ty, U())
+                                  and self.equal(ctx, a.lhs, b.lhs, a.ty)
+                                  and self.equal(ctx, a.rhs, b.rhs, a.ty)),
+    Pi: Checker._equal_binder,
+    Sigma: Checker._equal_binder,
+    Ext: Checker._equal_ext,
+    J: lambda self, ctx, a, b: (self.equal(ctx, a.motive, b.motive)
+                                and self.equal(ctx, a.base, b.base)
+                                and self.equal(ctx, a.path, b.path)),
+    # neutral applications whose head is not a variable or a constant (a
+    # stuck J, say) fall through the spine check
+    App: lambda self, ctx, a, b: self.equal(ctx, a.fn, b.fn) and self.equal(ctx, a.arg, b.arg),
+    ExtApp: lambda self, ctx, a, b: (self.equal(ctx, a.fn, b.fn)
+                                     and self._points_equal(ctx, a.arg, b.arg)),
+    Fst: lambda self, ctx, a, b: self.equal(ctx, a.arg, b.arg),
+    Snd: lambda self, ctx, a, b: self.equal(ctx, a.arg, b.arg),
+}

@@ -16,6 +16,10 @@ the mapping.  The checker keeps a ``Subst`` pending while it reduces a term
 or walks an elimination spine, extends it with ``bind`` and
 ``bind_point``, and applies it once with ``close``; ``subst_typed``,
 ``subst_cube`` and ``rename_binder`` apply one directly.
+
+The walkers over terms, ``free_vars``, ``Subst.expr`` and ``alpha_eq``,
+pick a node's case with one lookup of its class in a table built at import.
+``alpha_eq`` settles ``==`` sides at once, before any walk.
 """
 
 from __future__ import annotations
@@ -292,46 +296,63 @@ Expr = Union[
 
 
 # ---------------------------------------------------------------------------
+# Walkers: each one picks a node's case with one lookup of its class
+
+class _Cases(dict):
+    """A walker's table ``{class: function}``; a class without an entry
+    gets ``default``.  Never changed after import."""
+
+    __slots__ = ("default",)
+
+    def __init__(self, default, cases: dict):
+        super().__init__(cases)
+        self.default = default
+
+    def __missing__(self, cls: type):
+        return self.default
+
+
+# ---------------------------------------------------------------------------
 # Free variables (both sorts share the namespace)
 
 def free_vars(e: Expr) -> set[str]:
-    match e:
-        case Var(n):
-            return {n}
-        case Pi(x, a, b) | Sigma(x, a, b):
-            return free_vars(a) | (free_vars(b) - {x})
-        case Lam(x, b):
-            return free_vars(b) - {x}
-        case App(f, a):
-            return free_vars(f) | free_vars(a)
-        case Pair(a, b):
-            return free_vars(a) | free_vars(b)
-        case Fst(a) | Snd(a):
-            return free_vars(a)
-        case IdT(t, l, r):
-            return free_vars(t) | free_vars(l) | free_vars(r)
-        case Refl(a):
-            return free_vars(a) if a is not None else set()
-        case J(c, d, p):
-            return free_vars(c) | free_vars(d) | free_vars(p)
-        case Ext(t, _, psi, fam, phi, bd):
-            inner = (
-                tope_free_vars(psi) | free_vars(fam) | tope_free_vars(phi) | free_vars(bd)
-            )
-            return inner - {t}
-        case ExtApp(f, c):
-            return free_vars(f) | cube_free_vars(c)
-        case TopeCase(branches):
-            out: set[str] = set()
-            for tp, br in branches:
-                out |= tope_free_vars(tp) | free_vars(br)
-            return out
-        case Ann(x, t):
-            return free_vars(x) | free_vars(t)
-        case CubeLit(c):
-            return cube_free_vars(c)
-        case _:
-            return set()
+    return _FREE[e.__class__](e)
+
+
+def _fv_binder(e: Union[Pi, Sigma]) -> set[str]:
+    x, a, b = e._key(e)
+    return _FREE[a.__class__](a) | (_FREE[b.__class__](b) - {x})
+
+
+def _fv_ext(e: Ext) -> set[str]:
+    fam, bd = e.family, e.boundary
+    return (tope_free_vars(e.shape_tope) | _FREE[fam.__class__](fam)
+            | tope_free_vars(e.boundary_tope) | _FREE[bd.__class__](bd)) - {e.var}
+
+
+def _fv_children(e: Expr) -> set[str]:
+    """The case of a node whose fields are subterms (or a missing one)."""
+    children = [getattr(e, f) for f in e._fields]
+    return set().union(*[_FREE[c.__class__](c) for c in children])
+
+
+def _no_free_vars(e: Expr) -> set[str]:
+    return set()
+
+
+_FREE = _Cases(_no_free_vars, {
+    Var: lambda e: {e.name},
+    Pi: _fv_binder,
+    Sigma: _fv_binder,
+    Lam: lambda e: _FREE[e.body.__class__](e.body) - {e.var},
+    Ext: _fv_ext,
+    ExtApp: lambda e: _FREE[e.fn.__class__](e.fn) | cube_free_vars(e.arg),
+    TopeCase: lambda e: set().union(*[tope_free_vars(tp) | _FREE[br.__class__](br)
+                                      for tp, br in e.branches]),
+    CubeLit: lambda e: cube_free_vars(e.expr),
+    **dict.fromkeys((App, Pair, Fst, Snd, IdT, Refl, J, Ann), _fv_children),
+    **dict.fromkeys((U, UnitType, UnitPoint, Const), _no_free_vars),
+})
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +371,6 @@ class Subst:
         self.points = points
         self._fvs: Optional[set[str]] = None
 
-    def __bool__(self) -> bool:
-        return bool(self.values or self.points)
-
     def bind(self, x: str, value: Expr) -> "Subst":
         points = self.points
         if x in points:
@@ -369,7 +387,7 @@ class Subst:
         return self.values[x] if x in self.values else cube_to_term(self.points[x])
 
     def close(self, e: Expr) -> Expr:
-        return subst_typed(e, self.values, self.points) if self else e
+        return subst_typed(e, self.values, self.points) if self.values or self.points else e
 
     def point(self, c: CubeExpr) -> CubeExpr:
         return subst_cube_sim(c, self.points) if self.points else c
@@ -398,56 +416,60 @@ class Subst:
         return x, sub
 
     def expr(self, e: Expr) -> Expr:
-        if not self:
+        if not (self.values or self.points):
             return e
-        match e:
-            case Var(n):
-                return self.lookup(n) if n in self.values or n in self.points else e
-            case Const(_) | U() | UnitType() | UnitPoint():
-                return e
-            case Pi(x, a, b):
-                na = self.expr(a)
-                nx, sub = self.under(x, e)
-                return Pi(nx, na, sub.expr(b), span=e.span)
-            case Sigma(x, a, b):
-                na = self.expr(a)
-                nx, sub = self.under(x, e)
-                return Sigma(nx, na, sub.expr(b), span=e.span)
-            case Lam(x, b):
-                nx, sub = self.under(x, e)
-                return Lam(nx, sub.expr(b), span=e.span)
-            case App(f, a):
-                return App(self.expr(f), self.expr(a), span=e.span)
-            case Pair(a, b):
-                return Pair(self.expr(a), self.expr(b), span=e.span)
-            case Fst(a):
-                return Fst(self.expr(a), span=e.span)
-            case Snd(a):
-                return Snd(self.expr(a), span=e.span)
-            case IdT(t, l, r):
-                return IdT(self.expr(t), self.expr(l), self.expr(r), span=e.span)
-            case Refl(a):
-                return Refl(self.expr(a) if a is not None else None, span=e.span)
-            case J(c, d, p):
-                return J(self.expr(c), self.expr(d), self.expr(p), span=e.span)
-            case Ext(t, cube, psi, fam, phi, bd):
-                nt, sub = self.under(t, e)
-                return Ext(
-                    nt, cube, sub.tope(psi), sub.expr(fam), sub.tope(phi), sub.expr(bd),
-                    span=e.span,
-                )
-            case ExtApp(f, c):
-                return ExtApp(self.expr(f), self.point(c), span=e.span)
-            case TopeCase(branches):
-                return TopeCase(
-                    tuple((self.tope(tp), self.expr(br)) for tp, br in branches),
-                    span=e.span,
-                )
-            case Ann(x, t):
-                return Ann(self.expr(x), self.expr(t), span=e.span)
-            case CubeLit(c):
-                return CubeLit(self.point(c), span=e.span)
-        raise TypeError(f"not an expression: {e!r}")
+        return _SUBST[e.__class__](self, e)
+
+
+def _subst_binder(s: Subst, e: Union[Pi, Sigma]) -> Expr:
+    x, a, b = e._key(e)
+    na = _SUBST[a.__class__](s, a)
+    nx, sub = s.under(x, e)
+    return e.__class__(nx, na, sub.expr(b), e.span)
+
+
+def _subst_lam(s: Subst, e: Lam) -> Expr:
+    nx, sub = s.under(e.var, e)
+    return Lam(nx, sub.expr(e.body), e.span)
+
+
+def _subst_ext(s: Subst, e: Ext) -> Expr:
+    nt, sub = s.under(e.var, e)
+    return Ext(nt, e.cube, sub.tope(e.shape_tope), sub.expr(e.family),
+               sub.tope(e.boundary_tope), sub.expr(e.boundary), e.span)
+
+
+def _not_an_expression(s: Subst, e: object):
+    raise TypeError(f"not an expression: {e!r}")
+
+
+_SUBST = _Cases(_not_an_expression, {
+    Var: lambda s, e: s.lookup(e.name) if e.name in s.values or e.name in s.points else e,
+    Pi: _subst_binder,
+    Sigma: _subst_binder,
+    Lam: _subst_lam,
+    App: lambda s, e: App(_SUBST[e.fn.__class__](s, e.fn), _SUBST[e.arg.__class__](s, e.arg),
+                          e.span),
+    Pair: lambda s, e: Pair(_SUBST[e.fst.__class__](s, e.fst),
+                            _SUBST[e.snd.__class__](s, e.snd), e.span),
+    Fst: lambda s, e: Fst(_SUBST[e.arg.__class__](s, e.arg), e.span),
+    Snd: lambda s, e: Snd(_SUBST[e.arg.__class__](s, e.arg), e.span),
+    IdT: lambda s, e: IdT(_SUBST[e.ty.__class__](s, e.ty), _SUBST[e.lhs.__class__](s, e.lhs),
+                          _SUBST[e.rhs.__class__](s, e.rhs), e.span),
+    Refl: lambda s, e: Refl(None if e.arg is None else _SUBST[e.arg.__class__](s, e.arg),
+                            e.span),
+    J: lambda s, e: J(_SUBST[e.motive.__class__](s, e.motive),
+                      _SUBST[e.base.__class__](s, e.base),
+                      _SUBST[e.path.__class__](s, e.path), e.span),
+    Ext: _subst_ext,
+    ExtApp: lambda s, e: ExtApp(_SUBST[e.fn.__class__](s, e.fn), s.point(e.arg), e.span),
+    TopeCase: lambda s, e: TopeCase(
+        tuple((s.tope(tp), _SUBST[br.__class__](s, br)) for tp, br in e.branches), e.span),
+    Ann: lambda s, e: Ann(_SUBST[e.expr.__class__](s, e.expr), _SUBST[e.ty.__class__](s, e.ty),
+                          e.span),
+    CubeLit: lambda s, e: CubeLit(s.point(e.expr), e.span),
+    **dict.fromkeys((U, UnitType, UnitPoint, Const), lambda s, e: e),
+})
 
 
 EMPTY = Subst({}, {})
@@ -504,81 +526,90 @@ def rename_binder(e: Union[Pi, Sigma, Lam, Ext], new: str) -> Expr:
 
 # ---------------------------------------------------------------------------
 # Alpha-equivalence
-
-def _rename_cube_env(c: CubeExpr, env: dict[str, str]) -> CubeExpr:
-    return subst_cube_sim(c, {old: CVar(new) for old, new in env.items()})
-
-
-def _rename_tope_env(t: Tope, env: dict[str, str]) -> Tope:
-    return subst_tope_sim(t, {old: CVar(new) for old, new in env.items()})
-
+#
+# The walker maps the names each side binds to a token for their binder
+# pair, ``(x, y)``.  A variable stands for its token if bound and for its
+# name if free, and two variables are equal when they stand for the same.
+# A binder pair of one name that neither side maps yet changes neither map,
+# so sides that have crossed only such pairs are equal when identical.
 
 def alpha_eq(a: Expr, b: Expr, env: Optional[dict[str, str]] = None) -> bool:
     """Structural equality up to renaming of bound variables.  ``env`` maps
     binders of ``a`` to the corresponding binders of ``b``."""
-    env = env or {}
+    if not env:
+        return a is b or a == b or _alpha(a, b, {}, {})
+    return _alpha(a, b, {x: (x, y) for x, y in env.items()},
+                  {y: (x, y) for x, y in env.items()})
 
-    def go(a: Expr, b: Expr, env: dict[str, str]) -> bool:
-        match a, b:
-            case Var(n), Var(m):
-                return env.get(n, n) == m
-            case Const(n), Const(m):
-                return n == m
-            case U(), U():
-                return True
-            case UnitType(), UnitType():
-                return True
-            case UnitPoint(), UnitPoint():
-                return True
-            case Pi(x, d1, c1), Pi(y, d2, c2):
-                return go(d1, d2, env) and go(c1, c2, {**env, x: y})
-            case Sigma(x, d1, c1), Sigma(y, d2, c2):
-                return go(d1, d2, env) and go(c1, c2, {**env, x: y})
-            case Lam(x, b1), Lam(y, b2):
-                return go(b1, b2, {**env, x: y})
-            case App(f1, a1), App(f2, a2):
-                return go(f1, f2, env) and go(a1, a2, env)
-            case Pair(a1, b1), Pair(a2, b2):
-                return go(a1, a2, env) and go(b1, b2, env)
-            case Fst(a1), Fst(a2):
-                return go(a1, a2, env)
-            case Snd(a1), Snd(a2):
-                return go(a1, a2, env)
-            case IdT(t1, l1, r1), IdT(t2, l2, r2):
-                return go(t1, t2, env) and go(l1, l2, env) and go(r1, r2, env)
-            case Refl(x1), Refl(x2):
-                if (x1 is None) != (x2 is None):
-                    return False
-                return x1 is None or go(x1, x2, env)
-            case J(c1, d1, p1), J(c2, d2, p2):
-                return go(c1, c2, env) and go(d1, d2, env) and go(p1, p2, env)
-            case Ext(t1, cu1, ps1, f1, ph1, b1), Ext(t2, cu2, ps2, f2, ph2, b2):
-                if cu1 != cu2:
-                    return False
-                env2 = {**env, t1: t2}
-                return (
-                    _rename_tope_env(ps1, env2) == ps2
-                    and go(f1, f2, env2)
-                    and _rename_tope_env(ph1, env2) == ph2
-                    and go(b1, b2, env2)
-                )
-            case ExtApp(f1, c1), ExtApp(f2, c2):
-                return go(f1, f2, env) and _rename_cube_env(c1, env) == c2
-            case TopeCase(bs1), TopeCase(bs2):
-                if len(bs1) != len(bs2):
-                    return False
-                return all(
-                    _rename_tope_env(t1, env) == t2 and go(e1, e2, env)
-                    for (t1, e1), (t2, e2) in zip(bs1, bs2)
-                )
-            case Ann(e1, t1), Ann(e2, t2):
-                return go(e1, e2, env) and go(t1, t2, env)
-            case CubeLit(c1), CubeLit(c2):
-                return _rename_cube_env(c1, env) == c2
-            case _:
-                return False
 
-    return go(a, b, env)
+def _alpha(a: Expr, b: Expr, left: dict, right: dict) -> bool:
+    if a.__class__ is not b.__class__:
+        return False
+    if a is b and not left:
+        return True
+    return _ALPHA[a.__class__](a, b, left, right)
+
+
+def _cross(x: str, y: str, left: dict, right: dict) -> tuple[dict, dict]:
+    """The two maps under the binder pair ``x``, ``y``."""
+    if x == y and x not in left and x not in right:
+        return left, right
+    return {**left, x: (x, y)}, {**right, y: (x, y)}
+
+
+def _same_points(s, t, left: dict, right: dict, rename) -> bool:
+    """Two topes or cube points (``rename`` substitutes into either) equal
+    once each side's bound names stand for their tokens."""
+    if not left:
+        return s == t
+    return (rename(s, {x: CVar(k) for x, k in left.items()})
+            == rename(t, {y: CVar(k) for y, k in right.items()}))
+
+
+def _alpha_children(a: Expr, b: Expr, left: dict, right: dict) -> bool:
+    """The case of a node whose fields are all subterms."""
+    return all(_alpha(getattr(a, f), getattr(b, f), left, right) for f in a._fields)
+
+
+def _alpha_binder(a: Union[Pi, Sigma], b: Union[Pi, Sigma], left: dict, right: dict) -> bool:
+    x, d1, c1 = a._key(a)
+    y, d2, c2 = b._key(b)
+    return _alpha(d1, d2, left, right) and _alpha(c1, c2, *_cross(x, y, left, right))
+
+
+def _alpha_ext(a: Ext, b: Ext, left: dict, right: dict) -> bool:
+    if a.cube != b.cube:
+        return False
+    left, right = _cross(a.var, b.var, left, right)
+    return (_same_points(a.shape_tope, b.shape_tope, left, right, subst_tope_sim)
+            and _alpha(a.family, b.family, left, right)
+            and _same_points(a.boundary_tope, b.boundary_tope, left, right, subst_tope_sim)
+            and _alpha(a.boundary, b.boundary, left, right))
+
+
+def _alpha_case(a: TopeCase, b: TopeCase, left: dict, right: dict) -> bool:
+    return len(a.branches) == len(b.branches) and all(
+        _same_points(t1, t2, left, right, subst_tope_sim) and _alpha(e1, e2, left, right)
+        for (t1, e1), (t2, e2) in zip(a.branches, b.branches))
+
+
+_ALPHA = _Cases(lambda a, b, left, right: False, {
+    Var: lambda a, b, left, right: left.get(a.name, a.name) == right.get(b.name, b.name),
+    Const: lambda a, b, left, right: a.name == b.name,
+    Pi: _alpha_binder,
+    Sigma: _alpha_binder,
+    Lam: lambda a, b, left, right: _alpha(a.body, b.body, *_cross(a.var, b.var, left, right)),
+    Refl: lambda a, b, left, right: (a.arg is b.arg if a.arg is None or b.arg is None
+                                     else _alpha(a.arg, b.arg, left, right)),
+    Ext: _alpha_ext,
+    ExtApp: lambda a, b, left, right: (_alpha(a.fn, b.fn, left, right) and _same_points(
+        a.arg, b.arg, left, right, subst_cube_sim)),
+    TopeCase: _alpha_case,
+    CubeLit: lambda a, b, left, right: _same_points(a.expr, b.expr, left, right,
+                                                    subst_cube_sim),
+    **dict.fromkeys((App, Pair, Fst, Snd, IdT, J, Ann), _alpha_children),
+    **dict.fromkeys((U, UnitType, UnitPoint), lambda a, b, left, right: True),
+})
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,8 @@ class Node:
         self._hash = None
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._key(self) == self._key(other)

@@ -1,5 +1,7 @@
 """Seeded random generators for well-scoped core expressions, topes, and
-sequents, used by the round-trip, equality, and solver test suites."""
+sequents, used by the round-trip, equality, and solver test suites, and for
+terms of every core class, used by the property tests of the kernel's
+walkers."""
 
 from __future__ import annotations
 
@@ -7,9 +9,13 @@ import random
 
 from sstt.core import (
     U,
+    Ann,
     App,
+    Const,
+    CubeLit,
     Expr,
     Ext,
+    ExtApp,
     Fst,
     IdT,
     J,
@@ -19,11 +25,12 @@ from sstt.core import (
     Refl,
     Sigma,
     Snd,
+    TopeCase,
     UnitPoint,
     UnitType,
     Var,
 )
-from sstt.cube import INTERVAL, CVar, CZERO, CONE
+from sstt.cube import INTERVAL, CFst, CONE, CPair, CSnd, CVar, CZERO, ProdCube
 from sstt.tope import Sequent, TAnd, TBot, TEq, TLe, TOr, TTop, Tope
 
 NAMES = ["x", "y", "z", "f", "g", "a", "b"]
@@ -83,6 +90,79 @@ def random_expr(rng: random.Random, depth: int = 4,
             body = sub(2, scope)
             return Ext(t, INTERVAL, TTop(), family, boundary, body)
     raise AssertionError(kind)
+
+
+CUBE_NAMES = ["t", "s", "r"]
+TERM_KINDS = ["U", "unit_ty", "unit", "var", "const", "pi", "lam", "app", "sigma",
+              "pair", "fst", "snd", "id", "refl", "j", "ext", "ext_app",
+              "tope_case", "ann", "cube_lit"]
+
+
+def random_term(rng: random.Random, depth: int = 4) -> Expr:
+    """A core term of any class, not necessarily well-scoped or well-typed.
+    A name of ``NAMES`` stands only in term position; a name of
+    ``CUBE_NAMES`` stands in cube position and, like a cube variable in the
+    surface syntax, as a term.  Binders reuse and shadow names, and some
+    variables of either sort are free."""
+    if depth <= 0:
+        kind = rng.choice(["U", "unit_ty", "unit", "var", "const", "cube_lit"])
+    else:
+        kind = rng.choice(TERM_KINDS)
+    sub = lambda: random_term(rng, depth - 1)
+    match kind:
+        case "U":
+            return U()
+        case "unit_ty":
+            return UnitType()
+        case "unit":
+            return UnitPoint()
+        case "var":
+            return Var(rng.choice(NAMES + CUBE_NAMES[:1]))
+        case "const":
+            return Const(rng.choice(["hom", "id", "x"]))
+        case "pi":
+            return Pi(rng.choice(NAMES), sub(), sub())
+        case "lam":
+            return Lam(rng.choice(NAMES + CUBE_NAMES), sub())
+        case "app":
+            return App(sub(), sub())
+        case "sigma":
+            return Sigma(rng.choice(NAMES), sub(), sub())
+        case "pair":
+            return Pair(sub(), sub())
+        case "fst":
+            return Fst(sub())
+        case "snd":
+            return Snd(sub())
+        case "id":
+            return IdT(sub(), sub(), sub())
+        case "refl":
+            return Refl(rng.choice([None, sub()]))
+        case "j":
+            return J(sub(), sub(), sub())
+        case "ext":
+            cube = rng.choice([INTERVAL, ProdCube(INTERVAL, INTERVAL)])
+            return Ext(rng.choice(CUBE_NAMES), cube, random_tope(rng, CUBE_NAMES, 1),
+                       sub(), random_tope(rng, CUBE_NAMES, 1), sub())
+        case "ext_app":
+            return ExtApp(sub(), random_point(rng, 2))
+        case "tope_case":
+            return TopeCase(tuple((random_tope(rng, CUBE_NAMES, 1), sub())
+                                  for _ in range(rng.randrange(3))))
+        case "ann":
+            return Ann(sub(), sub())
+        case "cube_lit":
+            return CubeLit(rng.choice([CZERO, CONE]))
+    raise AssertionError(kind)
+
+
+def random_point(rng: random.Random, depth: int):
+    """A cube point over the names of ``CUBE_NAMES``."""
+    if depth <= 0 or rng.random() < 0.5:
+        return rng.choice([CZERO, CONE] + [CVar(n) for n in CUBE_NAMES])
+    if rng.random() < 0.5:
+        return CPair(random_point(rng, depth - 1), random_point(rng, depth - 1))
+    return rng.choice([CFst, CSnd])(random_point(rng, depth - 1))
 
 
 def random_tope(rng: random.Random, names: list[str], depth: int) -> Tope:

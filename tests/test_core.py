@@ -1,23 +1,29 @@
 import copy
+import itertools
 import random
+import typing
 
 import pytest
 
-from generators import random_expr
+from generators import CUBE_NAMES, NAMES, random_expr, random_term
 from sstt import core, cube, tope
 from sstt.core import (
     U,
     App,
     Const,
     CubeLit,
+    ExtApp,
     CubeParam,
     Ext,
     Fst,
     Lam,
     Pair,
     Pi,
+    Refl,
+    Sigma,
     Snd,
     Span,
+    TopeCase,
     TopeParam,
     TypedParam,
     Var,
@@ -183,3 +189,174 @@ def test_copy_of_global_env_is_independent():
     other.shapes = dict(other.shapes)
     assert other is not env and isinstance(other, GlobalEnv)
     assert env.decls == {"a": None} and other.decls == {"a": None, "b": None}
+
+
+# -- laws of the walkers, on terms of every class
+
+def _terms(seed, n=300, depth=4):
+    rng = random.Random(seed)
+    return [random_term(rng, depth) for _ in range(n)]
+
+
+def _rename_binders(e, pick, env=None, depth=0):
+    """``e`` with each binder renamed to ``pick(name, depth)`` and its bound
+    occurrences following it, with no capture avoidance."""
+    env = env or {}
+
+    def go(sub, bound=None):  # ``bound``: the binder crossed, renamed
+        inner = env if bound is None else {**env, bound[0]: bound[1]}
+        return _rename_binders(sub, pick, inner, depth + (bound is not None))
+
+    points = {old: CVar(new) for old, new in env.items()}
+    match e:
+        case Var(n):
+            return Var(env.get(n, n))
+        case Pi(x, a, b) | Sigma(x, a, b):
+            y = pick(x, depth)
+            return type(e)(y, go(a), go(b, (x, y)))
+        case Lam(x, b):
+            y = pick(x, depth)
+            return Lam(y, go(b, (x, y)))
+        case Ext(t, cu, psi, fam, phi, bd):
+            y = pick(t, depth)
+            inner = {**points, t: CVar(y)}
+            return Ext(y, cu, tope.subst_tope_sim(psi, inner), go(fam, (t, y)),
+                       tope.subst_tope_sim(phi, inner), go(bd, (t, y)))
+        case ExtApp(f, c):
+            return ExtApp(go(f), cube.subst_cube_sim(c, points))
+        case TopeCase(bs):
+            return TopeCase(tuple((tope.subst_tope_sim(t, points), go(b)) for t, b in bs))
+        case CubeLit(c):
+            return CubeLit(cube.subst_cube_sim(c, points))
+        case Const() | Refl(None):
+            return e
+    return type(e)(*(go(getattr(e, f)) for f in e._fields))
+
+
+def _canonical(e):
+    """``e`` with the binder at depth k named ``#k``, which no term uses: two
+    terms are alpha-equal iff their canonical forms are equal."""
+    return _rename_binders(e, lambda name, depth: f"#{depth}")
+
+
+def _capturing(rng):
+    """Renames each binder to a name of its sort, bound or free elsewhere."""
+    return lambda name, depth: rng.choice(CUBE_NAMES if name in CUBE_NAMES else NAMES)
+
+
+EXPR_CLASSES = frozenset(typing.get_args(core.Expr))
+
+
+def _subterms(e):
+    todo = [e]
+    while todo:
+        n = todo.pop()
+        yield n
+        todo += [c for f in n._fields for c in [getattr(n, f)] if c.__class__ in EXPR_CLASSES]
+        if isinstance(n, TopeCase):
+            todo += [b for _, b in n.branches]
+
+
+def test_random_terms_cover_every_class():
+    assert {n.__class__ for e in _terms(1) for n in _subterms(e)} == EXPR_CLASSES
+
+
+def test_alpha_eq_agrees_with_canonical_names():
+    # pairs that differ only in binder names, some of them by a capture
+    rng = random.Random(11)
+    verdicts = []
+    for e in _terms(2):
+        for other in (_rename_binders(e, _capturing(rng)), random_term(rng, 2)):
+            expected = _canonical(e) == _canonical(other)
+            assert alpha_eq(e, other) == expected, (e, other)
+            verdicts.append(expected)
+    assert 100 < sum(verdicts) < len(verdicts) - 100
+
+
+def test_alpha_eq_is_symmetric():
+    rng = random.Random(12)
+    for e in _terms(3):
+        other = _rename_binders(e, _capturing(rng))
+        assert alpha_eq(e, other) == alpha_eq(other, e), (e, other)
+
+
+def test_alpha_eq_survives_renaming_every_binder():
+    names = (f"v{k}" for k in itertools.count())
+    for e in _terms(4):
+        renamed = _rename_binders(e, lambda name, depth: next(names))
+        assert alpha_eq(e, renamed) and alpha_eq(renamed, e)
+
+
+def test_equal_terms_are_alpha_equal():
+    for a, b in zip(_terms(5), _terms(5)):
+        assert a == b and a is not b
+        assert alpha_eq(a, b) and alpha_eq(a, a)
+
+
+def test_substituting_a_variable_for_itself():
+    # the result is alpha-equal to the term, and equal unless a binder
+    # shadows the name (such a binder is renamed)
+    for e in _terms(6):
+        for x in NAMES:
+            out = subst_typed(e, {x: Var(x)})
+            assert alpha_eq(out, e)
+            if all(n.var != x for n in _subterms(e) if isinstance(n, (Pi, Sigma, Lam, Ext))):
+                assert out == e
+
+
+def test_free_vars_of_a_substitution():
+    rng = random.Random(13)
+    checked = 0
+    for e in _terms(7):
+        v = random_term(rng, 2)
+        for x in sorted(free_vars(e) & set(NAMES)):
+            out = subst_typed(e, {x: v})
+            assert free_vars(out) == (free_vars(e) - {x}) | free_vars(v), (e, x, v)
+            checked += 1
+    assert checked > 100
+
+
+# -- the walkers' tables and fast paths
+
+@pytest.mark.parametrize("table", ["_FREE", "_SUBST", "_ALPHA"])
+def test_every_term_class_has_a_case(table):
+    cases = getattr(core, table)
+    assert [c.__name__ for c in typing.get_args(core.Expr) if c not in cases] == []
+
+
+def test_substituting_into_a_non_node_is_a_type_error():
+    with pytest.raises(TypeError, match="not an expression: 'x'"):
+        subst_typed("x", {"x": Var("y")})
+    with pytest.raises(TypeError, match="not an expression: 3"):
+        subst_typed(App(Var("f"), 3), {"x": Var("y")})
+
+
+def test_empty_substitution_returns_the_term_itself():
+    e = Lam("x", App(Var("f"), Var("x")))
+    assert core.EMPTY.close(e) is e
+    assert subst_typed(e, {}) is e
+
+
+def test_alpha_eq_settles_identical_sides_under_binders_of_one_name():
+    # the walker has no case for a span, so only the fast path settles it:
+    # a binder pair of one name leaves the maps empty and the path open
+    opaque = Span(0, 1)
+    a = Pi("x", Lam("y", Var("y")), App(Var("x"), opaque))
+    assert alpha_eq(a, Pi("x", Lam("z", Var("z")), App(Var("x"), opaque)))
+    assert not alpha_eq(a, Pi("w", Lam("y", Var("y")), App(Var("w"), opaque)))
+
+
+def test_alpha_eq_pairs_binders_on_both_sides():
+    # a bound name on one side never matches a free one, or one bound by
+    # another binder, on the other
+    assert not alpha_eq(Lam("a", Var("y")), Lam("y", Var("y")))
+    assert not alpha_eq(Lam("y", Var("y")), Lam("a", Var("y")))
+    assert not alpha_eq(Lam("a", Lam("x", Var("a"))), Lam("x", Lam("x", Var("x"))))
+    assert alpha_eq(Lam("a", Lam("x", Var("a"))), Lam("x", Lam("y", Var("x"))))
+    ext = lambda t, s: Ext(t, INTERVAL, TLe(CVar(s), CONE), U(), TEq(CVar(s), CZERO), U())
+    assert not alpha_eq(ext("t", "s"), ext("s", "s"))
+    assert alpha_eq(ext("t", "t"), ext("s", "s"))
+    # topes and cube points are compared, with or without binders crossed
+    assert not alpha_eq(ext("t", "t"), ext("t", "s"))
+    assert not alpha_eq(CubeLit(CZERO), CubeLit(CONE))
+    assert alpha_eq(Var("a"), Var("b"), {"a": "b"}) and not alpha_eq(Var("b"), Var("b"), {"a": "b"})

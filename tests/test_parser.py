@@ -76,7 +76,7 @@ def test_roundtrip_corpus():
                 env.decls[item.name] = item
             else:
                 env.shapes[item.name] = item
-    assert terms == 227
+    assert terms == 234
 
 
 def position(src, i):
