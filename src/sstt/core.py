@@ -395,25 +395,29 @@ class Subst:
     def tope(self, t: Tope) -> Tope:
         return subst_tope_sim(t, self.points) if self.points else t
 
-    def under(self, x: str, node: Expr) -> tuple[str, "Subst"]:
-        """The name of the binder ``x`` of ``node`` and the substitution for
-        its scope: ``x`` no longer substituted, and renamed if it would
-        capture a free name of a value."""
+    def free_names(self) -> set[str]:
         if self._fvs is None:  # the free names of the values, found once
             self._fvs = set().union(*map(free_vars, self.values.values()),
                                     *map(cube_free_vars, self.points.values()))
-        fvs = self._fvs
-        if x not in self.values and x not in self.points and x not in fvs:
-            # the binder neither shadows a substituted name nor captures
-            return x, self
+        return self._fvs
+
+    def under(self, x: str, node: Expr) -> tuple[str, "Subst"]:
+        """The name of the binder ``x`` of ``node`` and the substitution for
+        its scope: ``x`` no longer substituted, and renamed if it would
+        capture a free name of a value that remains."""
+        fvs = self.free_names()
+        shadows = x in self.values or x in self.points
+        if not shadows and x not in fvs:
+            return x, self  # the binder neither shadows a substituted name nor captures
         sub = Subst({k: v for k, v in self.values.items() if k != x},
                     {k: c for k, c in self.points.items() if k != x})
-        if x in fvs:
-            nx = fresh(x, {*self.values, *self.points} | fvs | free_vars(node))
-            sub.points[x] = CVar(nx)
-            sub._fvs = fvs | {nx}
-            return nx, sub
-        return x, sub
+        sub._fvs = None if shadows else fvs
+        if x not in fvs or x not in sub.free_names():  # x may be free only in its value
+            return x, sub
+        nx = fresh(x, {*self.values, *self.points} | fvs | free_vars(node))
+        sub.points[x] = CVar(nx)
+        sub._fvs = sub._fvs | {nx}
+        return nx, sub
 
     def expr(self, e: Expr) -> Expr:
         if not (self.values or self.points):

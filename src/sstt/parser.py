@@ -1,10 +1,12 @@
 """Surface syntax: lexer and recursive-descent parser.
 
-The lexer matches one compiled pattern, built from ``PUNCT`` and
-``KEYWORDS``, at each position.  A token's kind is its own text (a keyword,
-a numeral ``0``/``1``/``2`` or punctuation), except ``"ident"`` for any
-other name and ``"eof"`` at the end of input, so the parser compares kinds
-only and picks each alternative with one ``match`` on the token in hand.
+The lexer makes one match of one compiled pattern per token, the blanks and
+comments before it included.  A token is a plain tuple ``(kind, text, start,
+end)``; ``line_col`` works out a line and column only for a ``ParseError``.
+A token's kind is its own text (a keyword, a numeral ``0``/``1``/``2`` or
+punctuation), except ``"ident"`` for any other name and ``"eof"`` at the end
+of input, so the parser compares kinds only and picks each alternative with
+one ``match`` on the token in hand.
 
 The parser reads a file in one pass into resolved core terms, telescope
 parameters, declarations and shapes.  It takes the global environment
@@ -44,7 +46,9 @@ matching parentheses built once per input:
 - an identifier in a tope starts a relation iff it is a bound name or
   ``<=`` or ``===`` follows it, and applies a shape otherwise.
 
-So every token is parsed once.  The grammar is documented in docs/syntax.md.
+So every token is parsed once, and a parenthesized term costs three frames
+(``parse_atom``, ``parse_arrow``, ``parse_app``).  The grammar is documented
+in docs/syntax.md.
 """
 
 from __future__ import annotations
@@ -95,7 +99,6 @@ from .cube import (
     CubeExpr,
     CubeType,
     INTERVAL,
-    Node,
     ProdCube,
     UNIT_CUBE,
     split_cube,
@@ -131,54 +134,48 @@ PUNCT = [
     "(", ")", "{", "}", "[", "]", "<", ">", ",", ".", ":", "|", "*", "\\",
 ]
 
-_TOKEN = re.compile("|".join([
-    r"(\n)",                                       # 1: a newline
-    r"[ \t\r]+|--[^\n]*",                          # blanks or a comment
-    r"([^\W\d][\w']*)",                            # 2: a name
-    r"(\d+)",                                      # 3: digits
-    "(" + "|".join(map(re.escape, PUNCT)) + ")",  # 4: punctuation
-    r"(.)",                                       # 5: anything else
-]))
+# The blanks and comments before a token are part of its match, and the end
+# of input ends the last one, so n tokens take n + 1 matches (one more, and
+# empty, after a final blank or comment); the lexer counts offsets itself
+_TOKEN = re.compile(
+    r"((?:[ \t\r\n]+|--[^\n]*)*)"      # blanks and comments, then the token:
+    r"([^\W\d][\w']*|\d+|"             # a name, digits,
+    + "|".join(map(re.escape, PUNCT))  # punctuation,
+    + r"|.|\Z)")                       # anything else, or nothing at the end
 
+# the tokens whose kind is their text, but for the numerals
+_KINDS = {text: text for text in (*KEYWORDS, *PUNCT)}
 
-class Token(Node):
-    # kind: "ident", "eof", or the token's own text
-    __slots__ = __match_args__ = ("kind", "value", "start", "end", "line", "col")
-
-    def __init__(self, kind: str, value: str, start: int, end: int, line: int, col: int):
-        self.kind = kind
-        self.value = value
-        self.start = start
-        self.end = end
-        self.line = line
-        self.col = col
-        self._hash = None
-
-    @property
-    def span(self) -> Span:
-        return Span(self.start, self.end)
+Token = tuple[str, str, int, int]  # (kind, text, start, end)
 
 
 def lex(src: str, filename: str = "<input>") -> list[Token]:
     toks: list[Token] = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(src):
-        group = m.lastindex
-        if group == 1:
-            line, line_start = line + 1, m.end()
-        elif group:
-            start, end, text = m.start(), m.end(), m.group()
-            col = start - line_start + 1
+    append = toks.append
+    end = 0
+    for blank, text in _TOKEN.findall(src):
+        start = end + len(blank)
+        end = start + len(text)
+        kind = _KINDS.get(text)
+        if kind is None:
             # \w takes in numeric characters that are not letters, like ²,
             # and \d+ stops before a digit of another kind, as in 1²
-            if (group == 5 or group == 2 and not (text[0].isalpha() or text[0] == "_")
-                    or group == 3 and (text not in ("0", "1", "2") or src[end:end + 1].isdigit())):
-                raise ParseError(_unexpected(src, start), line, col, filename)
-            kind = "ident" if group == 2 and text not in KEYWORDS else text
-            toks.append(Token(kind, text, start, end, line, col))
-    n = len(src)
-    toks.append(Token("eof", "", n, n, line, n - line_start + 1))
+            if text[:1].isalpha() or text[:1] == "_":
+                kind = "ident"
+            elif text in ("0", "1", "2") and not src[end:end + 1].isdigit():
+                kind = text
+            elif text:
+                raise ParseError(_unexpected(src, start), *line_col(src, start), filename)
+            else:
+                break
+        append((kind, text, start, end))
+    append(("eof", "", len(src), len(src)))
     return toks
+
+
+def line_col(src: str, i: int) -> tuple[int, int]:
+    """The line and column of ``src[i]``, both from 1."""
+    return src.count("\n", 0, i) + 1, i - src.rfind("\n", 0, i)
 
 
 def _unexpected(src: str, i: int) -> str:
@@ -197,13 +194,13 @@ def _unexpected(src: str, i: int) -> str:
 # λ binder), or the projection of a tuple-pattern lambda's point
 Bound = Union[str, CubeExpr]
 
+# the prefix operators, which ``parse_prefix`` reads
+_PREFIX = frozenset({"fst", "snd", "Id", "refl", "J", "Sigma"})
+
 # the kinds of token that start an application argument; "[" does not, so a
 # tope case used as an argument must be parenthesized, which keeps
 # extension-type boundaries unambiguous
-_ATOM_START = frozenset({
-    "ident", "0", "1", "2", "U", "Unit", "star", "fst", "snd", "Id", "refl", "J",
-    "Sigma", "(", "<",
-})
+_ATOM_START = _PREFIX | {"ident", "0", "1", "2", "U", "Unit", "star", "(", "<"}
 
 _TERM_CONSTANTS = {"U": U, "Unit": UnitType, "star": UnitPoint}
 _CUBE_CONSTANTS = {"0": CZERO, "1": CONE, "star": CSTAR}
@@ -214,9 +211,9 @@ def _matching_parens(toks: list[Token]) -> dict[int, int]:
     close: dict[int, int] = {}
     opened: list[int] = []
     for i, t in enumerate(toks):
-        if t.kind == "(":
+        if t[0] == "(":
             opened.append(i)
-        elif t.kind == ")" and opened:
+        elif t[0] == ")" and opened:
             close[opened.pop()] = i
     return close
 
@@ -229,9 +226,10 @@ class Parser:
                  env: Optional[GlobalEnv] = None,
                  scope: Optional[dict[str, Bound]] = None):
         toks = lex(src, filename)
-        # two more ``eof`` tokens keep ``peek`` (2 ahead at most) in range
+        # two more ``eof`` tokens keep lookahead (2 ahead at most) in range
         self.toks = toks + [toks[-1]] * 2
         self.pos = 0
+        self.src = src
         self.filename = filename
         self.close = _matching_parens(self.toks)
         self.env = env
@@ -241,39 +239,37 @@ class Parser:
 
     # -- token plumbing
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[self.pos + ahead]
-
     def next(self) -> Token:
         t = self.toks[self.pos]
-        if t.kind != "eof":
+        if t[0] != "eof":
             self.pos += 1
         return t
 
     def at(self, kind: str) -> bool:
-        return self.toks[self.pos].kind == kind
+        return self.toks[self.pos][0] == kind
 
     def accept(self, kind: str) -> Optional[Token]:
         t = self.toks[self.pos]
-        if t.kind == kind:
+        if t[0] == kind:
             self.pos += 1
             return t
         return None
 
     def expect(self, kind: str) -> Token:
         t = self.toks[self.pos]
-        if t.kind == kind:
-            return self.next()
-        raise self.fail(f"expected {kind!r}, found {t.value or t.kind!r}")
+        if t[0] == kind:
+            self.pos += 1  # past ``eof`` only at the end, into the padding
+            return t
+        raise self.fail(f"expected {kind!r}, found {t[1] or t[0]!r}")
 
     def fail(self, message: str, t: Optional[Token] = None) -> ParseError:
         """An error at ``t``, by default the token in hand."""
-        t = t or self.peek()
-        return ParseError(message, t.line, t.col, self.filename)
+        t = t or self.toks[self.pos]
+        return ParseError(message, *line_col(self.src, t[2]), self.filename)
 
     def span_from(self, start: Token) -> Span:
-        end = self.toks[max(self.pos - 1, 0)]
-        return Span(start.start, end.end)
+        """From ``start`` to the last token read, at least one token on."""
+        return Span(start[2], self.toks[self.pos - 1][3])
 
     # -- lookahead
 
@@ -281,14 +277,14 @@ class Parser:
         """Whether the token after the ``)`` closing the ``(`` here is one of
         ``kinds``."""
         j = self.close.get(self.pos)
-        return j is not None and self.toks[j + 1].kind in kinds
+        return j is not None and self.toks[j + 1][0] in kinds
 
     def cube_ahead(self) -> bool:
         """Whether the tokens from here up to the enclosing ``)`` or a ``|``
         are only ``1``, ``2``, ``*`` and parentheses, as in a cube type."""
         i, depth = self.pos, 0
         while True:
-            kind = self.toks[i].kind
+            kind = self.toks[i][0]
             if kind == "(":
                 depth += 1
             elif kind == ")":
@@ -307,15 +303,15 @@ class Parser:
         follows the name and no bound name hides it; the shape is then
         consumed up to ``stop``."""
         toks, i = self.toks, self.pos
-        while toks[i].kind == "(":
+        while toks[i][0] == "(":
             i += 1
         j = 2 * i - self.pos + 1  # the token after the closing parentheses
-        name = toks[i]
-        if (name.kind != "ident" or j >= len(toks) or toks[j].kind != stop
-                or any(t.kind != ")" for t in toks[i + 1:j])
-                or name.value in self.scope):
+        kind, name = toks[i][:2]
+        if (kind != "ident" or j >= len(toks) or toks[j][0] != stop
+                or any(t[0] != ")" for t in toks[i + 1:j])
+                or name in self.scope):
             return None
-        sh = self.global_(name.value)
+        sh = self.global_(name)
         if not isinstance(sh, Shape):
             return None
         self.pos = j
@@ -332,33 +328,33 @@ class Parser:
         return item
 
     def term_name(self, t: Token) -> Expr:
-        bound = self.scope.get(t.value)
+        name, span = t[1], Span(t[2], t[3])
+        bound = self.scope.get(name)
         if isinstance(bound, str):
-            return Var(t.value, span=t.span)
+            return Var(name, span=span)
         if bound is not None:
-            return cube_to_term(bound, t.span)
-        item = self.global_(t.value)
+            return cube_to_term(bound, span)
+        item = self.global_(name)
         if isinstance(item, Decl):
             if item.tag == DeclTag.THEOREM_STATED:
                 raise ScopeError(
-                    f"{t.value!r} is a statement without a proof and cannot be used",
-                    t.span)
-            return Const(t.value, span=t.span)
+                    f"{name!r} is a statement without a proof and cannot be used", span)
+            return Const(name, span=span)
         if item is not None:
-            raise ScopeError(f"shape {t.value!r} used as a term", t.span)
-        raise ScopeError(f"unbound name {t.value!r}", t.span)
+            raise ScopeError(f"shape {name!r} used as a term", span)
+        raise ScopeError(f"unbound name {name!r}", span)
 
     def cube_name(self, t: Token) -> CubeExpr:
-        bound = self.scope.get(t.value)
+        name, span = t[1], Span(t[2], t[3])
+        bound = self.scope.get(name)
         if bound is None:
             if self.env is None:
-                return CVar(t.value)
-            raise ScopeError(f"unbound variable {t.value!r} in tope", t.span)
+                return CVar(name)
+            raise ScopeError(f"unbound variable {name!r} in tope", span)
         if bound == "typed":
             raise ScopeError(
-                f"variable {t.value!r} has a type, not a cube, and cannot appear in a tope",
-                t.span)
-        return CVar(t.value) if isinstance(bound, str) else bound
+                f"variable {name!r} has a type, not a cube, and cannot appear in a tope", span)
+        return CVar(name) if isinstance(bound, str) else bound
 
     def bind(self, name: str, bound: Bound) -> dict[str, Bound]:
         """Bind ``name`` for the binder being parsed, hiding an outer one;
@@ -378,9 +374,9 @@ class Parser:
     # -- top level
 
     def parse_file(self) -> list[Union[Decl, Shape]]:
-        while not self.at("eof"):
-            name = self.peek(1)  # after the keyword
-            match self.peek().kind:
+        while (kind := self.toks[self.pos][0]) != "eof":
+            name = self.toks[self.pos + 1]  # after the keyword
+            match kind:
                 case "shape":
                     item = self.parse_shape_decl()
                 case "def" | "postulate" | "thm":
@@ -396,17 +392,10 @@ class Parser:
 
     def parse_shape_decl(self) -> Shape:
         start = self.next()
-        name = self.expect("ident").value
+        name = self.expect("ident")[1]
         self.expect(":=")
         self.expect("{")
-        if self.accept("("):
-            pats = [self.expect("ident").value]
-            while self.accept(","):
-                pats.append(self.expect("ident").value)
-            self.expect(")")
-            pattern = tuple(pats)
-        else:
-            pattern = (self.expect("ident").value,)
+        pattern = tuple(self.parse_pattern())
         self.expect(":")
         cube = self.parse_cube_type()
         self.expect("|")
@@ -425,16 +414,16 @@ class Parser:
 
     def parse_decl(self) -> Decl:
         start = self.next()
-        name = self.expect("ident").value
+        name = self.expect("ident")[1]
         self.scope = {}
         telescope = self.parse_telescope()
         self.expect(":")
         ty = self.parse_expr()
         body: Optional[Expr] = None
-        if start.kind == "def":
+        if start[0] == "def":
             self.expect(":=")
             body, tag = self.parse_expr(), DeclTag.DEFINITION
-        elif start.kind == "postulate":
+        elif start[0] == "postulate":
             tag = DeclTag.AXIOM
         elif self.accept(":="):
             body, tag = self.parse_expr(), DeclTag.THEOREM_PROVED
@@ -449,25 +438,23 @@ class Parser:
         params: list[TeleParam] = []
         cube_ctx: dict[str, CubeType] = {}
         phase = 0  # 0: cube params, 1: tope params, 2: typed params
-        while self.peek().kind in ("(", "{"):
+        while self.toks[self.pos][0] in ("(", "{"):
             start = self.next()
-            if start.kind == "{":
+            if start[0] == "{":
                 tope = self.parse_tope()
                 self.expect("}")
                 span = self.span_from(start)
                 if phase > 1:
-                    raise ScopeError(
-                        "tope parameters must come before typed parameters", span)
+                    raise ScopeError("tope parameters must come before typed parameters", span)
                 if not cube_ctx:
-                    raise ScopeError(
-                        "a tope parameter needs a cube parameter in scope", span)
+                    raise ScopeError("a tope parameter needs a cube parameter in scope", span)
                 phase = 1
                 _check_tope(cube_ctx, tope, span)
                 params.append(TopeParam(tope, span=span))
                 continue
-            names = [self.expect("ident").value]
+            names = [self.expect("ident")[1]]
             while self.at("ident"):
-                names.append(self.next().value)
+                names.append(self.next()[1])
             self.expect(":")
             if self.cube_ahead():
                 cube = self.parse_cube_type()
@@ -500,7 +487,7 @@ class Parser:
 
     def parse_cube_type_atom(self) -> CubeType:
         t = self.next()
-        match t.kind:
+        match t[0]:
             case "2":
                 return INTERVAL
             case "1":
@@ -523,9 +510,9 @@ class Parser:
 
     def parse_cube_atom(self) -> CubeExpr:
         t = self.next()
-        match t.kind:
+        match t[0]:
             case "0" | "1" | "star":
-                return _CUBE_CONSTANTS[t.kind]
+                return _CUBE_CONSTANTS[t[0]]
             case "fst":
                 return CFst(self.parse_cube_atom())
             case "snd":
@@ -555,23 +542,23 @@ class Parser:
         return left
 
     def parse_tope_atom(self) -> Tope:
-        t = self.peek()
-        match t.kind:
+        t, after = self.toks[self.pos], self.toks[self.pos + 1][0]
+        match t[0]:
             case "TOP" | "BOT":
-                self.next()
-                return TOP if t.kind == "TOP" else BOT
+                self.pos += 1
+                return TOP if t[0] == "TOP" else BOT
             case "(" if not self.after_group("<=", "==="):
-                self.next()
+                self.pos += 1
                 tope = self.parse_tope()
                 self.expect(")")
                 return tope
-            case "ident" if t.value not in self.scope and self.peek(1).kind not in ("<=", "==="):
-                self.next()
+            case "ident" if t[1] not in self.scope and after not in ("<=", "==="):
+                self.pos += 1
                 if self.env is None:
-                    raise self.fail(f"unknown tope form {t.value!r}", t)
-                sh = self.global_(t.value)
+                    raise self.fail(f"unknown tope form {t[1]!r}", t)
+                sh = self.global_(t[1])
                 if not isinstance(sh, Shape):
-                    raise ScopeError(f"unknown shape {t.value!r}", t.span)
+                    raise ScopeError(f"unknown shape {t[1]!r}", Span(t[2], t[3]))
                 return sh.applied_to(self.parse_cube_atom())
         a = self.parse_cube_atom()
         if self.accept("<="):
@@ -582,19 +569,21 @@ class Parser:
     # -- expressions
 
     def parse_expr(self) -> Expr:
-        start = self.peek()
-        if self.accept("\\"):
-            return self.parse_lambda(start)
-        return self.parse_arrow()
+        start = self.toks[self.pos]
+        return self.parse_lambda(start) if self.accept("\\") else self.parse_arrow()
+
+    def parse_pattern(self) -> list[str]:
+        """``x`` or ``(x, y, ...)``."""
+        if not self.accept("("):
+            return [self.expect("ident")[1]]
+        names = [self.expect("ident")[1]]
+        while self.accept(","):
+            names.append(self.expect("ident")[1])
+        self.expect(")")
+        return names
 
     def parse_lambda(self, start: Token) -> Expr:
-        if self.accept("("):
-            names = [self.expect("ident").value]
-            while self.accept(","):
-                names.append(self.expect("ident").value)
-            self.expect(")")
-        else:
-            names = [self.expect("ident").value]
+        names = self.parse_pattern()
         self.expect(".")
         saved = self.scope
         if len(names) == 1:
@@ -609,17 +598,23 @@ class Parser:
         return Lam(var, body, span=self.span_from(start))
 
     def parse_arrow(self) -> Expr:
-        start = self.peek()
-        if (start.kind == "(" and self.peek(1).kind == "ident"
-                and self.peek(2).kind == ":" and self.after_group("->")):
+        """A Π, Σ, arrow or extension type, or an application; the first
+        ``*`` of a Σ is read here, a frame above ``parse_sigma_op``."""
+        toks, pos = self.toks, self.pos
+        start = toks[pos]
+        if (start[0] == "(" and toks[pos + 1][0] == "ident"
+                and toks[pos + 2][0] == ":" and self.after_group("->")):
             return self.parse_pi_binder(start)
         sh = self.shape_ahead("->")
         if sh is not None:
-            self.next()
+            self.pos += 1
             t = fresh("t", self.scope)
             return Ext(t, sh.cube, sh.applied_to(CVar(t)), self.parse_arrow(),
                        BOT, TopeCase(()), span=self.span_from(start))
-        left = self.parse_sigma_op()
+        left = self.parse_app()
+        if self.accept("*"):
+            left = Sigma(fresh("x", self.scope), left, self.parse_sigma_op(),
+                         span=self.span_from(start))
         if self.accept("->"):
             return Pi(fresh("x", self.scope), left, self.parse_arrow(), span=self.span_from(start))
         return left
@@ -628,7 +623,7 @@ class Parser:
         """``(x : D) -> B``: an extension type with an empty boundary if
         ``D`` is a cube type or a shape, a Π otherwise."""
         self.expect("(")
-        var = self.next().value
+        var = self.next()[1]
         self.expect(":")
         cube: Optional[CubeType] = None
         if self.cube_ahead():
@@ -647,7 +642,8 @@ class Parser:
         return Pi(var, dom, cod, span=self.span_from(start))
 
     def parse_sigma_op(self) -> Expr:
-        start = self.peek()
+        """The right operand of a ``*``, or the family of an extension type."""
+        start = self.toks[self.pos]
         left = self.parse_app()
         if self.accept("*"):
             return Sigma(fresh("x", self.scope), left, self.parse_sigma_op(),
@@ -655,39 +651,37 @@ class Parser:
         return left
 
     def parse_app(self) -> Expr:
-        start = self.peek()
-        head = self.parse_prefix()
-        while self.toks[self.pos].kind in _ATOM_START:
-            arg = self.parse_prefix()
+        toks = self.toks
+        start = toks[self.pos]
+        head = self.parse_prefix() if start[0] in _PREFIX else self.parse_atom()
+        while (kind := toks[self.pos][0]) in _ATOM_START:
+            arg = self.parse_prefix() if kind in _PREFIX else self.parse_atom()
             head = App(head, arg, span=self.span_from(start))
         return head
 
     def parse_prefix(self) -> Expr:
         """An atom possibly led by one of the prefix operators."""
-        start = self.peek()
-        match start.kind:
+        start = self.toks[self.pos]
+        if start[0] not in _PREFIX:
+            return self.parse_atom()
+        self.pos += 1
+        match start[0]:
             case "fst":
-                self.next()
                 return Fst(self.parse_prefix(), span=self.span_from(start))
             case "snd":
-                self.next()
                 return Snd(self.parse_prefix(), span=self.span_from(start))
             case "Id":
-                self.next()
                 ty, lhs, rhs = self.parse_atom(), self.parse_atom(), self.parse_atom()
                 return IdT(ty, lhs, rhs, span=self.span_from(start))
             case "refl":
-                self.next()
-                arg = self.parse_atom() if self.peek().kind in _ATOM_START else None
+                arg = self.parse_atom() if self.toks[self.pos][0] in _ATOM_START else None
                 return Refl(arg, span=self.span_from(start))
             case "J":
-                self.next()
                 motive, base, path = self.parse_atom(), self.parse_atom(), self.parse_atom()
                 return J(motive, base, path, span=self.span_from(start))
-            case "Sigma":
-                self.next()
+            case _:  # Sigma
                 self.expect("(")
-                var = self.expect("ident").value
+                var = self.expect("ident")[1]
                 self.expect(":")
                 dom = self.parse_expr()
                 self.expect(")")
@@ -695,25 +689,26 @@ class Parser:
                 body = self.parse_app()
                 self.scope = saved
                 return Sigma(var, dom, body, span=self.span_from(start))
-        return self.parse_atom()
 
     def parse_atom(self) -> Expr:
-        start = self.next()
-        match start.kind:
+        start = self.toks[self.pos]
+        self.pos += 1  # past ``eof`` too, which is an error here
+        kind = start[0]
+        if kind == "ident":
+            return self.term_name(start)
+        match kind:
             case "U" | "Unit" | "star":
-                return _TERM_CONSTANTS[start.kind](span=start.span)
+                return _TERM_CONSTANTS[kind](span=self.span_from(start))
             case "0" | "1":
-                return CubeLit(_CUBE_CONSTANTS[start.kind], span=start.span)
+                return CubeLit(_CUBE_CONSTANTS[kind], span=self.span_from(start))
             case "2":
                 raise self.fail("the interval is not a term", start)
-            case "ident":
-                return self.term_name(start)
             case "<":
                 return self.parse_ext(start)
             case "[":
                 return TopeCase(self.parse_branches(), span=self.span_from(start))
-            case "(":
-                e = self.parse_lambda(start) if self.accept("\\") else self.parse_expr()
+            case "(":  # ``parse_expr`` inlined, one frame fewer
+                e = self.parse_lambda(start) if self.accept("\\") else self.parse_arrow()
                 if self.accept(","):
                     snd = self.parse_expr()
                     self.expect(")")
@@ -732,15 +727,16 @@ class Parser:
         there is one branch)."""
         self.expect("Pi")
         self.expect("(")
-        var = self.expect("ident").value
+        var = self.expect("ident")[1]
         self.expect(":")
         if self.cube_ahead():
             cube, psi = self.parse_cube_domain(var)
         elif self.at("ident"):
             t = self.next()
-            sh = None if t.value in self.scope else self.global_(t.value)
+            sh = None if t[1] in self.scope else self.global_(t[1])
             if not isinstance(sh, Shape):
-                raise ScopeError("an extension type needs a cube or shape domain", t.span)
+                raise ScopeError("an extension type needs a cube or shape domain",
+                                 Span(t[2], t[3]))
             cube, psi = sh.cube, sh.applied_to(CVar(var))
         else:
             raise self.fail("an extension type needs a cube or shape domain")
@@ -815,7 +811,7 @@ def parse_sequent_source(src: str, filename: str = "<sequent>"):
     ctx: list[tuple[str, CubeType]] = []
     if not p.at("|"):
         while True:
-            name = p.expect("ident").value
+            name = p.expect("ident")[1]
             p.expect(":")
             cube = p.parse_cube_type()
             ctx.append((name, cube))

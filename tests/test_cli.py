@@ -312,6 +312,18 @@ def test_check_reports_deep_nesting_as_too_deep(tmp_path):
     assert kinds == ["too-deep"]
 
 
+def test_check_nesting_just_below_the_depth_limit(tmp_path):
+    # a parenthesised argument costs the parser three frames and the
+    # checker about four, so 240 levels check (246 at most)
+    depth = 240
+    src = tmp_path / "deep.sstt"
+    src.write_text("def idu (x : Unit) : Unit := x\n\n"
+                   f"def deep : Unit := {'idu (' * depth}star{')' * depth}\n")
+    proc = run_cli("--machine", "check", str(src), timeout=60)
+    assert proc.returncode == 0, proc.stdout
+    assert json.loads(proc.stdout)["ok"] is True
+
+
 def test_check_nested_annotations_parse_in_linear_time(tmp_path):
     # each (x : D) is decided by lookahead, so the domain is parsed once and
     # not again as an annotation; 40 levels would take days to backtrack
@@ -342,7 +354,7 @@ def token_mutation(draw):
     swapped with the next one or replaced by another token of the file."""
     path = draw(st.sampled_from(sorted(CORPUS_DIR.glob("*.sstt"))))
     src = path.read_text(encoding="utf-8")
-    spans = [(t.start, t.end) for t in lex(src) if t.kind != "eof"]
+    spans = [(start, end) for kind, _, start, end in lex(src) if kind != "eof"]
     i = draw(st.integers(0, len(spans) - 1))
     (start, end), text = spans[i], src[spans[i][0]:spans[i][1]]
     op = draw(st.sampled_from(["delete", "double", "swap", "replace"]))

@@ -1,19 +1,23 @@
-import copy
-
 import pytest
 
 from conftest import NEGATIVE_DIR
 from sstt.corpus import check_files
+from sstt.scope import GlobalEnv
 
 CASES = sorted(NEGATIVE_DIR.glob("*.sstt"))
 
 
-def check_negative(corpus, ledger, path):
-    env = copy.copy(corpus.env)
-    env.decls = dict(env.decls)
-    env.shapes = dict(env.shapes)
+def _check(corpus, ledger, path):
+    """Check ``path`` against the corpus, in an environment of its own: the
+    declarations of a file that check before one fails are added to it (as
+    in 25-const-is-not-identity), and the corpus fixture is shared."""
+    env = GlobalEnv(dict(corpus.env.shapes), dict(corpus.env.decls))
     reports, _ = check_files([path], env=env, ledger=ledger)
-    return [d.kind for r in reports for d in r.diagnostics]
+    return [d for r in reports for d in r.diagnostics], env
+
+
+def check_negative(corpus, ledger, path):
+    return [d.kind for d in _check(corpus, ledger, path)[0]]
 
 
 def test_suite_is_large_enough():
@@ -31,11 +35,8 @@ def test_rejected_with_expected_kind(corpus, ledger, path):
 
 
 def _first(corpus, ledger, path):
-    env = copy.copy(corpus.env)
-    env.decls = dict(env.decls)
-    env.shapes = dict(env.shapes)
-    reports, _ = check_files([path], env=env, ledger=ledger)
-    return next(d for r in reports for d in r.diagnostics), env
+    diags, env = _check(corpus, ledger, path)
+    return diags[0], env
 
 
 def test_tuple_pattern_name_keeps_its_token_in_messages(corpus, ledger, tmp_path):

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +28,7 @@ from sstt.core import (
 from sstt.cube import INTERVAL, CFst, CPair, CSnd, CVar, CZERO, ProdCube, display_name
 from sstt.corpus import CORPUS_DIR
 from sstt.parser import (
-    KEYWORDS, PUNCT, ParseError, lex, parse_expr, parse_file, parse_sequent_source,
+    KEYWORDS, PUNCT, ParseError, lex, line_col, parse_expr, parse_file, parse_sequent_source,
 )
 from sstt.printer import print_expr
 from sstt.scope import GlobalEnv, ScopeError, elaborate_toplevels
@@ -100,14 +101,23 @@ def test_lexer_invariants(src):
         return
     *body, eof = toks
     end = 0
-    for t in body:
-        assert end <= t.start < t.end
-        end = t.end
-        assert src[t.start:t.end] == t.value
-        assert t.kind in ("ident", t.value)
-        assert (t.line, t.col) == position(src, t.start)
-    assert (eof.kind, eof.start, eof.end) == ("eof", len(src), len(src))
-    assert (eof.line, eof.col) == position(src, len(src))
+    for kind, text, start, stop in body:
+        assert end <= start < stop
+        end = stop
+        assert src[start:stop] == text
+        assert kind in ("ident", text)
+        # tokens carry offsets; an error works out its line and column
+        assert line_col(src, start) == position(src, start)
+    assert eof == ("eof", "", len(src), len(src))
+    assert line_col(src, len(src)) == position(src, len(src))
+
+
+def test_benchmark_corpus_token_count():
+    # the benchmark reports parser.tokens as len(lex(src)) summed over its
+    # frozen corpus; a lexer that counts tokens differently breaks the
+    # comparison of parser.tokens and parser.tokens_per_s across versions
+    corpus = Path(__file__).resolve().parents[1] / "bench" / "data" / "corpus"
+    assert sum(len(lex(p.read_text(encoding="utf-8"))) for p in corpus.glob("*.sstt")) == 8490
 
 
 def test_parse_file_kinds():
