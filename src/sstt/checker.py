@@ -81,7 +81,6 @@ from .core import (
     Var,
     alpha_eq,
     rename_binder,
-    subst_cube,
     subst_typed,
 )
 from .cube import (
@@ -110,7 +109,6 @@ from .tope import (
     entails,
     normalize_tope,
     print_tope,
-    subst_tope,
     tope_and,
     tope_or,
 )
@@ -597,28 +595,25 @@ class Checker:
         if a.cube != b.cube:
             return False
         v = ctx.fresh(a.var)
-        psi_a = subst_tope(a.shape_tope, a.var, CVar(v))
-        psi_b = subst_tope(b.shape_tope, b.var, CVar(v))
+        sub_a = EMPTY.bind_point(a.var, CVar(v))
+        sub_b = EMPTY.bind_point(b.var, CVar(v))
+        psi_a, psi_b = sub_a.tope(a.shape_tope), sub_b.tope(b.shape_tope)
         ctx_v = ctx.bind_cube(v, a.cube)
         if not (self.entails_ctx(ctx_v.bind_tope(psi_a), psi_b)
                 and self.entails_ctx(ctx_v.bind_tope(psi_b), psi_a)):
             return False
         ctx_psi = ctx_v.bind_tope(psi_a)
-        fam_a = subst_cube(a.family, {a.var: CVar(v)})
-        fam_b = subst_cube(b.family, {b.var: CVar(v)})
+        fam_a, fam_b = sub_a.close(a.family), sub_b.close(b.family)
         if not self.equal(ctx_psi, fam_a, fam_b, U()):
             return False
-        phi_a = subst_tope(a.boundary_tope, a.var, CVar(v))
-        phi_b = subst_tope(b.boundary_tope, b.var, CVar(v))
+        phi_a, phi_b = sub_a.tope(a.boundary_tope), sub_b.tope(b.boundary_tope)
         if not (self.entails_ctx(ctx_psi.bind_tope(phi_a), phi_b)
                 and self.entails_ctx(ctx_psi.bind_tope(phi_b), phi_a)):
             return False
         ctx_phi = ctx_psi.bind_tope(phi_a)
         if self.ctx_unsat(ctx_phi):
             return True
-        bd_a = subst_cube(a.boundary, {a.var: CVar(v)})
-        bd_b = subst_cube(b.boundary, {b.var: CVar(v)})
-        return self.equal(ctx_phi, bd_a, bd_b, fam_a)
+        return self.equal(ctx_phi, sub_a.close(a.boundary), sub_b.close(b.boundary), fam_a)
 
     # -- inference
 

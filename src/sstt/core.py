@@ -54,11 +54,6 @@ from .tope import (
 class Span(Node):
     __slots__ = __match_args__ = ("start", "end")
 
-    def __init__(self, start: int, end: int):
-        self.start = start
-        self.end = end
-        self._hash = None
-
     def contains(self, other: "Span") -> bool:
         return self.start <= other.start and other.end <= self.end
 
@@ -79,146 +74,61 @@ def fresh(base: str, avoid: Container[str]) -> str:
 class U(Node):
     __slots__ = __match_args__ = ("span",)
 
-    def __init__(self, span: Optional[Span] = None):
-        self.span = span
-        self._hash = None
-
 
 class UnitType(Node):
     __slots__ = __match_args__ = ("span",)
-
-    def __init__(self, span: Optional[Span] = None):
-        self.span = span
-        self._hash = None
 
 
 class UnitPoint(Node):
     __slots__ = __match_args__ = ("span",)
 
-    def __init__(self, span: Optional[Span] = None):
-        self.span = span
-        self._hash = None
-
 
 class Var(Node):
     __slots__ = __match_args__ = ("name", "span")
-
-    def __init__(self, name: str, span: Optional[Span] = None):
-        self.name = name
-        self.span = span
-        self._hash = None
 
 
 class Const(Node):
     __slots__ = __match_args__ = ("name", "span")
 
-    def __init__(self, name: str, span: Optional[Span] = None):
-        self.name = name
-        self.span = span
-        self._hash = None
-
 
 class Pi(Node):
     __slots__ = __match_args__ = ("var", "dom", "cod", "span")
-
-    def __init__(self, var: str, dom: Expr, cod: Expr, span: Optional[Span] = None):
-        self.var = var
-        self.dom = dom
-        self.cod = cod
-        self.span = span
-        self._hash = None
 
 
 class Lam(Node):
     __slots__ = __match_args__ = ("var", "body", "span")
 
-    def __init__(self, var: str, body: Expr, span: Optional[Span] = None):
-        self.var = var
-        self.body = body
-        self.span = span
-        self._hash = None
-
 
 class App(Node):
     __slots__ = __match_args__ = ("fn", "arg", "span")
-
-    def __init__(self, fn: Expr, arg: Expr, span: Optional[Span] = None):
-        self.fn = fn
-        self.arg = arg
-        self.span = span
-        self._hash = None
 
 
 class Sigma(Node):
     __slots__ = __match_args__ = ("var", "fst_ty", "snd_ty", "span")
 
-    def __init__(self, var: str, fst_ty: Expr, snd_ty: Expr,
-                 span: Optional[Span] = None):
-        self.var = var
-        self.fst_ty = fst_ty
-        self.snd_ty = snd_ty
-        self.span = span
-        self._hash = None
-
 
 class Pair(Node):
     __slots__ = __match_args__ = ("fst", "snd", "span")
-
-    def __init__(self, fst: Expr, snd: Expr, span: Optional[Span] = None):
-        self.fst = fst
-        self.snd = snd
-        self.span = span
-        self._hash = None
 
 
 class Fst(Node):
     __slots__ = __match_args__ = ("arg", "span")
 
-    def __init__(self, arg: Expr, span: Optional[Span] = None):
-        self.arg = arg
-        self.span = span
-        self._hash = None
-
 
 class Snd(Node):
     __slots__ = __match_args__ = ("arg", "span")
-
-    def __init__(self, arg: Expr, span: Optional[Span] = None):
-        self.arg = arg
-        self.span = span
-        self._hash = None
 
 
 class IdT(Node):
     __slots__ = __match_args__ = ("ty", "lhs", "rhs", "span")
 
-    def __init__(self, ty: Expr, lhs: Expr, rhs: Expr, span: Optional[Span] = None):
-        self.ty = ty
-        self.lhs = lhs
-        self.rhs = rhs
-        self.span = span
-        self._hash = None
-
 
 class Refl(Node):
     __slots__ = __match_args__ = ("arg", "span")
 
-    def __init__(self, arg: Optional[Expr] = None, span: Optional[Span] = None):
-        self.arg = arg
-        self.span = span
-        self._hash = None
-
 
 class J(Node):
     __slots__ = __match_args__ = ("motive", "base", "path", "span")
-
-    def __init__(self, motive: Expr, base: Expr, path: Expr,
-                 span: Optional[Span] = None):
-        self.motive = motive
-        self.base = base
-        self.path = path
-        self.span = span
-        self._hash = None
 
 
 class Ext(Node):
@@ -231,26 +141,9 @@ class Ext(Node):
     __slots__ = __match_args__ = (
         "var", "cube", "shape_tope", "family", "boundary_tope", "boundary", "span")
 
-    def __init__(self, var: str, cube: CubeType, shape_tope: Tope, family: Expr,
-                 boundary_tope: Tope, boundary: Expr, span: Optional[Span] = None):
-        self.var = var
-        self.cube = cube
-        self.shape_tope = shape_tope
-        self.family = family
-        self.boundary_tope = boundary_tope
-        self.boundary = boundary
-        self.span = span
-        self._hash = None
-
 
 class ExtApp(Node):
     __slots__ = __match_args__ = ("fn", "arg", "span")
-
-    def __init__(self, fn: Expr, arg: CubeExpr, span: Optional[Span] = None):
-        self.fn = fn
-        self.arg = arg
-        self.span = span
-        self._hash = None
 
 
 class TopeCase(Node):
@@ -259,21 +152,9 @@ class TopeCase(Node):
 
     __slots__ = __match_args__ = ("branches", "span")
 
-    def __init__(self, branches: tuple[tuple[Tope, Expr], ...],
-                 span: Optional[Span] = None):
-        self.branches = branches
-        self.span = span
-        self._hash = None
-
 
 class Ann(Node):
     __slots__ = __match_args__ = ("expr", "ty", "span")
-
-    def __init__(self, expr: Expr, ty: Expr, span: Optional[Span] = None):
-        self.expr = expr
-        self.ty = ty
-        self.span = span
-        self._hash = None
 
 
 class CubeLit(Node):
@@ -282,11 +163,6 @@ class CubeLit(Node):
     this only ever wraps an endpoint."""
 
     __slots__ = __match_args__ = ("expr", "span")
-
-    def __init__(self, expr: CubeExpr, span: Optional[Span] = None):
-        self.expr = expr
-        self.span = span
-        self._hash = None
 
 
 Expr = Union[
@@ -685,30 +561,13 @@ class DeclTag(Enum):
 class CubeParam(Node):
     __slots__ = __match_args__ = ("name", "cube", "span")
 
-    def __init__(self, name: str, cube: CubeType, span: Optional[Span] = None):
-        self.name = name
-        self.cube = cube
-        self.span = span
-        self._hash = None
-
 
 class TopeParam(Node):
     __slots__ = __match_args__ = ("tope", "span")
 
-    def __init__(self, tope: Tope, span: Optional[Span] = None):
-        self.tope = tope
-        self.span = span
-        self._hash = None
-
 
 class TypedParam(Node):
     __slots__ = __match_args__ = ("name", "ty", "span")
-
-    def __init__(self, name: str, ty: Expr, span: Optional[Span] = None):
-        self.name = name
-        self.ty = ty
-        self.span = span
-        self._hash = None
 
 
 TeleParam = Union[CubeParam, TopeParam, TypedParam]
@@ -723,16 +582,6 @@ class Decl(Node):
     __match_args__ = ("name", "tag", "telescope", "inner_ty", "inner_body", "span")
     # the instance dict holds the lazily folded type and body
     __slots__ = __match_args__ + ("__dict__",)
-
-    def __init__(self, name: str, tag: DeclTag, telescope: tuple[TeleParam, ...],
-                 inner_ty: Expr, inner_body: Optional[Expr], span: Optional[Span] = None):
-        self.name = name
-        self.tag = tag
-        self.telescope = telescope
-        self.inner_ty = inner_ty
-        self.inner_body = inner_body
-        self.span = span
-        self._hash = None
 
     @cached_property
     def _folded(self) -> tuple[Expr, Optional[Expr]]:

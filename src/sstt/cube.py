@@ -18,7 +18,7 @@ every message that shows a cube goes through them.  ``tope.print_tope`` and
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Union
+from typing import Callable, Union
 
 
 class CubeError(Exception):
@@ -31,12 +31,15 @@ class CubeError(Exception):
 class Node:
     """Base of the immutable syntax nodes of every layer.
 
-    A subclass lists its fields in ``__slots__`` and ``__match_args__``, in
-    the order of its ``__init__`` parameters, and its ``__init__`` sets each
-    of them and ``_hash = None``; nothing assigns to a node afterwards.  Two
-    nodes are equal iff they have the same class and equal fields, ``span``
-    aside.  The hash is of the same fields, computed on first use and kept.
-    The repr shows the compared fields, as ``Name(field=value, ...)``.
+    A subclass lists its fields in ``__slots__`` and ``__match_args__``, and
+    is given an ``__init__`` that takes them in that order (by position or by
+    keyword, ``span`` defaulting to None), sets each, and sets ``_hash =
+    None``; nothing assigns to a node afterwards.  A class writes its own
+    ``__init__`` only to do more than that: to give other defaults or to
+    validate a field.  Two nodes are equal iff they have the same class and
+    equal fields, ``span`` aside.  The hash is of the same fields, computed
+    on first use and kept.  The repr shows the compared fields, as
+    ``Name(field=value, ...)``.
     """
 
     __slots__ = ("_hash",)
@@ -48,6 +51,8 @@ class Node:
         cls._fields = tuple(f for f in cls.__match_args__ if f != "span")
         if cls._fields:
             cls._key = attrgetter(*cls._fields)
+        if cls.__match_args__ and "__init__" not in cls.__dict__:
+            cls.__init__ = _field_init(cls)
 
     def __init__(self) -> None:
         self._hash = None
@@ -69,6 +74,23 @@ class Node:
         return f"{self.__class__.__name__}({fields})"
 
 
+def _field_init(cls: type) -> Callable[..., None]:
+    """The ``__init__`` of a node class with fields.  It is compiled from
+    source, as ``collections.namedtuple`` does, so that it runs the same
+    bytecode as one written out by hand, and under a name of its own class,
+    so that profiles and tracebacks tell the constructors apart."""
+    fields = cls.__match_args__
+    params = ", ".join("span=None" if f == "span" else f for f in fields)
+    body = "".join(f"    self.{f} = {f}\n" for f in fields)
+    src = f"def __init__(self, {params}):\n{body}    self._hash = None\n"
+    namespace = {}
+    exec(compile(src, f"<{cls.__name__}.__init__>", "exec"), namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__name__}.__init__"
+    init.__module__ = cls.__module__
+    return init
+
+
 # ---------------------------------------------------------------------------
 # Cube types
 
@@ -83,11 +105,6 @@ class UnitCube(Node):
 class ProdCube(Node):
     __slots__ = __match_args__ = ("left", "right")
 
-    def __init__(self, left: CubeType, right: CubeType):
-        self.left = left
-        self.right = right
-        self._hash = None
-
 
 CubeType = Union[Interval, UnitCube, ProdCube]
 
@@ -100,10 +117,6 @@ UNIT_CUBE = UnitCube()
 
 class CVar(Node):
     __slots__ = __match_args__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-        self._hash = None
 
 
 class CZero(Node):
@@ -123,26 +136,13 @@ class CStar(Node):
 class CPair(Node):
     __slots__ = __match_args__ = ("fst", "snd")
 
-    def __init__(self, fst: CubeExpr, snd: CubeExpr):
-        self.fst = fst
-        self.snd = snd
-        self._hash = None
-
 
 class CFst(Node):
     __slots__ = __match_args__ = ("arg",)
 
-    def __init__(self, arg: CubeExpr):
-        self.arg = arg
-        self._hash = None
-
 
 class CSnd(Node):
     __slots__ = __match_args__ = ("arg",)
-
-    def __init__(self, arg: CubeExpr):
-        self.arg = arg
-        self._hash = None
 
 
 CubeExpr = Union[CVar, CZero, COne, CStar, CPair, CFst, CSnd]

@@ -29,7 +29,7 @@ too: ``print_tope`` writes a tope in the surface syntax, its points through
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional, Union
 
 from .cube import (
     CONE,
@@ -54,9 +54,6 @@ from .cube import (
     split_point,
     subst_cube_sim,
 )
-
-if TYPE_CHECKING:
-    from .core import Span
 
 MAX_DISJUNCTS = 4096
 
@@ -83,37 +80,17 @@ class TBot(Node):
 class TAnd(Node):
     __slots__ = __match_args__ = ("left", "right")
 
-    def __init__(self, left: Tope, right: Tope):
-        self.left = left
-        self.right = right
-        self._hash = None
-
 
 class TOr(Node):
     __slots__ = __match_args__ = ("left", "right")
-
-    def __init__(self, left: Tope, right: Tope):
-        self.left = left
-        self.right = right
-        self._hash = None
 
 
 class TLe(Node):
     __slots__ = __match_args__ = ("left", "right")
 
-    def __init__(self, left: CubeExpr, right: CubeExpr):
-        self.left = left
-        self.right = right
-        self._hash = None
-
 
 class TEq(Node):
     __slots__ = __match_args__ = ("left", "right")
-
-    def __init__(self, left: CubeExpr, right: CubeExpr):
-        self.left = left
-        self.right = right
-        self._hash = None
 
 
 Tope = Union[TTop, TBot, TAnd, TOr, TLe, TEq]
@@ -176,11 +153,6 @@ def subst_tope_sim(t: Tope, mapping: dict[str, CubeExpr]) -> Tope:
             return t
 
 
-def subst_tope(t: Tope, name: str, value: CubeExpr) -> Tope:
-    """Substitute the point ``value`` for the cube variable ``name``."""
-    return subst_tope_sim(t, {name: value})
-
-
 def tope_free_vars(t: Tope) -> set[str]:
     match t:
         case TAnd(a, b) | TOr(a, b):
@@ -201,15 +173,6 @@ class Shape(Node):
 
     __slots__ = __match_args__ = ("name", "pattern", "cube", "tope", "span")
 
-    def __init__(self, name: str, pattern: tuple[str, ...], cube: CubeType,
-                 tope: Tope, span: Optional[Span] = None):
-        self.name = name
-        self.pattern = pattern
-        self.cube = cube
-        self.tope = tope
-        self.span = span
-        self._hash = None
-
     def applied_to(self, point: CubeExpr) -> Tope:
         comps = split_point(point, len(self.pattern))
         return subst_tope_sim(self.tope, dict(zip(self.pattern, comps)))
@@ -219,12 +182,6 @@ class Sequent(Node):
     """Entailment judgment: cube context, hypothesis tope, goal tope."""
 
     __slots__ = __match_args__ = ("ctx", "hyp", "goal")
-
-    def __init__(self, ctx: tuple[tuple[str, CubeType], ...], hyp: Tope, goal: Tope):
-        self.ctx = ctx
-        self.hyp = hyp
-        self.goal = goal
-        self._hash = None
 
     def cube_context(self) -> CubeContext:
         return dict(self.ctx)
@@ -328,27 +285,12 @@ class WeakOrder(Node):
 
     __slots__ = __match_args__ = ("blocks",)
 
-    def __init__(self, blocks: tuple[tuple[str, ...], ...]):
-        self.blocks = blocks
-        self._hash = None
-
     def __str__(self) -> str:
         return " < ".join(" = ".join(block) for block in self.blocks)
-
-    def rank(self, name: str) -> int:
-        for i, block in enumerate(self.blocks):
-            if name in block:
-                return i
-        raise KeyError(name)
 
 
 class EntailResult(Node):
     __slots__ = __match_args__ = ("yes", "counter_model")
-
-    def __init__(self, yes: bool, counter_model: Optional[WeakOrder] = None):
-        self.yes = yes
-        self.counter_model = counter_model
-        self._hash = None
 
     def __bool__(self) -> bool:
         return self.yes
@@ -511,7 +453,7 @@ def entails(seq: Sequent) -> EntailResult:
         index[a] = i + 2
     negated = _negate(goal, index)
     if negated is None:
-        return EntailResult(True)
+        return EntailResult(True, None)
     names = ["0", "1"] + [print_cube_expr(a) for a in atoms]
     branches = 0
     for disjunct in disjuncts:
@@ -533,7 +475,7 @@ def entails(seq: Sequent) -> EntailResult:
                     f"tope too large: more than {MAX_DISJUNCTS} refutation branches")
             for alt in reversed(first):
                 stack.append((up[:], above[:], rest + alt))
-    return EntailResult(True)
+    return EntailResult(True, None)
 
 
 # ---------------------------------------------------------------------------

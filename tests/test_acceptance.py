@@ -48,7 +48,7 @@ from sstt.tope import (
     TTop,
     entails,
     shape_included,
-    subst_tope,
+    subst_tope_sim,
 )
 from test_corpus import DESIGNATED_PROVED
 from test_negative import check_negative
@@ -132,8 +132,7 @@ def test_axiom_schema(ctx, hyp, goal):
 
 def _square_shape(tope) -> Shape:
     p = CVar("p")
-    tope = subst_tope(tope, "t1", CFst(p))
-    tope = subst_tope(tope, "t2", CSnd(p))
+    tope = subst_tope_sim(tope, {"t1": CFst(p), "t2": CSnd(p)})
     return Shape("S", ("p",), ProdCube(INTERVAL, INTERVAL), tope)
 
 
@@ -184,7 +183,7 @@ def test_boundary_laws_hold_everywhere(checker, corpus_env):
         fctx = ctx.bind_typed(f, ext)
         for endpoint in (CZERO, CONE):
             # only endpoints on the declared boundary have a prescription
-            point_tope = subst_tope(ext.boundary_tope, ext.var, endpoint)
+            point_tope = subst_tope_sim(ext.boundary_tope, {ext.var: endpoint})
             if not checker.entails_ctx(fctx, point_tope):
                 continue
             prescribed = subst_cube(ext.boundary, {ext.var: endpoint})

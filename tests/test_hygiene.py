@@ -94,7 +94,9 @@ def test_foreign_import_is_reported():
 
 # Syntax nodes are plain slotted classes: creating dataclasses, and importing
 # ``dataclasses`` and the ``inspect`` it loads, made up most of the time a
-# fresh ``sstt`` process spent importing the kernel.
+# fresh ``sstt`` process spent importing the kernel.  ``cube.Node`` compiles
+# each node class's ``__init__`` from its fields instead, which costs about
+# 60 µs a class at import.
 
 def test_no_module_imports_dataclasses():
     users = [p.name for p in SRC_MODULES
@@ -110,6 +112,75 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# A node class gets its ``__init__`` from ``cube.Node``; one written by hand
+# must do more than set each field and ``_hash``.
+
+def _node_inits(tree: ast.Module):
+    """The ``__init__`` of each class whose bases name ``Node``, by class."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id == "Node" for b in cls.bases):
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                    yield cls.name, fn
+
+
+def _only_sets_fields(fn: ast.FunctionDef) -> bool:
+    """Whether ``fn`` does just what the generated ``__init__`` does: assign
+    each parameter to the attribute of its name, and None to ``_hash``, with
+    no default but ``span=None``."""
+    params = [a.arg for a in fn.args.args[1:]]
+    sets = [f"self.{p} = {p}" for p in params] + ["self._hash = None"]
+    defaults = [ast.unparse(d) for d in fn.args.defaults]
+    return (sorted(map(ast.unparse, fn.body)) == sorted(sets)
+            and (defaults == [] or defaults == ["None"] and params[-1] == "span"))
+
+
+def test_no_node_class_writes_out_the_generated_init():
+    copies = [f"{p.name}:{name}" for p in SRC_MODULES
+              for name, fn in _node_inits(ast.parse(p.read_text(), str(p)))
+              if _only_sets_fields(fn)]
+    assert not copies, f"hand-written copies of the generated __init__: {', '.join(copies)}"
+
+
+def test_init_that_only_sets_fields_is_reported():
+    tree = ast.parse(
+        "class A(Node):\n    def __init__(self, x, span=None):\n"
+        "        self.x = x\n        self.span = span\n        self._hash = None\n"
+        "class B(Node):\n    def __init__(self, x=()):\n"
+        "        self.x = x\n        self._hash = None\n"
+        "class C(Node):\n    def __init__(self, x):\n"
+        "        check(x)\n        self.x = x\n        self._hash = None\n"
+        "class D:\n    def __init__(self, x):\n        self.x = x\n")
+    assert [name for name, fn in _node_inits(tree) if _only_sets_fields(fn)] == ["A"]
+
+
+def test_generated_inits_are_named_after_their_class():
+    import sstt.cli  # loads every module
+    from sstt.cube import Node
+    from sstt.core import Var
+
+    written = {name for p in SRC_MODULES
+               for name, _ in _node_inits(ast.parse(p.read_text(), str(p)))}
+    classes, todo = [], [Node]
+    while todo:
+        subclasses = todo.pop().__subclasses__()
+        classes += subclasses
+        todo += subclasses
+    generated = [c for c in classes if c.__module__.startswith("sstt.")
+                 and c.__match_args__ and c.__name__ not in written]
+    assert len(generated) >= 36
+    for cls in generated:
+        init = cls.__init__
+        assert init.__qualname__ == f"{cls.__name__}.__init__"
+        assert init.__code__.co_filename == f"<{cls.__name__}.__init__>"
+        assert init.__code__.co_varnames[1:init.__code__.co_argcount] == cls.__match_args__
+    x = Var(name="x")
+    assert x.span is None and x._hash is None
+    with pytest.raises(TypeError):
+        Var()
 
 
 # The kernel keeps no state between runs: a generated name is chosen against

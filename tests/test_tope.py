@@ -22,7 +22,7 @@ from sstt.tope import (
     normalize_tope,
     print_tope,
     shape_included,
-    subst_tope,
+    subst_tope_sim,
     tope_and,
     tope_or,
     tope_unsatisfiable,
@@ -163,8 +163,7 @@ T1, T2 = CVar("t1"), CVar("t2")
 
 def _shape(tope) -> Shape:
     # the defining tope is written over coordinates t1, t2 of the square
-    tope = subst_tope(tope, "t1", CFst(P))
-    tope = subst_tope(tope, "t2", CSnd(P))
+    tope = subst_tope_sim(tope, {"t1": CFst(P), "t2": CSnd(P)})
     return Shape("S", ("p",), SQUARE, tope)
 
 
