@@ -3,7 +3,9 @@
 Checking elaborates as it goes: applications of extension-typed functions
 become explicit cube applications, and bare ``refl`` is annotated with its
 endpoint.  Reduction (``whnf``) therefore never has to guess the sort of a
-binder.
+binder.  Elaboration keeps sharing: ``check``, ``infer`` and
+``check_decl`` hand back the input node when they changed none of its
+children, so a term that needs no elaboration comes back as itself.
 
 Reduction is an environment machine.  It walks the head of a term with a
 pending ``core.Subst`` of typed values and cube points, and an explicit
@@ -20,9 +22,11 @@ by extending that substitution, and close only the part they look at.
 
 ``check`` takes the expected type apart only for a λ, a pair or ``refl``.
 Any other term has its type inferred and compared with the expected type as
-written, which is reduced only to print a mismatch.  ``check``, ``infer``
-and ``_equal_structural`` pick a term's case by its class: the first two
-test the common classes first, and the last dispatches through a table.
+written, which is reduced only to print a mismatch.  The reduction
+machine, ``check``, ``infer`` and ``_equal_structural`` pick a term's case
+by its class: the first three test the common classes first, and the last
+dispatches through a table.  The universe as a type is one shared node,
+``core.UNIVERSE``.
 
 One step, ``_elim``, types an application, a cube application or a
 projection, with the type's substitution kept pending.  Inference walks an
@@ -76,6 +80,7 @@ from .core import (
     TriContext,
     TypedParam,
     U,
+    UNIVERSE,
     UnitPoint,
     UnitType,
     Var,
@@ -249,65 +254,67 @@ class Checker:
         the head is returned with its substitution still pending."""
         stack: list[tuple[str, object]] = []  # innermost elimination last
         while True:
-            match e:
-                case Var(n) if n in env.values or n in env.points:
-                    e, env = env.lookup(n), EMPTY
-                    continue
-                case Ann(x, _):
-                    e = x
-                    continue
-                case Const(n) if unfold:
-                    d = self.env.decls.get(n)
-                    if d is not None and d.body is not None:
-                        self._tick()
-                        e, env = d.body, EMPTY
-                        continue
-                case App(f, a):
-                    stack.append(("app", env.close(a)))
-                    e = f
-                    continue
-                case ExtApp(f, c):
-                    stack.append(("ext", env.point(c)))
-                    e = f
-                    continue
-                case Fst(p):
-                    stack.append(("fst", None))
-                    e = p
-                    continue
-                case Snd(p):
-                    stack.append(("snd", None))
-                    e = p
-                    continue
-                case J(c, d, p):
-                    stack.append(("j", (env.close(c), env.close(d))))
-                    e = p
-                    continue
-                case TopeCase(branches):
-                    taken = next((body for t, body in branches
-                                  if self.entails_ctx(ctx, env.tope(t))), None)
-                    if taken is not None:
-                        self._tick()
-                        e = taken
-                        continue
-                case Lam(x, body) if stack and stack[-1][0] in ("app", "ext"):
+            cls = e.__class__
+            if cls is Pi or cls is Sigma or cls is Ext:
+                if not stack:
+                    return e, env
+            elif cls is App:
+                stack.append(("app", env.close(e.arg)))
+                e = e.fn
+                continue
+            elif cls is Lam:
+                if stack and stack[-1][0] in ("app", "ext"):
                     kind, arg = stack.pop()
                     self._tick()
-                    env = env.bind(x, arg) if kind == "app" else env.bind_point(x, arg)
-                    e = body
+                    env = env.bind(e.var, arg) if kind == "app" else env.bind_point(e.var, arg)
+                    e = e.body
                     continue
-                case Pair(a, b) if stack and stack[-1][0] in ("fst", "snd"):
+            elif cls is Const:
+                d = self.env.decls.get(e.name) if unfold else None
+                if d is not None and d.body is not None:
+                    self._tick()
+                    e, env = d.body, EMPTY
+                    continue
+            elif cls is Var:
+                n = e.name
+                if n in env.values or n in env.points:
+                    e, env = env.lookup(n), EMPTY
+                    continue
+            elif cls is ExtApp:
+                stack.append(("ext", env.point(e.arg)))
+                e = e.fn
+                continue
+            elif cls is Fst or cls is Snd:
+                stack.append(("fst" if cls is Fst else "snd", None))
+                e = e.arg
+                continue
+            elif cls is TopeCase:
+                taken = next((body for t, body in e.branches
+                              if self.entails_ctx(ctx, env.tope(t))), None)
+                if taken is not None:
+                    self._tick()
+                    e = taken
+                    continue
+            elif cls is Pair:
+                if stack and stack[-1][0] in ("fst", "snd"):
                     kind, _ = stack.pop()
                     self._tick()
-                    e = a if kind == "fst" else b
+                    e = e.fst if kind == "fst" else e.snd
                     continue
-                case Refl(a) if a is not None and stack and stack[-1][0] == "j":
+            elif cls is J:
+                stack.append(("j", (env.close(e.motive), env.close(e.base))))
+                e = e.path
+                continue
+            elif cls is Refl:
+                if e.arg is not None and stack and stack[-1][0] == "j":
                     _, (_, d) = stack.pop()
                     self._tick()
-                    stack.append(("app", env.close(a)))
+                    stack.append(("app", env.close(e.arg)))
                     e, env = d, EMPTY
                     continue
-                case Pi() | Sigma() | Ext() if not stack:
-                    return e, env
+            elif cls is Ann:
+                e = e.expr
+                continue
             e, env = env.close(e), EMPTY
             while stack:
                 kind, arg = stack.pop()
@@ -503,7 +510,9 @@ class Checker:
         w, sub = self._reduce(ctx, ty, sub)
         if isinstance(node, App) and isinstance(w, Pi):
             a = self.check(ctx, node.arg, sub.close(w.dom)) if check else node.arg
-            return App(term, a, span=node.span), w.cod, sub.bind(w.var, a)
+            if term is not node.fn or a is not node.arg:
+                node = App(term, a, span=node.span)
+            return node, w.cod, sub.bind(w.var, a)
         if isinstance(w, Ext) and (isinstance(node, ExtApp) or check and isinstance(node, App)):
             c = node.arg if isinstance(node, ExtApp) else self.as_cube_expr(ctx, node.arg)
             if c is None:
@@ -513,11 +522,15 @@ class Checker:
                     f"is {print_expr(node.arg)}", node.span)
             if check:
                 self._check_cube_arg(ctx, w, sub, c, node.span)
-            return ExtApp(term, c, span=node.span), w.family, sub.bind_point(w.var, c)
-        if isinstance(node, Fst) and isinstance(w, Sigma):
-            return Fst(term, span=node.span), w.fst_ty, sub
-        if isinstance(node, Snd) and isinstance(w, Sigma):
-            return Snd(term, span=node.span), w.snd_ty, sub.bind(w.var, Fst(term))
+            if node.__class__ is not ExtApp or term is not node.fn:
+                node = ExtApp(term, c, span=node.span)
+            return node, w.family, sub.bind_point(w.var, c)
+        if isinstance(node, (Fst, Snd)) and isinstance(w, Sigma):
+            if term is not node.arg:
+                node = node.__class__(term, span=node.span)
+            if node.__class__ is Fst:
+                return node, w.fst_ty, sub
+            return node, w.snd_ty, sub.bind(w.var, Fst(term))
         if not check:
             return None
         what = ("first projection of" if isinstance(node, Fst) else
@@ -576,12 +589,12 @@ class Checker:
                       b: Union[Pi, Sigma]) -> bool:
         x, d1, c1 = a._key(a)
         y, d2, c2 = b._key(b)
-        if not self.equal(ctx, d1, d2, U()):
+        if not self.equal(ctx, d1, d2, UNIVERSE):
             return False
         v = ctx.fresh(x)
         ctx2 = ctx.bind_typed(v, d1)
         return self.equal(
-            ctx2, subst_typed(c1, {x: Var(v)}), subst_typed(c2, {y: Var(v)}), U())
+            ctx2, subst_typed(c1, {x: Var(v)}), subst_typed(c2, {y: Var(v)}), UNIVERSE)
 
     def _equal_lam(self, ctx: TriContext, a: Lam, b: Lam) -> bool:
         # sort of the binder is unknown without a type; treat it as an opaque
@@ -604,7 +617,7 @@ class Checker:
             return False
         ctx_psi = ctx_v.bind_tope(psi_a)
         fam_a, fam_b = sub_a.close(a.family), sub_b.close(b.family)
-        if not self.equal(ctx_psi, fam_a, fam_b, U()):
+        if not self.equal(ctx_psi, fam_a, fam_b, UNIVERSE):
             return False
         phi_a, phi_b = sub_a.tope(a.boundary_tope), sub_b.tope(b.boundary_tope)
         if not (self.entails_ctx(ctx_psi.bind_tope(phi_a), phi_b)
@@ -642,10 +655,8 @@ class Checker:
                 self._err("scope", f"unknown constant {e.name!r}", e.span)
             return d.ty, e
         match e:
-            case U():
-                return U(), e
-            case UnitType():
-                return U(), e
+            case U() | UnitType():
+                return UNIVERSE, e
             case UnitPoint():
                 return UnitType(), e
             case CubeLit(_):
@@ -653,22 +664,26 @@ class Checker:
                     "type-mismatch",
                     "a cube endpoint is not a term of a type on its own", e.span)
             case Ann(x, t):
-                te = self.check(ctx, t, U())
+                te = self.check(ctx, t, UNIVERSE)
                 xe = self.check(ctx, x, te)
                 return te, xe
             case Pi(x, dom, cod) | Sigma(x, dom, cod):
                 if x in ctx.names():  # no context binds a name twice
                     return self.infer(ctx, rename_binder(e, ctx.fresh(x)))
-                de = self.check(ctx, dom, U())
-                ce = self.check(ctx.bind_typed(x, de), cod, U())
-                return U(), type(e)(x, de, ce, span=e.span)
+                de = self.check(ctx, dom, UNIVERSE)
+                ce = self.check(ctx.bind_typed(x, de), cod, UNIVERSE)
+                if de is dom and ce is cod:
+                    return UNIVERSE, e
+                return UNIVERSE, type(e)(x, de, ce, span=e.span)
             case IdT(t, l, r):
-                te = self.check(ctx, t, U())
+                te = self.check(ctx, t, UNIVERSE)
                 le = self.check(ctx, l, te)
                 re = self.check(ctx, r, te)
-                return U(), IdT(te, le, re, span=e.span)
+                if te is t and le is l and re is r:
+                    return UNIVERSE, e
+                return UNIVERSE, IdT(te, le, re, span=e.span)
             case Ext(_, _, _, _, _, _):
-                return U(), self._check_ext_formation(ctx, e)
+                return UNIVERSE, self._check_ext_formation(ctx, e)
             case App(Lam(x, body), a):
                 # a literal beta redex has no inferable head; reduce it
                 # (such redexes arise from recorded refl endpoints)
@@ -676,9 +691,9 @@ class Checker:
                 return self.infer(ctx, subst_typed(body, {x: a}))
             case Refl(arg) if arg is not None:
                 aty, ae = self.infer(ctx, arg)
-                return IdT(aty, ae, ae), Refl(ae, span=e.span)
-            case J(c, d, p):
-                return self._infer_j(ctx, c, d, p, e.span)
+                return IdT(aty, ae, ae), e if ae is arg else Refl(ae, span=e.span)
+            case J():
+                return self._infer_j(ctx, e)
             case _:
                 self._err(
                     "type-mismatch",
@@ -718,23 +733,23 @@ class Checker:
                 "the point is not provably inside the function's shape "
                 f"(needed: {print_tope(psi_c)})", span)
 
-    def _infer_j(self, ctx: TriContext, c: Expr, d: Expr, p: Expr,
-                 span: Optional[Span]) -> tuple[Expr, Expr]:
+    def _infer_j(self, ctx: TriContext, e: J) -> tuple[Expr, Expr]:
+        c, d, p = e.motive, e.base, e.path
         pty, pe = self.infer(ctx, p)
         w = self.whnf(ctx, pty)
         if not isinstance(w, IdT):
             self._err(
                 "type-mismatch",
-                f"path induction needs an identification, got {print_expr(w)}", span)
+                f"path induction needs an identification, got {print_expr(w)}", e.span)
         a_ty, lhs, rhs = w.ty, w.lhs, w.rhs
         u, v, q = (ctx.fresh(b) for b in "uvq")
         motive_ty = Pi(u, a_ty, Pi(v, a_ty,
-                       Pi(q, IdT(a_ty, Var(u), Var(v)), U())))
+                       Pi(q, IdT(a_ty, Var(u), Var(v)), UNIVERSE)))
         ce = self.check(ctx, c, motive_ty)
         base_ty = Pi(u, a_ty, App(App(App(ce, Var(u)), Var(u)), Refl(Var(u))))
         de = self.check(ctx, d, base_ty)
         res = App(App(App(ce, lhs), rhs), pe)
-        return res, J(ce, de, pe, span=span)
+        return res, e if ce is c and de is d and pe is p else J(ce, de, pe, span=e.span)
 
     def _check_ext_formation(self, ctx: TriContext, e: Ext) -> Expr:
         t = e.var
@@ -743,7 +758,7 @@ class Checker:
         ctx_t = ctx.bind_cube(t, e.cube)
         self._well_formed(ctx_t, tope_and(e.shape_tope, e.boundary_tope), e.span)
         ctx_psi = ctx_t.bind_tope(e.shape_tope)
-        fam = self.check(ctx_psi, e.family, U())
+        fam = self.check(ctx_psi, e.family, UNIVERSE)
         if not self.entails_ctx(ctx_t.bind_tope(e.boundary_tope), e.shape_tope):
             self._err(
                 "tope-unsolved",
@@ -755,6 +770,8 @@ class Checker:
             bd = self._check_tope_case(ctx_phi, e.boundary, fam)
         else:
             bd = self.check(ctx_phi, e.boundary, fam)
+        if fam is e.family and bd is e.boundary:
+            return e
         return Ext(t, e.cube, e.shape_tope, fam, e.boundary_tope, bd, span=e.span)
 
     def _well_formed(self, ctx: TriContext, t: Tope, span: Optional[Span]) -> None:
@@ -791,6 +808,8 @@ class Checker:
                         "boundary",
                         "the branches of a case split disagree where "
                         f"{print_tope(ti)} and {print_tope(tj)} overlap", e.span)
+        if all(b is body for (_, b), (_, body) in zip(elaborated, e.branches)):
+            return e
         return TopeCase(tuple(elaborated), span=e.span)
 
     # -- checking
@@ -810,13 +829,13 @@ class Checker:
                         f"a pair cannot have type {print_expr(sub.close(w))}", e.span)
                 ae = self.check(ctx, e.fst, sub.close(w.fst_ty))
                 be = self.check(ctx, e.snd, sub.bind(w.var, ae).close(w.snd_ty))
-                return Pair(ae, be, span=e.span)
+                return e if ae is e.fst and be is e.snd else Pair(ae, be, span=e.span)
             if w.__class__ is IdT:
                 return self._check_refl(ctx, e, w)
         # compare with the expected type as written, reduced only to print a
         # mismatch
         ity, ee = self.infer(ctx, e)
-        if not self.equal(ctx, ity, ty, U()):
+        if not self.equal(ctx, ity, ty, UNIVERSE):
             self._err(
                 "type-mismatch",
                 f"expected a term of type {print_expr(self.whnf(ctx, ty))}, "
@@ -834,7 +853,7 @@ class Checker:
         if w.__class__ is Pi:
             ctx2 = ctx.bind_typed(x, sub.close(w.dom))
             be = self.check(ctx2, e.body, sub.bind(w.var, Var(x)).close(w.cod))
-            return Lam(x, be, span=e.span)
+            return e if be is e.body else Lam(x, be, span=e.span)
         sub = sub.bind_point(w.var, CVar(x))
         fam_x = sub.close(w.family)
         ctx2 = ctx.bind_cube(x, w.cube).bind_tope(sub.tope(w.shape_tope))
@@ -847,7 +866,7 @@ class Checker:
                     "boundary",
                     "the function does not restrict to the required "
                     f"boundary on {print_tope(phi_x)}", e.span)
-        return Lam(x, be, span=e.span)
+        return e if be is e.body else Lam(x, be, span=e.span)
 
     def _check_refl(self, ctx: TriContext, e: Refl, w: IdT) -> Expr:
         a_ty, lhs, rhs = w.ty, w.lhs, w.rhs
@@ -863,7 +882,7 @@ class Checker:
                     "type-mismatch",
                     "the endpoint of refl does not match the "
                     "identification being proved", e.span)
-        return Refl(lhs, span=e.span)
+        return e if e.arg is lhs else Refl(lhs, span=e.span)
 
     # -- declarations
 
@@ -876,18 +895,21 @@ class Checker:
             match p:
                 case CubeParam(name, cube):
                     ctx = ctx.bind_cube(name, cube)
-                    tele.append(p)
                 case TopeParam(t):
                     ctx = ctx.bind_tope(t)
-                    tele.append(p)
                 case TypedParam(name, ty):
-                    te = self.check(ctx, ty, U())
+                    te = self.check(ctx, ty, UNIVERSE)
                     ctx = ctx.bind_typed(name, te)
-                    tele.append(TypedParam(name, te))
-        ity = self.check(ctx, decl.inner_ty, U())
+                    if te is not ty:
+                        p = TypedParam(name, te)
+            tele.append(p)
+        ity = self.check(ctx, decl.inner_ty, UNIVERSE)
         ibody = None
         if decl.inner_body is not None:
             ibody = self.check(ctx, decl.inner_body, ity)
+        if (ity is decl.inner_ty and ibody is decl.inner_body
+                and all(p is q for p, q in zip(tele, decl.telescope))):
+            return decl
         return Decl(decl.name, decl.tag, tuple(tele), ity, ibody, span=decl.span)
 
 
@@ -896,7 +918,7 @@ _STRUCTURAL = {
     Refl: lambda self, ctx, a, b: True,  # endpoints agree by typing
     Pair: lambda self, ctx, a, b: self.equal(ctx, a.fst, b.fst) and self.equal(ctx, a.snd, b.snd),
     Lam: Checker._equal_lam,
-    IdT: lambda self, ctx, a, b: (self.equal(ctx, a.ty, b.ty, U())
+    IdT: lambda self, ctx, a, b: (self.equal(ctx, a.ty, b.ty, UNIVERSE)
                                   and self.equal(ctx, a.lhs, b.lhs, a.ty)
                                   and self.equal(ctx, a.rhs, b.rhs, a.ty)),
     Pi: Checker._equal_binder,

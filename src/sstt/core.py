@@ -9,13 +9,19 @@ points for disjoint sets of names, applied simultaneously and without
 capture.  A cube point replaces its variable in cube position (extension
 types, extension applications, tope-case scrutinees) and, through its term
 embedding, in term position.  A binder is renamed only when it would
-capture a free variable of a substituted value, to the first ``name$k``
-that is free in neither the values nor the term; a binder that neither
-captures nor shadows a substituted name is passed through without copying
-the mapping.  The checker keeps a ``Subst`` pending while it reduces a term
-or walks an elimination spine, extends it with ``bind`` and
-``bind_point``, and applies it once with ``close``; ``subst_typed``,
-``subst_cube`` and ``rename_binder`` apply one directly.
+capture a free variable of a substituted value in a scope where a
+substituted name is free, to the first ``name$k`` that is free in neither
+the values nor the term; a binder that neither captures nor shadows a
+substituted name is passed through without copying the mapping.  The
+checker keeps a ``Subst`` pending while it reduces a term or walks an
+elimination spine, extends it with ``bind`` and ``bind_point``, and
+applies it once with ``close``; ``subst_typed``, ``subst_cube`` and
+``rename_binder`` apply one directly.  Binding a name to itself drops the
+name from the substitution instead of storing the identity.
+
+Substitution keeps sharing: each case hands back the node itself when none
+of its children changed and its binder kept its name, a tope or cube point
+counting as unchanged when it compares ``==``.
 
 The walkers over terms, ``free_vars``, ``Subst.expr`` and ``alpha_eq``,
 pick a node's case with one lookup of its class in a table built at import.
@@ -248,16 +254,27 @@ class Subst:
         self._fvs: Optional[set[str]] = None
 
     def bind(self, x: str, value: Expr) -> "Subst":
+        if value.__class__ is Var and value.name == x:
+            return self.drop(x)
         points = self.points
         if x in points:
             points = {k: c for k, c in points.items() if k != x}
         return Subst({**self.values, x: value}, points)
 
     def bind_point(self, x: str, point: CubeExpr) -> "Subst":
+        if point.__class__ is CVar and point.name == x:
+            return self.drop(x)
         values = self.values
         if x in values:
             values = {k: v for k, v in values.items() if k != x}
         return Subst(values, {**self.points, x: point})
+
+    def drop(self, x: str) -> "Subst":
+        """``x`` no longer substituted: it stands for itself."""
+        if x not in self.values and x not in self.points:
+            return self
+        return Subst({k: v for k, v in self.values.items() if k != x},
+                     {k: c for k, c in self.points.items() if k != x})
 
     def lookup(self, x: str) -> Expr:
         return self.values[x] if x in self.values else cube_to_term(self.points[x])
@@ -280,20 +297,21 @@ class Subst:
     def under(self, x: str, node: Expr) -> tuple[str, "Subst"]:
         """The name of the binder ``x`` of ``node`` and the substitution for
         its scope: ``x`` no longer substituted, and renamed if it would
-        capture a free name of a value that remains."""
+        capture a free name of a value that remains in a scope where a
+        substituted name is free."""
         fvs = self.free_names()
-        shadows = x in self.values or x in self.points
-        if not shadows and x not in fvs:
+        if x not in fvs and x not in self.values and x not in self.points:
             return x, self  # the binder neither shadows a substituted name nor captures
-        sub = Subst({k: v for k, v in self.values.items() if k != x},
-                    {k: c for k, c in self.points.items() if k != x})
-        sub._fvs = None if shadows else fvs
+        sub = self.drop(x)
         if x not in fvs or x not in sub.free_names():  # x may be free only in its value
             return x, sub
-        nx = fresh(x, {*self.values, *self.points} | fvs | free_vars(node))
-        sub.points[x] = CVar(nx)
-        sub._fvs = sub._fvs | {nx}
-        return nx, sub
+        scope = free_vars(node)
+        if scope.isdisjoint(sub.values) and scope.isdisjoint(sub.points):
+            return x, sub  # nothing substituted is free in the scope
+        nx = fresh(x, {*self.values, *self.points} | fvs | scope)
+        renamed = Subst(sub.values, {**sub.points, x: CVar(nx)})
+        renamed._fvs = sub.free_names() | {nx}
+        return nx, renamed
 
     def expr(self, e: Expr) -> Expr:
         if not (self.values or self.points):
@@ -305,18 +323,64 @@ def _subst_binder(s: Subst, e: Union[Pi, Sigma]) -> Expr:
     x, a, b = e._key(e)
     na = _SUBST[a.__class__](s, a)
     nx, sub = s.under(x, e)
-    return e.__class__(nx, na, sub.expr(b), e.span)
+    nb = sub.expr(b)
+    return e if na is a and nb is b and nx is x else e.__class__(nx, na, nb, e.span)
 
 
 def _subst_lam(s: Subst, e: Lam) -> Expr:
     nx, sub = s.under(e.var, e)
-    return Lam(nx, sub.expr(e.body), e.span)
+    body = sub.expr(e.body)
+    return e if body is e.body and nx is e.var else Lam(nx, body, e.span)
 
 
 def _subst_ext(s: Subst, e: Ext) -> Expr:
     nt, sub = s.under(e.var, e)
-    return Ext(nt, e.cube, sub.tope(e.shape_tope), sub.expr(e.family),
-               sub.tope(e.boundary_tope), sub.expr(e.boundary), e.span)
+    psi, fam, phi, bd = (sub.tope(e.shape_tope), sub.expr(e.family),
+                         sub.tope(e.boundary_tope), sub.expr(e.boundary))
+    if (nt is e.var and fam is e.family and bd is e.boundary
+            and psi == e.shape_tope and phi == e.boundary_tope):
+        return e
+    return Ext(nt, e.cube, psi, fam, phi, bd, e.span)
+
+
+def _subst_one(s: Subst, e: Union[Fst, Snd, Refl]) -> Expr:
+    """The case of a node with one subterm, ``arg`` (a bare ``refl`` has none)."""
+    a = e.arg
+    if a is None:
+        return e
+    na = _SUBST[a.__class__](s, a)
+    return e if na is a else e.__class__(na, e.span)
+
+
+def _subst_two(s: Subst, e: Union[App, Pair, Ann]) -> Expr:
+    a, b = e._key(e)
+    na, nb = _SUBST[a.__class__](s, a), _SUBST[b.__class__](s, b)
+    return e if na is a and nb is b else e.__class__(na, nb, e.span)
+
+
+def _subst_three(s: Subst, e: Union[IdT, J]) -> Expr:
+    a, b, c = e._key(e)
+    na, nb = _SUBST[a.__class__](s, a), _SUBST[b.__class__](s, b)
+    nc = _SUBST[c.__class__](s, c)
+    return e if na is a and nb is b and nc is c else e.__class__(na, nb, nc, e.span)
+
+
+def _subst_ext_app(s: Subst, e: ExtApp) -> Expr:
+    fn = _SUBST[e.fn.__class__](s, e.fn)
+    c = s.point(e.arg)
+    return e if fn is e.fn and c == e.arg else ExtApp(fn, c, e.span)
+
+
+def _subst_case(s: Subst, e: TopeCase) -> Expr:
+    branches = tuple((s.tope(tp), _SUBST[br.__class__](s, br)) for tp, br in e.branches)
+    if all(nb is b and nt == t for (nt, nb), (t, b) in zip(branches, e.branches)):
+        return e
+    return TopeCase(branches, e.span)
+
+
+def _subst_lit(s: Subst, e: CubeLit) -> Expr:
+    c = s.point(e.expr)
+    return e if c == e.expr else CubeLit(c, e.span)
 
 
 def _not_an_expression(s: Subst, e: object):
@@ -328,31 +392,19 @@ _SUBST = _Cases(_not_an_expression, {
     Pi: _subst_binder,
     Sigma: _subst_binder,
     Lam: _subst_lam,
-    App: lambda s, e: App(_SUBST[e.fn.__class__](s, e.fn), _SUBST[e.arg.__class__](s, e.arg),
-                          e.span),
-    Pair: lambda s, e: Pair(_SUBST[e.fst.__class__](s, e.fst),
-                            _SUBST[e.snd.__class__](s, e.snd), e.span),
-    Fst: lambda s, e: Fst(_SUBST[e.arg.__class__](s, e.arg), e.span),
-    Snd: lambda s, e: Snd(_SUBST[e.arg.__class__](s, e.arg), e.span),
-    IdT: lambda s, e: IdT(_SUBST[e.ty.__class__](s, e.ty), _SUBST[e.lhs.__class__](s, e.lhs),
-                          _SUBST[e.rhs.__class__](s, e.rhs), e.span),
-    Refl: lambda s, e: Refl(None if e.arg is None else _SUBST[e.arg.__class__](s, e.arg),
-                            e.span),
-    J: lambda s, e: J(_SUBST[e.motive.__class__](s, e.motive),
-                      _SUBST[e.base.__class__](s, e.base),
-                      _SUBST[e.path.__class__](s, e.path), e.span),
+    **dict.fromkeys((Fst, Snd, Refl), _subst_one),
+    **dict.fromkeys((App, Pair, Ann), _subst_two),
+    **dict.fromkeys((IdT, J), _subst_three),
     Ext: _subst_ext,
-    ExtApp: lambda s, e: ExtApp(_SUBST[e.fn.__class__](s, e.fn), s.point(e.arg), e.span),
-    TopeCase: lambda s, e: TopeCase(
-        tuple((s.tope(tp), _SUBST[br.__class__](s, br)) for tp, br in e.branches), e.span),
-    Ann: lambda s, e: Ann(_SUBST[e.expr.__class__](s, e.expr), _SUBST[e.ty.__class__](s, e.ty),
-                          e.span),
-    CubeLit: lambda s, e: CubeLit(s.point(e.expr), e.span),
+    ExtApp: _subst_ext_app,
+    TopeCase: _subst_case,
+    CubeLit: _subst_lit,
     **dict.fromkeys((U, UnitType, UnitPoint, Const), lambda s, e: e),
 })
 
 
 EMPTY = Subst({}, {})
+UNIVERSE = U()  # the universe as a type, shared by every judgement that needs it
 
 
 def cube_to_term(c: CubeExpr, span: Optional[Span] = None) -> Expr:

@@ -4,15 +4,22 @@ import sstt.checker
 from sstt.checker import CheckError, Checker, Diagnostic
 from sstt.core import (
     U,
+    Ann,
     App,
     Const,
     CubeLit,
     Ext,
     ExtApp,
+    Fst,
     IdT,
     J,
     Lam,
+    Pair,
     Pi,
+    Refl,
+    Sigma,
+    Snd,
+    Subst,
     TopeCase,
     TriContext,
     UnitPoint,
@@ -21,7 +28,7 @@ from sstt.core import (
     alpha_eq,
 )
 from sstt.corpus import load_corpus
-from sstt.cube import INTERVAL, CONE, CZERO, CVar, ProdCube
+from sstt.cube import INTERVAL, CONE, CZERO, CPair, CVar, ProdCube
 from sstt.parser import parse_expr, parse_file
 from sstt.scope import GlobalEnv, elaborate_toplevels
 from sstt.tope import BOT, TOP, TAnd, TEq, TOr
@@ -45,11 +52,7 @@ def test_whnf_beta_avoids_capture():
 
 
 def test_whnf_fuel_counts_one_unfolding_and_one_beta_per_argument():
-    env = GlobalEnv()
-    fresh_checker = Checker(env)
-    src = "def k3 (a : Unit) (b : Unit) (c : Unit) : Unit := a\n"
-    for d in elaborate_toplevels(parse_file(src, "k3.sstt", env), env):
-        env.decls[d.name] = fresh_checker.check_decl(d)
+    fresh_checker = _k3_checker()
     ctx = TriContext().bind_typed("u", UnitType())
     e = App(App(App(Const("k3"), UnitPoint()), Var("u")), Var("u"))
     fresh_checker.steps = 0
@@ -98,6 +101,48 @@ def test_whnf_boundary_reduction_reads_a_stuck_j_off_its_path(checker, corpus_en
     assert isinstance(j, J)
     assert checker.whnf(ctx, ExtApp(j, CZERO)) == UnitPoint()
     assert checker.whnf(ctx, ExtApp(j, CONE)) == UnitPoint()
+
+
+def _k3_checker():
+    """A checker whose environment holds one definition, ``k3``, that
+    returns the first of its three arguments."""
+    env = GlobalEnv()
+    checker = Checker(env)
+    src = "def k3 (a : Unit) (b : Unit) (c : Unit) : Unit := a\n"
+    for d in elaborate_toplevels(parse_file(src, "k3.sstt", env), env):
+        env.decls[d.name] = checker.check_decl(d)
+    return checker
+
+
+def test_reduction_under_a_pending_substitution_agrees_with_whnf():
+    # each case of the machine, started under a substitution, reduces to the
+    # closed term's weak head form with the same fuel
+    checker = _k3_checker()
+    ctx = TriContext().bind_typed("u", UnitType()).bind_cube("s", INTERVAL)
+    x, u, star = Var("x"), Var("u"), UnitPoint()
+    sub = Subst({"x": u, "c": Lam("a", Lam("b", Lam("q", UnitType())))},
+                {"r": CZERO, "p": CPair(CZERO, CONE)})
+    on_r = ((TEq(CVar("r"), CONE), UnitType()), (TEq(CVar("r"), CZERO), Pair(x, x)))
+    cases = {
+        "variable": x,
+        "cube variable": Fst(Var("p")),
+        "annotation": Ann(x, UnitType()),
+        "unfolding": App(App(App(Const("k3"), x), star), star),
+        "beta": App(Lam("y", Pair(Var("y"), x)), x),
+        "beta under a capturing binder": App(App(Lam("y", Lam("u", x)), star), star),
+        "extension beta": ExtApp(Lam("t", Pair(Var("t"), x)), CVar("r")),
+        "projection": Snd(Fst(Pair(Pair(star, x), star))),
+        "J on refl": J(Var("c"), Lam("w", Pair(Var("w"), x)), Refl(x)),
+        "tope case": TopeCase(on_r),
+        "Π head": Pi("y", Var("u"), IdT(UnitType(), x, Var("y"))),
+    }
+    for name, e in cases.items():
+        checker.steps = 0
+        w, pending = checker._reduce(ctx, e, sub)
+        steps = checker.steps
+        checker.steps = 0
+        assert alpha_eq(pending.close(w), checker.whnf(ctx, sub.close(e))), name
+        assert steps == checker.steps, name
 
 
 def test_whnf_tope_case_picks_entailed_branch(checker):
@@ -204,6 +249,35 @@ def test_check_lambda_against_unfolded_pi_avoids_capture():
         assert err.value.diagnostic.kind == "type-mismatch"
 
 
+def test_checking_a_term_that_needs_no_elaboration_returns_it(checker, corpus_env):
+    ty = checker.check(TriContext(), E(corpus_env, "Unit -> Unit"), U())
+    ctx = TriContext().bind_typed("f", ty).bind_typed("u", UnitType())
+    terms = [
+        (Lam("x", App(Var("f"), Var("x"))), ty),
+        (Pair(App(Var("f"), Var("u")), UnitPoint()), Sigma("p", UnitType(), UnitType())),
+        (Pi("x", UnitType(), IdT(UnitType(), Var("x"), Var("u"))), U()),
+        (Ext("t", INTERVAL, TOP, UnitType(), TEq(CVar("t"), CZERO), UnitPoint()), U()),
+        (J(Lam("a", Lam("b", Lam("q", UnitType()))), Lam("a", Var("a")), Refl(Var("u"))),
+         UnitType()),
+    ]
+    u = Var("u")
+    terms.append((Refl(u), IdT(UnitType(), u, u)))
+    for e, t in terms:
+        assert checker.check(ctx, e, t) is e
+    # a bare refl is elaborated with its endpoint, so it does need elaboration
+    refl_ty = IdT(UnitType(), Var("u"), Var("u"))
+    assert checker.check(ctx, Refl(None), refl_ty) == Refl(Var("u"))
+
+
+def test_rechecking_the_checked_corpus_changes_nothing(corpus):
+    # the checker's output is its own fixed point, up to ==
+    checker = Checker(corpus.env)
+    assert len(corpus.decls) == len(corpus.env.decls) > 100
+    for decl in corpus.decls:
+        again = checker.check_decl(decl)
+        assert again.ty == decl.ty and again.body == decl.body, decl.name
+
+
 def test_equal_is_congruence_for_application(checker, corpus_env):
     ty = checker.check(TriContext(), E(corpus_env, "Unit -> Unit"), U())
     ctx = TriContext().bind_typed("f", ty).bind_typed("x", UnitType())
@@ -257,8 +331,6 @@ def test_ext_app_outside_shape_rejected(checker, corpus_env):
         E(corpus_env, "hom2 Unit star star star (\\t. star) (\\t. star) (\\t. star)"),
         U()))
     ctx = ctx.bind_cube("t1", INTERVAL).bind_cube("t2", INTERVAL)
-    from sstt.cube import CPair
-
     with pytest.raises(CheckError) as err:
         checker.infer(ctx, ExtApp(Var("q"), CPair(CVar("t1"), CVar("t2"))))
     assert err.value.diagnostic.kind == "tope-unsolved"

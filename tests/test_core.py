@@ -5,7 +5,7 @@ import typing
 
 import pytest
 
-from generators import CUBE_NAMES, NAMES, random_expr, random_term
+from generators import CUBE_NAMES, NAMES, random_expr, random_point, random_term
 from sstt import core, cube, tope
 from sstt.core import (
     U,
@@ -23,6 +23,7 @@ from sstt.core import (
     Sigma,
     Snd,
     Span,
+    Subst,
     TopeCase,
     TopeParam,
     TypedParam,
@@ -307,6 +308,35 @@ def test_a_binder_is_renamed_only_when_it_would_capture():
     assert subst_typed(Lam("x", Var("y")), {"x": Var("x"), "y": Var("z")}) == Lam("x", Var("z"))
     out = subst_typed(Lam("x", Var("y")), {"x": Var("x"), "y": Var("x")})
     assert out.var != "x" and out.body == Var("x")
+
+
+def test_substitution_hands_back_the_subterms_it_does_not_change():
+    # a subterm in which no substituted name is free comes back as the very
+    # node, also under a binder that a value's free name would capture
+    rng = random.Random(14)
+    shared = set()
+    for e in _terms(8):
+        values = {rng.choice(NAMES): random_term(rng, 1)}
+        points = {rng.choice(CUBE_NAMES): random_point(rng, 1)}
+        for s in (Subst(values, {}), Subst({}, points), Subst(values, points)):
+            for t in _subterms(e):
+                if free_vars(t).isdisjoint({*s.values, *s.points}):
+                    assert s.expr(t) is t, (t, s.values, s.points)
+                    shared.add(t.__class__)
+    assert shared == EXPR_CLASSES
+
+
+def test_binding_a_name_to_itself_leaves_nothing_of_it_pending():
+    outer = [core.EMPTY, Subst({"x": Var("y"), "y": Var("x")}, {}),
+             Subst({"y": Var("x")}, {"x": CZERO, "t": CVar("x")})]
+    for s in outer:
+        for sub in (s.bind("x", Var("x")), s.bind_point("x", CVar("x"))):
+            assert sub.values == {k: v for k, v in s.values.items() if k != "x"}
+            assert sub.points == {k: c for k, c in s.points.items() if k != "x"}
+    e = Lam("y", App(Var("x"), Var("y")))
+    assert core.EMPTY.bind("x", Var("x")).close(e) is e
+    assert core.EMPTY.bind_point("x", CVar("x")).close(e) is e
+    assert core.EMPTY.bind("x", Var("y")).values == {"x": Var("y")}
 
 
 def test_free_vars_of_a_substitution():
