@@ -731,7 +731,8 @@ class Checker:
             self._err(
                 "tope-unsolved",
                 "the point is not provably inside the function's shape "
-                f"(needed: {print_tope(psi_c)})", span)
+                f"(needed: {print_tope(normalize_tope(ctx.cube_context(), psi_c))})",
+                span)
 
     def _infer_j(self, ctx: TriContext, e: J) -> tuple[Expr, Expr]:
         c, d, p = e.motive, e.base, e.path
@@ -788,7 +789,8 @@ class Checker:
             self._err(
                 "tope-unsolved",
                 "the case split does not cover its context "
-                f"(needed: {print_tope(cover)})", e.span)
+                f"(needed: {print_tope(normalize_tope(ctx.cube_context(), cover))})",
+                e.span)
         elaborated = []
         for t, body in e.branches:
             branch = ctx.bind_tope(t)

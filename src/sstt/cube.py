@@ -8,6 +8,9 @@ Every well-typed point has a *tuple normal form*: projections are pushed
 through pairs and variables of product type are eta-expanded, so a normal
 point of a product cube is a tuple whose leaves are interval-valued atoms
 (``0``, ``1``, or a projection chain applied to a variable).
+``normalize_cube`` types a point and normalizes it in one walk; the cube of
+a normal point can be read off its shape, so ``cube_type_of`` is that walk
+too.
 
 The printers of this layer live here: ``print_cube_type`` and
 ``print_cube_expr`` write cube types and points in the surface syntax, and
@@ -208,88 +211,91 @@ CubeContext = dict[str, CubeType]
 
 def cube_type_of(ctx: CubeContext, e: CubeExpr) -> CubeType:
     """Infer the cube type of ``e`` in ``ctx``; raises CubeError if ill-typed."""
-    match e:
-        case CVar(name):
-            if name not in ctx:
-                raise CubeError(f"unbound cube variable {name!r}")
-            return ctx[name]
-        case CZero() | COne():
-            return INTERVAL
-        case CStar():
-            return UNIT_CUBE
-        case CPair(a, b):
-            return ProdCube(cube_type_of(ctx, a), cube_type_of(ctx, b))
-        case CFst(a):
-            t = cube_type_of(ctx, a)
-            if not isinstance(t, ProdCube):
-                raise CubeError(
-                    f"fst applied to point of non-product cube {print_cube_type(t)}")
-            return t.left
-        case CSnd(a):
-            t = cube_type_of(ctx, a)
-            if not isinstance(t, ProdCube):
-                raise CubeError(
-                    f"snd applied to point of non-product cube {print_cube_type(t)}")
-            return t.right
-    raise CubeError(f"not a cube expression: {e!r}")
+    return cube_of_normal(_normal(ctx, e))
 
 
 def normalize_cube(ctx: CubeContext, e: CubeExpr) -> CubeExpr:
-    """Tuple normal form of ``e``.
+    """Tuple normal form of ``e``, typed and normalized in one walk.
 
     Projections are evaluated on pairs, variables are eta-expanded at product
-    type, and every point of the one-point cube collapses to ``star``.  The
-    result of normalizing a point of a product cube is always a ``CPair`` of
-    normal forms.
+    type, and every point of the one-point cube collapses to ``star``, so the
+    normal form of a point of a product cube is a ``CPair`` of normal forms,
+    and ``cube_of_normal`` reads the point's cube off it.  An ill-typed point
+    raises CubeError with the message of ``cube_type_of``.  A point that is
+    already normal comes back as the very node: an endpoint, ``star``, a
+    variable or projection chain of interval type, or a pair of such points.
+
+    ``bench/tracer.py`` wraps this function by its name, so other modules
+    call it by that name, and its own walk and ``cube_type_of`` go through
+    ``_normal``.
     """
-    ty = cube_type_of(ctx, e)
-    return _normalize(ctx, e, ty)
+    return _normal(ctx, e)
 
 
-def _normalize(ctx: CubeContext, e: CubeExpr, ty: CubeType) -> CubeExpr:
-    if isinstance(ty, UnitCube):
+def _normal(ctx: CubeContext, e: CubeExpr) -> CubeExpr:
+    cls = e.__class__
+    if cls is CVar:
+        ty = _lookup(ctx, e.name)
+        return e if ty.__class__ is Interval else _expand(e, ty)
+    if cls is CZero or cls is COne or cls is CStar:
+        return e
+    if cls is CFst or cls is CSnd:
+        # peel the projections off, then type them from the inside out
+        firsts = []
+        base = e
+        while cls is CFst or cls is CSnd:
+            firsts.append(cls is CFst)
+            base = base.arg
+            cls = base.__class__
+        if cls is CVar:
+            ty = _lookup(ctx, base.name)
+            for first in reversed(firsts):
+                if ty.__class__ is not ProdCube:
+                    raise _non_product(first, ty)
+                ty = ty.left if first else ty.right
+            return _expand(e, ty)
+        point = _normal(ctx, base)
+        for first in reversed(firsts):
+            if point.__class__ is not CPair:
+                raise _non_product(first, cube_of_normal(point))
+            point = point.fst if first else point.snd
+        return point
+    if cls is CPair:
+        a, b = _normal(ctx, e.fst), _normal(ctx, e.snd)
+        return e if a is e.fst and b is e.snd else CPair(a, b)
+    raise CubeError(f"not a cube expression: {e!r}")
+
+
+def _lookup(ctx: CubeContext, name: str) -> CubeType:
+    ty = ctx.get(name)
+    if ty is None:
+        raise CubeError(f"unbound cube variable {name!r}")
+    return ty
+
+
+def _non_product(first: bool, ty: CubeType) -> CubeError:
+    return CubeError(f"{'fst' if first else 'snd'} applied to point of "
+                     f"non-product cube {print_cube_type(ty)}")
+
+
+def _expand(e: CubeExpr, ty: CubeType) -> CubeExpr:
+    """The normal form of ``e``, a variable or projection chain of cube
+    ``ty``: itself at the interval, a tuple of its projections at a product."""
+    cls = ty.__class__
+    if cls is Interval:
+        return e
+    if cls is UnitCube:
         return CSTAR
-    if isinstance(ty, ProdCube):
-        return CPair(
-            _normalize(ctx, _proj(e, True), ty.left),
-            _normalize(ctx, _proj(e, False), ty.right),
-        )
-    # interval type: chase projections down to an atom
-    match e:
-        case CVar(_) | CZero() | COne():
-            return e
-        case CFst(a):
-            inner = _normalize_head(ctx, a)
-            if isinstance(inner, CPair):
-                return _normalize(ctx, inner.fst, ty)
-            return CFst(inner)
-        case CSnd(a):
-            inner = _normalize_head(ctx, a)
-            if isinstance(inner, CPair):
-                return _normalize(ctx, inner.snd, ty)
-            return CSnd(inner)
-    raise CubeError(f"cannot normalize {e!r} at interval type")
+    return CPair(_expand(CFst(e), ty.left), _expand(CSnd(e), ty.right))
 
 
-def _normalize_head(ctx: CubeContext, e: CubeExpr) -> CubeExpr:
-    """Expose a pair at the head of a product-typed expression when possible."""
-    match e:
-        case CPair(_, _):
-            return e
-        case CFst(a):
-            inner = _normalize_head(ctx, a)
-            return _normalize_head(ctx, _proj(inner, True)) if isinstance(inner, CPair) else CFst(inner)
-        case CSnd(a):
-            inner = _normalize_head(ctx, a)
-            return _normalize_head(ctx, _proj(inner, False)) if isinstance(inner, CPair) else CSnd(inner)
-        case _:
-            return e
-
-
-def _proj(e: CubeExpr, first: bool) -> CubeExpr:
-    if isinstance(e, CPair):
-        return e.fst if first else e.snd
-    return CFst(e) if first else CSnd(e)
+def cube_of_normal(p: CubeExpr) -> CubeType:
+    """The cube of a point in tuple normal form: a pair lives in a product,
+    ``star`` in the one-point cube, and every other normal point in ``2``."""
+    cls = p.__class__
+    if cls is CPair:
+        return ProdCube(cube_of_normal(p.fst), cube_of_normal(p.snd))
+    return UNIT_CUBE if cls is CStar else INTERVAL
 
 
 def split_point(point: CubeExpr, k: int) -> list[CubeExpr]:

@@ -136,12 +136,15 @@ PUNCT = [
 
 # The blanks and comments before a token are part of its match, and the end
 # of input ends the last one, so n tokens take n + 1 matches (one more, and
-# empty, after a final blank or comment); the lexer counts offsets itself
+# empty, after a final blank or comment); the lexer counts offsets itself.
+# The blanks are matched as an unrolled loop, and the one-character
+# punctuation as one character class.
 _TOKEN = re.compile(
-    r"((?:[ \t\r\n]+|--[^\n]*)*)"      # blanks and comments, then the token:
-    r"([^\W\d][\w']*|\d+|"             # a name, digits,
-    + "|".join(map(re.escape, PUNCT))  # punctuation,
-    + r"|.|\Z)")                       # anything else, or nothing at the end
+    r"([ \t\r\n]*(?:--[^\n]*[ \t\r\n]*)*)"  # blanks and comments, then the token:
+    r"([^\W\d][\w']*|\d+|"                 # a name, digits,
+    + "|".join(re.escape(p) for p in PUNCT if len(p) > 1)    # punctuation,
+    + "|[" + "".join(re.escape(p) for p in PUNCT if len(p) == 1) + "]"
+    + r"|.|\Z)")                             # anything else, or nothing at the end
 
 # the tokens whose kind is their text, but for the numerals
 _KINDS = {text: text for text in (*KEYWORDS, *PUNCT)}
@@ -236,6 +239,9 @@ class Parser:
         self.scope: dict[str, Bound] = dict(scope or {})
         # the declarations and shapes read so far from this input
         self.items: dict[str, Union[Decl, Shape]] = {}
+        # one node per cube variable name, so that the solver's lookups of
+        # equal atoms hit by identity
+        self.cube_vars: dict[str, CVar] = {}
 
     # -- token plumbing
 
@@ -345,16 +351,20 @@ class Parser:
         raise ScopeError(f"unbound name {name!r}", span)
 
     def cube_name(self, t: Token) -> CubeExpr:
-        name, span = t[1], Span(t[2], t[3])
+        name = t[1]
         bound = self.scope.get(name)
         if bound is None:
-            if self.env is None:
-                return CVar(name)
-            raise ScopeError(f"unbound variable {name!r} in tope", span)
-        if bound == "typed":
-            raise ScopeError(
-                f"variable {name!r} has a type, not a cube, and cannot appear in a tope", span)
-        return CVar(name) if isinstance(bound, str) else bound
+            if self.env is not None:
+                raise ScopeError(f"unbound variable {name!r} in tope", Span(t[2], t[3]))
+        elif not isinstance(bound, str):
+            return bound
+        elif bound == "typed":
+            raise ScopeError(f"variable {name!r} has a type, not a cube, "
+                             "and cannot appear in a tope", Span(t[2], t[3]))
+        var = self.cube_vars.get(name)
+        if var is None:
+            var = self.cube_vars[name] = CVar(name)
+        return var
 
     def bind(self, name: str, bound: Bound) -> dict[str, Bound]:
         """Bind ``name`` for the binder being parsed, hiding an outer one;

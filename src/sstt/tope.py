@@ -20,15 +20,21 @@ Closing and checking one branch takes time polynomial in the number of
 points; the DNF disjuncts and the tableau branches are each bounded by
 ``MAX_DISJUNCTS``.
 
-``normalize_tope`` is the one well-formedness check for topes: it
-type-checks the points of every inequality and equality and raises
-``TopeError`` on an ill-typed one.  The printer of this layer lives here
-too: ``print_tope`` writes a tope in the surface syntax, its points through
-``cube.print_cube_expr``, which also names the atoms of a counter-model.
+``normalize_tope`` is the one well-formedness check for topes: it types
+and normalizes each point of every inequality and equality in one walk
+(``cube.normalize_cube``), reads the point's cube off its normal form, and
+raises ``TopeError`` on an ill-typed one.  Normal parts are shared: a point,
+literal or connective that is already normal comes back as the very node,
+so normalizing a normal tope returns it.  The printer of this layer lives
+here too: ``print_tope`` writes a tope in the surface syntax, its points
+through ``cube.print_cube_expr``.  The solver prints each atom once, and
+that one string both orders the atoms and names the atom in a
+counter-model.
 """
 
 from __future__ import annotations
 
+from operator import is_, itemgetter
 from typing import Optional, Union
 
 from .cube import (
@@ -36,17 +42,15 @@ from .cube import (
     CZERO,
     CubeContext,
     CubeExpr,
-    CubeType,
     COne,
     CPair,
     CStar,
     CVar,
     CZero,
     CubeError,
-    Interval,
     Node,
     cube_free_vars,
-    cube_type_of,
+    cube_of_normal,
     normalize_cube,
     print_cube_expr,
     print_cube_type,
@@ -207,33 +211,37 @@ def _operands(t: Tope, kind: type) -> list[Tope]:
 
 def normalize_tope(ctx: CubeContext, t: Tope) -> Tope:
     """Normalize cube arguments; equalities at product/unit cubes decompose
-    componentwise.  After this, every TLe/TEq argument is an interval atom."""
-    match t:
-        case TTop() | TBot():
+    componentwise.  After this, every TLe/TEq argument is an interval atom.
+    A literal or connective whose parts come back unchanged comes back as
+    itself, so a normal tope is its own normal form."""
+    cls = t.__class__
+    if cls is TLe or cls is TEq:
+        try:
+            a, b = normalize_cube(ctx, t.left), normalize_cube(ctx, t.right)
+        except CubeError as err:
+            raise TopeError(str(err)) from None
+        if a.__class__ not in _TUPLES and b.__class__ not in _TUPLES:
+            return t if a is t.left and b is t.right else cls(a, b)
+        if cls is TLe:
+            raise TopeError("order constraints only apply to points of the interval")
+        ta, tb = cube_of_normal(a), cube_of_normal(b)
+        if ta != tb:
+            raise TopeError("equated points live in different cubes "
+                            f"({print_cube_type(ta)} and {print_cube_type(tb)})")
+        return _eq_components(a, b)
+    if cls is TAnd or cls is TOr:
+        parts = _operands(t, cls)
+        normal = [normalize_tope(ctx, s) for s in parts]
+        if all(map(is_, normal, parts)):
             return t
-        case TAnd():
-            return tope_and(*(normalize_tope(ctx, s) for s in _operands(t, TAnd)))
-        case TOr():
-            return tope_or(*(normalize_tope(ctx, s) for s in _operands(t, TOr)))
-        case TLe(a, b):
-            ta, tb = _cube_types(ctx, a, b)
-            if not isinstance(ta, Interval) or not isinstance(tb, Interval):
-                raise TopeError("order constraints only apply to points of the interval")
-            return TLe(normalize_cube(ctx, a), normalize_cube(ctx, b))
-        case TEq(a, b):
-            ta, tb = _cube_types(ctx, a, b)
-            if ta != tb:
-                raise TopeError("equated points live in different cubes "
-                                f"({print_cube_type(ta)} and {print_cube_type(tb)})")
-            return _eq_components(normalize_cube(ctx, a), normalize_cube(ctx, b))
+        return tope_and(*normal) if cls is TAnd else tope_or(*normal)
+    if cls is TTop or cls is TBot:
+        return t
     raise TopeError(f"not a tope: {t!r}")
 
 
-def _cube_types(ctx: CubeContext, a: CubeExpr, b: CubeExpr) -> tuple[CubeType, CubeType]:
-    try:
-        return cube_type_of(ctx, a), cube_type_of(ctx, b)
-    except CubeError as err:
-        raise TopeError(str(err)) from None
+# the normal forms of points outside the interval
+_TUPLES = (CPair, CStar)
 
 
 def _eq_components(a: CubeExpr, b: CubeExpr) -> Tope:
@@ -296,21 +304,30 @@ class EntailResult(Node):
         return self.yes
 
 
-def _collect_atoms(ts: list[Tope]) -> list[CubeExpr]:
-    atoms: list[CubeExpr] = []
-    seen: set[CubeExpr] = set()
+def _number_atoms(ts: list[Tope]) -> tuple[dict[CubeExpr, int], list[str]]:
+    """Number the points of normal topes: 0 and 1, then the distinct atoms
+    in the order of their printed names, which also name them in a
+    counter-model.  Each atom is printed once; atoms that print alike keep
+    their order of first occurrence, left to right."""
+    named: dict[CubeExpr, str] = {}
     todo = ts[::-1]
     while todo:
-        match todo.pop():
-            case TAnd(a, b) | TOr(a, b):
-                todo += (b, a)
-            case TLe(a, b) | TEq(a, b):
-                for e in (a, b):
-                    if not isinstance(e, (CZero, COne)) and e not in seen:
-                        seen.add(e)
-                        atoms.append(e)
-    atoms.sort(key=print_cube_expr)
-    return atoms
+        t = todo.pop()
+        cls = t.__class__
+        if cls is TAnd or cls is TOr:
+            todo += (t.right, t.left)
+        elif cls is TLe or cls is TEq:
+            for e in (t.left, t.right):
+                if e.__class__ not in _ENDPOINTS and e not in named:
+                    named[e] = print_cube_expr(e)
+    atoms = sorted(named.items(), key=itemgetter(1))
+    index: dict[CubeExpr, int] = {CZERO: 0, CONE: 1}
+    for i, (a, _) in enumerate(atoms, 2):
+        index[a] = i
+    return index, ["0", "1"] + [name for _, name in atoms]
+
+
+_ENDPOINTS = (CZero, COne)
 
 
 # ---------------------------------------------------------------------------
@@ -447,14 +464,10 @@ def entails(seq: Sequent) -> EntailResult:
     hyp = normalize_tope(ctx, seq.hyp)
     goal = normalize_tope(ctx, seq.goal)
     disjuncts = dnf(hyp)
-    atoms = _collect_atoms([hyp, goal])
-    index: dict[CubeExpr, int] = {CZERO: 0, CONE: 1}
-    for i, a in enumerate(atoms):
-        index[a] = i + 2
+    index, names = _number_atoms([hyp, goal])
     negated = _negate(goal, index)
     if negated is None:
         return EntailResult(True, None)
-    names = ["0", "1"] + [print_cube_expr(a) for a in atoms]
     branches = 0
     for disjunct in disjuncts:
         order = _close_disjunct(disjunct, index, len(names))

@@ -30,7 +30,10 @@ from sstt.core import (
     UnitType,
     Var,
 )
-from sstt.cube import INTERVAL, CFst, CONE, CPair, CSnd, CVar, CZERO, ProdCube
+from sstt.cube import (
+    INTERVAL, UNIT_CUBE, CFst, CONE, CPair, CSTAR, CSnd, CVar, CZERO, CubeExpr, CubeType,
+    ProdCube,
+)
 from sstt.tope import Sequent, TAnd, TBot, TEq, TLe, TOr, TTop, Tope
 
 NAMES = ["x", "y", "z", "f", "g", "a", "b"]
@@ -181,3 +184,56 @@ def random_sequent(rng: random.Random, n_vars: int = 4,
     ctx = tuple((n, INTERVAL) for n in names)
     return Sequent(ctx, random_tope(rng, names, depth),
                    random_tope(rng, names, depth))
+
+
+SQUARE = ProdCube(INTERVAL, INTERVAL)
+TYPED_CUBES = [INTERVAL, UNIT_CUBE, SQUARE, ProdCube(SQUARE, INTERVAL)]
+
+
+def random_typed_point(rng: random.Random, ctx: dict[str, CubeType],
+                       cube: CubeType, depth: int) -> CubeExpr:
+    """A point of ``cube`` over ``ctx``, not in normal form in general: it
+    may name variables of product cubes and project out of pairs."""
+    kinds = ["var"] if cube in ctx.values() else []
+    if cube == INTERVAL:
+        kinds += ["0", "1"]
+    elif cube == UNIT_CUBE:
+        kinds.append("star")
+    else:
+        kinds.append("pair")
+    if depth > 0:
+        kinds += ["fst", "snd"]
+    other = rng.choice(TYPED_CUBES)
+    sub = lambda c: random_typed_point(rng, ctx, c, depth - 1)
+    match rng.choice(kinds):
+        case "var":
+            return CVar(rng.choice([n for n, c in ctx.items() if c == cube]))
+        case "0":
+            return CZERO
+        case "1":
+            return CONE
+        case "star":
+            return CSTAR
+        case "pair":
+            return CPair(sub(cube.left), sub(cube.right))
+        case "fst":
+            return CFst(sub(ProdCube(cube, other)))
+        case "snd":
+            return CSnd(sub(ProdCube(other, cube)))
+
+
+def random_typed_tope(rng: random.Random, ctx: dict[str, CubeType], depth: int) -> Tope:
+    """A well-typed tope over ``ctx`` whose points are not normal in
+    general; equalities may equate points of any cube of ``TYPED_CUBES``."""
+    if depth <= 0 or rng.random() < 0.4:
+        if rng.random() < 0.5:
+            return TLe(random_typed_point(rng, ctx, INTERVAL, 2),
+                       random_typed_point(rng, ctx, INTERVAL, 2))
+        cube = rng.choice(TYPED_CUBES)
+        return TEq(random_typed_point(rng, ctx, cube, 2),
+                   random_typed_point(rng, ctx, cube, 2))
+    if rng.random() < 0.1:
+        return rng.choice([TTop(), TBot()])
+    op = rng.choice([TAnd, TOr])
+    return op(random_typed_tope(rng, ctx, depth - 1),
+              random_typed_tope(rng, ctx, depth - 1))

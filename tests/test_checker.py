@@ -145,6 +145,16 @@ def test_reduction_under_a_pending_substitution_agrees_with_whnf():
         assert steps == checker.steps, name
 
 
+def test_whnf_and_equal_see_through_an_annotation():
+    # ((\x. x) : A -> A) a is a β-redex once its annotation is dropped; kept,
+    # it would leave the term stuck and unequal to a
+    ctx = TriContext().bind_typed("A", U()).bind_typed("a", Var("A"))
+    e = App(Ann(Lam("x", Var("x")), Pi("x", Var("A"), Var("A"))), Var("a"))
+    checker = Checker(GlobalEnv())
+    assert checker.whnf(ctx, e) == Var("a")
+    assert checker.equal(ctx, e, Var("a"), Var("A"))
+
+
 def test_whnf_tope_case_picks_entailed_branch(checker):
     ctx = TriContext().bind_cube("t", INTERVAL).bind_tope(TEq(CVar("t"), CZERO))
     e = TopeCase(((TEq(CVar("t"), CZERO), UnitPoint()),))

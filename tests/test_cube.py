@@ -61,6 +61,17 @@ def test_normalize_nested_projection():
     assert n == CFst(CFst(CVar("q")))
 
 
+def test_normal_points_come_back_as_themselves():
+    t, p = CVar("t"), CVar("p")
+    ctx = {"t": INTERVAL, "p": SQUARE, "q": ProdCube(SQUARE, INTERVAL)}
+    for e in (CZERO, CONE, CSTAR, t, CFst(p), CSnd(CFst(CVar("q"))),
+              CPair(t, CPair(CFst(p), CSTAR))):
+        assert normalize_cube(ctx, e) is e
+    # a pair with a part to normalize is rebuilt around its normal part
+    out = normalize_cube(ctx, CPair(t, CFst(CPair(CONE, t))))
+    assert out == CPair(t, CONE) and out.fst is t
+
+
 def test_interval_atoms():
     # the leaves of a point's tuple normal form are its interval atoms
     ctx = {"p": SQUARE}

@@ -55,6 +55,21 @@ def test_tuple_pattern_name_keeps_its_token_in_messages(corpus, ledger, tmp_path
     assert diag.span.start <= t1 and t1 + 2 <= diag.span.end
 
 
+def test_unsolved_obligations_are_shown_in_normal_form(corpus, ledger, tmp_path):
+    # the obligation of 07-tope-unsolved is snd (t2, t1) <= fst (t2, t1)
+    diag, _ = _first(corpus, ledger, NEGATIVE_DIR / "07-tope-unsolved.sstt")
+    assert diag.kind == "tope-unsolved"
+    assert diag.message == ("the point is not provably inside the function's "
+                            "shape (needed: t1 <= t2)")
+    path = tmp_path / "uncovered.sstt"
+    path.write_text("def f (t1 t2 : 2) (A : U) (a : A) : A :=\n"
+                    "  [ fst (t1, t2) === 0 |-> a | snd (t1, t2) === 1 |-> a ]\n")
+    diag, _ = _first(corpus, ledger, path)
+    assert diag.kind == "tope-unsolved"
+    assert diag.message == ("the case split does not cover its context "
+                            "(needed: t1 === 0 \\/ t2 === 1)")
+
+
 def test_checker_fault_is_an_internal_diagnostic(corpus, ledger, tmp_path, monkeypatch):
     from sstt.checker import Checker
 

@@ -153,6 +153,22 @@ def test_parse_sequent():
     assert [n for n, _ in seq.ctx] == ["t", "s"]
 
 
+def test_a_parse_makes_one_node_per_cube_variable():
+    # so that the solver's lookups of an atom hit by identity
+    seq = parse_sequent_source("t : 2, s : 2 | t <= s /\\ s <= t |- t === s")
+    a, b = seq.hyp.left, seq.hyp.right
+    assert a.left is b.right is seq.goal.left
+    assert a.right is b.left is seq.goal.right
+
+
+def test_blanks_and_comments_between_tokens():
+    src = "x -- one\n\t-- two\r\n  <=--three\ny -- end"
+    assert [t[:2] for t in lex(src)] == [
+        ("ident", "x"), ("<=", "<="), ("ident", "y"), ("eof", "")]
+    assert [t[1] for t in lex("|->|-|:=(<=<)===\\/\\")] == [
+        "|->", "|-", "|", ":=", "(", "<=", "<", ")", "===", "\\/", "\\", ""]
+
+
 def test_spans_nest():
     items = parse_file("def f (A : U) (x : A) : A := x\n")
     decl = items[0]

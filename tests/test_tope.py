@@ -1,11 +1,12 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from generators import random_sequent, random_tope
+from generators import TYPED_CUBES, random_sequent, random_tope, random_typed_tope
 from oracle import oracle_entails
 from sstt.cube import (
-    INTERVAL, CONE, CZERO, CFst, COne, CPair, CSnd, CVar, CZero, ProdCube,
+    INTERVAL, CONE, CSTAR, CZERO, CFst, COne, CPair, CSnd, CStar, CVar, CZero, ProdCube,
     print_cube_type,
 )
 from sstt.parser import parse_sequent_source
@@ -18,6 +19,7 @@ from sstt.tope import (
     TLe,
     TOr,
     TTop,
+    TopeError,
     entails,
     normalize_tope,
     print_tope,
@@ -244,6 +246,57 @@ def test_normalize_decomposes_pair_equality():
     ctx = {"p": SQUARE, "q": SQUARE}
     t = normalize_tope(ctx, TEq(CVar("p"), CVar("q")))
     assert isinstance(t, TAnd)
+
+
+def test_normal_literals_and_connectives_come_back_as_themselves():
+    ctx = {"t": INTERVAL, "s": INTERVAL, "p": SQUARE}
+    le = TLe(T, CZERO)
+    eq = TEq(CFst(P), S)  # a projection chain of interval type is normal
+    both = TAnd(le, TOr(eq, TLe(CSnd(P), CONE)))
+    for t in (le, eq, both, TTop(), TBot()):
+        assert normalize_tope(ctx, t) is t
+    # a literal with a point to normalize is rebuilt, and its normal
+    # neighbours are shared
+    out = normalize_tope(ctx, TAnd(le, TLe(CFst(CPair(T, S)), S)))
+    assert out == TAnd(le, TLe(T, S)) and out.left is le and out.right.left is T
+
+
+def _points_of(t):
+    match t:
+        case TAnd(a, b) | TOr(a, b):
+            return _points_of(a) + _points_of(b)
+        case TLe(a, b) | TEq(a, b):
+            return [a, b]
+    return []
+
+
+def test_normalization_is_idempotent_by_identity():
+    rng = random.Random(20261019)
+    names = ["t1", "t2", "t3"]
+    ctx = {n: INTERVAL for n in names}
+    for _ in range(300):
+        t = random_tope(rng, names, rng.randint(0, 3))
+        assert normalize_tope(ctx, t) is t  # its points are interval atoms
+    ctx = {f"c{i}": cube for i, cube in enumerate(TYPED_CUBES)}
+    for _ in range(300):
+        once = normalize_tope(ctx, random_typed_tope(rng, ctx, rng.randint(0, 3)))
+        assert normalize_tope(ctx, once) is once
+        assert not any(isinstance(p, (CPair, CStar)) for p in _points_of(once))
+
+
+@pytest.mark.parametrize("tope, message", [
+    (TLe(P, T), "order constraints only apply to points of the interval"),
+    (TLe(CPair(T, T), T), "order constraints only apply to points of the interval"),
+    (TEq(T, P), "equated points live in different cubes (2 and 2 * 2)"),
+    (TEq(CPair(T, CSTAR), P), "equated points live in different cubes (2 * 1 and 2 * 2)"),
+    (TLe(T, CVar("z")), "unbound cube variable 'z'"),
+    (TEq(CFst(CPair(T, CVar("z"))), T), "unbound cube variable 'z'"),
+    (TLe(CSnd(CFst(P)), T), "snd applied to point of non-product cube 2"),
+])
+def test_ill_typed_topes_keep_their_messages(tope, message):
+    with pytest.raises(TopeError) as err:
+        normalize_tope({"t": INTERVAL, "p": SQUARE}, tope)
+    assert str(err.value) == message
 
 
 def test_eq_under():
