@@ -235,8 +235,6 @@ class Checker:
             case Snd(a):
                 ca = self.as_cube_expr(ctx, a)
                 return CSnd(ca) if ca is not None else None
-            case Ann(x, _):
-                return self.as_cube_expr(ctx, x)
             case _:
                 return None
 
@@ -766,11 +764,7 @@ class Checker:
                 "the boundary sub-shape is not provably contained in the shape",
                 e.span,
             )
-        ctx_phi = ctx_t.bind_tope(e.boundary_tope)
-        if isinstance(e.boundary, TopeCase):
-            bd = self._check_tope_case(ctx_phi, e.boundary, fam)
-        else:
-            bd = self.check(ctx_phi, e.boundary, fam)
+        bd = self.check(ctx_t.bind_tope(e.boundary_tope), e.boundary, fam)
         if fam is e.family and bd is e.boundary:
             return e
         return Ext(t, e.cube, e.shape_tope, fam, e.boundary_tope, bd, span=e.span)

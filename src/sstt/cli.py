@@ -28,7 +28,7 @@ import sys
 from pathlib import Path
 
 from .checker import DEFAULT_FUEL
-from .corpus import check_files, load_corpus
+from .corpus import FileReport, check_files, load_corpus
 from .parser import ParseError, parse_sequent_source
 from .tope import TopeError, entails
 
@@ -82,6 +82,16 @@ def _with_siblings(paths: list[Path]) -> tuple[list[Path], set[Path]]:
     return ordered, wanted
 
 
+def _print_reports(style: Style, reports: list[FileReport], label) -> None:
+    """A line per file, named by ``label(path)``, and one per diagnostic."""
+    for r in reports:
+        mark = style.good("ok") if r.ok else style.bad("FAIL")
+        print(f"{mark} {label(r.path)} ({len(r.decls)} declarations)")
+        for d in r.diagnostics:
+            where = f" [{d.decl}]" if d.decl else ""
+            print(f"  {style.bad(d.kind)}{where}: {d.message}")
+
+
 def cmd_check(args) -> int:
     style = _style(args)
     paths = [Path(p) for p in args.files]
@@ -100,27 +110,17 @@ def cmd_check(args) -> int:
         payload = {
             "ok": ok,
             "files": [
-                {
-                    "path": r.path,
-                    "requested": Path(r.path).resolve() in wanted,
-                    "decls": [d.name for d in r.decls],
-                    "diagnostics": [d.to_json() for d in r.diagnostics],
-                }
+                {**r.to_json(), "requested": Path(r.path).resolve() in wanted}
                 for r in reports
             ] + [
-                {"path": p, "requested": True, "decls": [], "diagnostics": [],
+                {**FileReport(p).to_json(), "requested": True,
                  "not_checked": reports[-1].path}
                 for p in unreached
             ],
         }
         print(_machine_dump(payload))
         return 0 if ok else 1
-    for r in reports:
-        mark = style.good("ok") if r.ok else style.bad("FAIL")
-        print(f"{mark} {r.path} ({len(r.decls)} declarations)")
-        for d in r.diagnostics:
-            where = f" [{d.decl}]" if d.decl else ""
-            print(f"  {style.bad(d.kind)}{where}: {d.message}")
+    _print_reports(style, reports, str)
     for p in unreached:
         print(f"{style.bad('not checked')} {p}: {reports[-1].path} failed first")
     return 0 if ok else 1
@@ -139,12 +139,7 @@ def cmd_corpus(args) -> int:
     if args.machine:
         print(_machine_dump(result.to_json()))
         return 0 if result.ok else 1
-    for r in result.files:
-        mark = style.good("ok") if r.ok else style.bad("FAIL")
-        print(f"{mark} {Path(r.path).name} ({len(r.decls)} declarations)")
-        for d in r.diagnostics:
-            where = f" [{d.decl}]" if d.decl else ""
-            print(f"  {style.bad(d.kind)}{where}: {d.message}")
+    _print_reports(style, result.files, lambda path: Path(path).name)
     summary = result.to_json()["counts"]
     print(style.dim(
         f"total: {sum(summary.values())} declarations, "

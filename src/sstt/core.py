@@ -465,13 +465,9 @@ def rename_binder(e: Union[Pi, Sigma, Lam, Ext], new: str) -> Expr:
 # A binder pair of one name that neither side maps yet changes neither map,
 # so sides that have crossed only such pairs are equal when identical.
 
-def alpha_eq(a: Expr, b: Expr, env: Optional[dict[str, str]] = None) -> bool:
-    """Structural equality up to renaming of bound variables.  ``env`` maps
-    binders of ``a`` to the corresponding binders of ``b``."""
-    if not env:
-        return a is b or a == b or _alpha(a, b, {}, {})
-    return _alpha(a, b, {x: (x, y) for x, y in env.items()},
-                  {y: (x, y) for x, y in env.items()})
+def alpha_eq(a: Expr, b: Expr) -> bool:
+    """Structural equality up to renaming of bound variables."""
+    return a is b or a == b or _alpha(a, b, {}, {})
 
 
 def _alpha(a: Expr, b: Expr, left: dict, right: dict) -> bool:
@@ -650,39 +646,22 @@ class Decl(Node):
 
 def fold_telescope(telescope: tuple[TeleParam, ...], inner_ty: Expr,
                    inner_body: Optional[Expr]) -> tuple[Expr, Optional[Expr]]:
-    """Fold a telescope into a single type (and body): typed parameters
-    become Pi/lambda, a cube parameter with its following tope parameters
-    becomes an extension type over that sub-shape with empty boundary."""
-    ty = inner_ty
-    body = inner_body
-    i = len(telescope)
-    while i > 0:
-        i -= 1
-        p = telescope[i]
+    """Fold a telescope into a single type (and body), from the inside out:
+    typed parameters become Pi/lambda, and a cube parameter becomes an
+    extension type with an empty boundary over the sub-shape that the tope
+    parameters after it carve (in layer order, all of them carve the last
+    cube parameter)."""
+    ty, body = inner_ty, inner_body
+    topes: list[Tope] = []  # the tope parameters after the cube parameter next met, reversed
+    for p in reversed(telescope):
+        if isinstance(p, TopeParam):
+            topes.append(p.tope)
+            continue
         if isinstance(p, TypedParam):
             ty = Pi(p.name, p.ty, ty)
-            if body is not None:
-                body = Lam(p.name, body)
-        elif isinstance(p, CubeParam):
-            # gather tope params that follow this cube param (already consumed
-            # below when scanning right to left: collect pending topes)
-            ty = Ext(p.name, p.cube, _pending_tope(telescope, i), ty,
-                     BOT, TopeCase(()))
-            if body is not None:
-                body = Lam(p.name, body)
         else:
-            # tope param: folded into the nearest enclosing cube param
-            continue
+            ty = Ext(p.name, p.cube, tope_and(*reversed(topes)), ty, BOT, TopeCase(()))
+            topes = []
+        if body is not None:
+            body = Lam(p.name, body)
     return ty, body
-
-
-def _pending_tope(telescope: tuple[TeleParam, ...], cube_index: int) -> Tope:
-    """The conjunction of tope parameters between this cube parameter and the
-    next one (they constrain this cube variable's sub-shape)."""
-    ts = []
-    for p in telescope[cube_index + 1:]:
-        if isinstance(p, CubeParam):
-            break
-        if isinstance(p, TopeParam):
-            ts.append(p.tope)
-    return tope_and(*ts)

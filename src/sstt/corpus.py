@@ -43,6 +43,13 @@ class FileReport:
     def ok(self) -> bool:
         return not self.diagnostics
 
+    def to_json(self) -> dict:
+        return {
+            "path": self.path,
+            "decls": [d.name for d in self.decls],
+            "diagnostics": [d.to_json() for d in self.diagnostics],
+        }
+
 
 class CorpusResult:
     def __init__(self, files: list[FileReport], env: GlobalEnv, ledger: set[str],
@@ -71,14 +78,7 @@ class CorpusResult:
         counts = {tag.value: len(self.by_tag(tag)) for tag in DeclTag}
         return {
             "ok": self.ok,
-            "files": [
-                {
-                    "path": f.path,
-                    "decls": [d.name for d in f.decls],
-                    "diagnostics": [d.to_json() for d in f.diagnostics],
-                }
-                for f in self.files
-            ],
+            "files": [f.to_json() for f in self.files],
             "counts": counts,
             "axioms": sorted(d.name for d in self.by_tag(DeclTag.AXIOM)),
             "theorems_proved": sorted(

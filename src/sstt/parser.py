@@ -40,8 +40,8 @@ matching parentheses built once per input:
 - ``(x : D)`` is a Π binder iff the token after its ``)`` is ``->``;
 - a binder domain or parameter is a cube type iff its tokens up to ``)`` or
   ``|`` are only ``1``, ``2``, ``*`` and parentheses;
-- a Π or arrow domain is a shape iff it is a shape's name, possibly in
-  parentheses, that no bound name hides;
+- a Π, arrow or extension domain is a shape iff it is a shape's name,
+  possibly in parentheses, that no bound name hides;
 - a parenthesized tope is a relation iff ``<=`` or ``===`` follows its ``)``;
 - an identifier in a tope starts a relation iff it is a bound name or
   ``<=`` or ``===`` follows it, and applies a shape otherwise.
@@ -508,8 +508,14 @@ class Parser:
                 return cube
         raise self.fail("expected a cube type (1, 2, or a product)", t)
 
-    def parse_cube_domain(self, var: str) -> tuple[CubeType, Tope]:
-        """``C`` or ``C | psi``, where ``psi`` may mention the bound ``var``."""
+    def parse_domain(self, var: str) -> Optional[tuple[CubeType, Tope]]:
+        """The cube and shape tope at ``var`` of a binder's domain up to its
+        ``)``: a cube type ``C``, or ``C | psi`` where ``psi`` may mention
+        ``var``, or a shape, possibly in parentheses, that no bound name
+        hides.  None, with nothing read, for any other domain."""
+        if not self.cube_ahead():
+            sh = self.shape_ahead(")")
+            return None if sh is None else (sh.cube, sh.applied_to(CVar(var)))
         cube = self.parse_cube_type()
         if not self.accept("|"):
             return cube, TOP
@@ -635,20 +641,15 @@ class Parser:
         self.expect("(")
         var = self.next()[1]
         self.expect(":")
-        cube: Optional[CubeType] = None
-        if self.cube_ahead():
-            cube, psi = self.parse_cube_domain(var)
-        elif (sh := self.shape_ahead(")")) is not None:
-            cube, psi = sh.cube, sh.applied_to(CVar(var))
-        else:
-            dom = self.parse_expr()
+        shape = self.parse_domain(var)
+        dom = self.parse_expr() if shape is None else None
         self.expect(")")
         self.expect("->")
-        saved = self.bind(var, "typed" if cube is None else "cube")
+        saved = self.bind(var, "typed" if shape is None else "cube")
         cod = self.parse_arrow()
         self.scope = saved
-        if cube is not None:
-            return Ext(var, cube, psi, cod, BOT, TopeCase(()), span=self.span_from(start))
+        if shape is not None:
+            return Ext(var, *shape, cod, BOT, TopeCase(()), span=self.span_from(start))
         return Pi(var, dom, cod, span=self.span_from(start))
 
     def parse_sigma_op(self) -> Expr:
@@ -739,18 +740,15 @@ class Parser:
         self.expect("(")
         var = self.expect("ident")[1]
         self.expect(":")
-        if self.cube_ahead():
-            cube, psi = self.parse_cube_domain(var)
-        elif self.at("ident"):
+        shape = self.parse_domain(var)
+        if shape is None:
             t = self.next()
-            sh = None if t[1] in self.scope else self.global_(t[1])
-            if not isinstance(sh, Shape):
+            if t[0] != "ident":
+                raise self.fail("an extension type needs a cube or shape domain", t)
+            if t[1] in self.scope or not isinstance(self.global_(t[1]), Shape):
                 raise ScopeError("an extension type needs a cube or shape domain",
                                  Span(t[2], t[3]))
-            cube, psi = sh.cube, sh.applied_to(CVar(var))
-        else:
-            raise self.fail("an extension type needs a cube or shape domain")
-        self.expect(")")
+        self.expect(")")  # fails after a shape that other tokens follow
         self.expect("->")
         saved = self.bind(var, "cube")
         family = self.parse_sigma_op()
@@ -764,7 +762,7 @@ class Parser:
             phi, bd = branches[0]
         else:
             phi, bd = tope_or(*(t for t, _ in branches)), TopeCase(branches)
-        return Ext(var, cube, psi, family, phi, bd, span=self.span_from(start))
+        return Ext(var, *shape, family, phi, bd, span=self.span_from(start))
 
     def parse_branches(self) -> tuple[tuple[Tope, Expr], ...]:
         """``tope |-> term | ...`` up to and including the ``]`` after the

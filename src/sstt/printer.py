@@ -37,7 +37,7 @@ from .core import (
 )
 from .cube import display_name, print_cube_expr, print_cube_type
 from .parser import KEYWORDS
-from .tope import BOT, TOP, print_tope, tope_free_vars
+from .tope import BOT, TOP, print_tope, tope_free_vars, tope_or
 
 # precedence levels, loosest to tightest; a node is parenthesized when its
 # own level is looser than the position demands
@@ -96,7 +96,10 @@ def _go(e: Expr, env: dict[str, str], level: int) -> str:
                 nx, env2 = _binder_env(x, [c], [], env)
                 s = f"({nx} : {_go(d, env, LAM)}) -> {_go(c, env2, ARROW)}"
             else:
-                s = f"{_go(d, env, SIGMA_OP)} -> {_go(c, env, ARROW)}"
+                dom = _go(d, env, SIGMA_OP)
+                if isinstance(d, Ann):  # else (x : A) -> B reads as a binder
+                    dom = f"({dom})"
+                s = f"{dom} -> {_go(c, env, ARROW)}"
             return _paren(s, ARROW, level)
         case Ext(t, cube, psi, fam, phi, bd):
             return _print_ext(e, env, level)
@@ -161,12 +164,12 @@ def _print_ext(e: Ext, env: dict[str, str], level: int) -> str:
     if trivial:
         s = f"({nx} : {dom}) -> {_go(e.family, env2, ARROW)}"
         return _paren(s, ARROW, level)
-    if isinstance(e.boundary, TopeCase) and e.boundary.branches:
-        inner = " | ".join(
-            f"{print_tope(t, env2)} |-> {_go(b, env2, LAM)}"
-            for t, b in e.boundary.branches
-        )
-    else:
-        inner = f"{print_tope(e.boundary_tope, env2)} |-> {_go(e.boundary, env2, LAM)}"
+    # the parser reads two or more branches as a tope case under their
+    # disjunction, and one branch as its body under its tope
+    branches = ((e.boundary_tope, e.boundary),)
+    if (isinstance(e.boundary, TopeCase) and len(e.boundary.branches) > 1
+            and e.boundary_tope == tope_or(*(t for t, _ in e.boundary.branches))):
+        branches = e.boundary.branches
+    inner = " | ".join(f"{print_tope(t, env2)} |-> {_go(b, env2, LAM)}" for t, b in branches)
     fam = _go(e.family, env2, SIGMA_OP)
     return f"<Pi ({nx} : {dom}) -> {fam} [ {inner} ]>"

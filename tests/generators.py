@@ -37,11 +37,14 @@ from sstt.cube import (
 from sstt.tope import Sequent, TAnd, TBot, TEq, TLe, TOr, TTop, Tope
 
 NAMES = ["x", "y", "z", "f", "g", "a", "b"]
+CASE_NAMES = ["t", "s"]
 
 
 def random_expr(rng: random.Random, depth: int = 4,
-                scope: tuple[str, ...] = ()) -> Expr:
-    """A well-scoped (not necessarily well-typed) core expression."""
+                scope: tuple[str, ...] = (), cases: bool = False) -> Expr:
+    """A well-scoped (not necessarily well-typed) core expression.  With
+    ``cases`` it also builds annotations and tope cases, whose topes name
+    the cube variables of ``CASE_NAMES``, which the caller binds."""
     leaves = ["U", "unit_ty", "unit", "refl0"]
     if scope:
         leaves.append("var")
@@ -51,9 +54,9 @@ def random_expr(rng: random.Random, depth: int = 4,
         kind = rng.choice(leaves + [
             "pi", "lam", "app", "sigma", "pair", "fst", "snd",
             "id", "refl", "j", "ext",
-        ])
+        ] + (["tope_case", "ann"] if cases else []))
     fresh = rng.choice(NAMES)
-    sub = lambda d=1, sc=scope: random_expr(rng, depth - d, sc)
+    sub = lambda d=1, sc=scope: random_expr(rng, depth - d, sc, cases)
     match kind:
         case "U":
             return U()
@@ -92,6 +95,11 @@ def random_expr(rng: random.Random, depth: int = 4,
             family = sub(1, scope)
             body = sub(2, scope)
             return Ext(t, INTERVAL, TTop(), family, boundary, body)
+        case "tope_case":
+            return TopeCase(tuple((random_tope(rng, CASE_NAMES, 1), sub())
+                                  for _ in range(rng.randrange(3))))
+        case "ann":
+            return Ann(sub(), sub())
     raise AssertionError(kind)
 
 

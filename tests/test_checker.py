@@ -31,7 +31,7 @@ from sstt.corpus import load_corpus
 from sstt.cube import INTERVAL, CONE, CZERO, CPair, CVar, ProdCube
 from sstt.parser import parse_expr, parse_file
 from sstt.scope import GlobalEnv, elaborate_toplevels
-from sstt.tope import BOT, TOP, TAnd, TEq, TOr
+from sstt.tope import BOT, TOP, TAnd, TEq, TLe, TOr
 
 
 def E(env, src):
@@ -374,3 +374,82 @@ def test_diagnostic_rejects_unknown_kind():
     assert Diagnostic("tope-unsolved", "m").kind == "tope-unsolved"
     with pytest.raises(ValueError, match="no-such-kind"):
         Diagnostic("no-such-kind", "m")
+
+
+# -- equality rules that neither corpus reaches
+
+def _cube_ctx(*topes):
+    """Cube variables t and s, typed ones A : U and a, b : A, and a path
+    variable p of no known type, under the conjunction of ``topes``."""
+    ctx = TriContext().bind_cube("t", INTERVAL).bind_cube("s", INTERVAL)
+    for tope in topes:
+        ctx = ctx.bind_tope(tope)
+    return (ctx.bind_typed("A", U()).bind_typed("a", Var("A")).bind_typed("b", Var("A"))
+            .bind_typed("p", None))
+
+
+def test_equal_extension_types_compare_shapes_and_boundaries():
+    # boundary branches in either order give the same type; a different
+    # shape gives another
+    t = CVar("t")
+    at0, at1 = TEq(t, CZERO), TEq(t, CONE)
+
+    def ext(shape, *branches):
+        phi = TOr(*(tp for tp, _ in branches)) if branches else BOT
+        return Ext("t", INTERVAL, shape, Var("A"), phi, TopeCase(branches))
+
+    a0, b1 = (at0, Var("a")), (at1, Var("b"))
+    checker, ctx = Checker(GlobalEnv()), _cube_ctx()
+    assert not alpha_eq(ext(TOP, a0, b1), ext(TOP, b1, a0))
+    assert checker.equal(ctx, ext(TOP, a0, b1), ext(TOP, b1, a0), U())
+    assert not checker.equal(ctx, ext(TOP, a0, b1), ext(TOP, b1, (at0, Var("b"))), U())
+    assert not checker.equal(ctx, ext(TOP), ext(at0), U())
+    assert not checker.equal(ctx, ext(at0), ext(TOP), U())
+
+
+def test_equal_lambdas_with_no_type_compare_their_bodies():
+    x, y, z = Var("x"), Var("y"), Var("z")
+    checker, ctx = Checker(GlobalEnv()), _cube_ctx()
+    redex = Pair(Lam("x", App(Lam("z", z), x)), Var("a"))
+    assert checker.equal(ctx, redex, Pair(Lam("y", y), Var("a")))
+    assert not checker.equal(ctx, redex, Pair(Lam("y", Var("b")), Var("a")))
+
+
+def test_equal_stuck_case_split_compares_each_branch():
+    # neither branch of [t <= s |-> a | s <= t |-> ...] is taken with no
+    # tope in the context, so each is compared under its own
+    t, s = CVar("t"), CVar("s")
+    checker, ctx = Checker(GlobalEnv()), _cube_ctx()
+    both_a = TopeCase(((TLe(t, s), Var("a")), (TLe(s, t), Var("a"))))
+    a_or_b = TopeCase(((TLe(t, s), Var("a")), (TLe(s, t), Var("b"))))
+    assert checker.whnf(ctx, both_a) == both_a
+    assert checker.equal(ctx, both_a, Var("a"), Var("A"))
+    assert checker.equal(ctx, Var("a"), both_a, Var("A"))
+    assert not checker.equal(ctx, a_or_b, Var("a"), Var("A"))
+    assert not checker.equal(ctx, Var("a"), a_or_b, Var("A"))
+
+
+def _stuck_j(base, path):
+    motive = Lam("u", Lam("v", Lam("q", Var("A"))))
+    return J(motive, base, path)
+
+
+def test_equal_stuck_j_compares_motive_base_and_path():
+    # the bases and paths are equal without being alpha-equal; the path is
+    # an application, whose argument weak head reduction leaves alone
+    checker, ctx = Checker(GlobalEnv()), _cube_ctx()
+    ident = Lam("z", Var("z"))
+    base, base2 = Lam("u", Var("a")), Lam("w", App(ident, Var("a")))
+    path, path2 = App(Var("p"), Var("a")), App(Var("p"), App(ident, Var("a")))
+    assert checker.equal(ctx, _stuck_j(base, path), _stuck_j(base2, path2))
+    assert not checker.equal(ctx, _stuck_j(base, path), _stuck_j(Lam("u", Var("b")), path))
+    assert not checker.equal(ctx, _stuck_j(base, path), _stuck_j(base, App(Var("p"), Var("b"))))
+
+
+def test_equal_stuck_extension_applications_compare_points_under_the_tope():
+    # a stuck J applied at t and at s: the same under t === s only
+    t, s = CVar("t"), CVar("s")
+    j = _stuck_j(Lam("u", Var("a")), Var("p"))
+    checker = Checker(GlobalEnv())
+    assert checker.equal(_cube_ctx(TEq(t, s)), ExtApp(j, t), ExtApp(j, s))
+    assert not checker.equal(_cube_ctx(), ExtApp(j, t), ExtApp(j, s))

@@ -4,7 +4,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from generators import random_expr
+from generators import CASE_NAMES, random_expr
+from test_core import _subterms
+from sstt.checker import Checker
 from sstt.core import (
     U,
     Ann,
@@ -19,8 +21,10 @@ from sstt.core import (
     Pi,
     Sigma,
     Snd,
+    Span,
     TopeCase,
     TopeParam,
+    TriContext,
     TypedParam,
     Var,
     alpha_eq,
@@ -35,9 +39,9 @@ from sstt.scope import GlobalEnv, ScopeError, elaborate_toplevels
 from sstt.tope import BOT, TOP, TAnd, TEq, TLe
 
 
-def roundtrip(e):
+def roundtrip(e, scope=None):
     text = print_expr(e)
-    back = parse_expr(text)
+    back = parse_expr(text, scope=scope)
     assert alpha_eq(e, back), f"{text!r} re-read as {print_expr(back)!r}"
 
 
@@ -57,6 +61,23 @@ def test_roundtrip_random_sample():
 @given(st.integers(0, 2**32 - 1))
 def test_roundtrip_property(seed):
     roundtrip(random_expr(random.Random(seed), depth=5))
+
+
+def test_roundtrip_tope_cases_and_annotations():
+    # an annotated name is no binder, and a one-branch boundary that is
+    # itself a case split is not the extension type's branches
+    t, y = CVar("t"), Var("y")
+    roundtrip(Lam("y", Pi("x", Ann(y, U()), U())))
+    roundtrip(Ext("t", INTERVAL, TOP, U(), TEq(t, CZERO),
+                  TopeCase(((TLe(t, CZERO), U()), (TLe(CZERO, t), U())))))
+    rng = random.Random(2)
+    scope = dict.fromkeys(CASE_NAMES, "cube")
+    built = set()
+    for _ in range(300):
+        e = random_expr(rng, depth=4, cases=True)
+        roundtrip(e, scope)
+        built |= {n.__class__ for n in _subterms(e)}
+    assert {TopeCase, Ann} <= built
 
 
 def test_roundtrip_corpus():
@@ -289,6 +310,28 @@ def test_shape_domain_in_parentheses_and_hidden_shape():
     # a bound name hides the shape: the domain is that variable
     assert alpha_eq(resolved("\\Delta1. Delta1 -> A", "A"),
                     Lam("D", Pi("x", Var("D"), Var("A"))))
+
+
+def test_extension_type_domain_is_read_like_a_binder_domain():
+    # a shape in parentheses is a domain of an extension type as of a Π
+    # binder, and the two forms give one type, which checks
+    ext = resolved("<Pi (t : (Delta1)) -> A []>", "A")
+    assert alpha_eq(ext, resolved("(t : (Delta1)) -> A", "A"))
+    ctx = TriContext().bind_typed("A", U())
+    assert Checker(GlobalEnv()).infer(ctx, ext) == (U(), ext)
+    # the domains it rejects keep their errors
+    with pytest.raises(ParseError) as e:
+        resolved("<Pi (t : Delta1 A) -> A []>", "A")
+    assert (e.value.message, e.value.col) == ("expected ')', found 'A'", 17)
+    with pytest.raises(ScopeError) as e:
+        resolved("<Pi (t : A) -> A []>", "A")
+    assert (e.value.message, e.value.span) == (
+        "an extension type needs a cube or shape domain", Span(9, 10))
+    for src in ("<Pi (t : (A)) -> A []>", "<Pi (t : (Delta1) A) -> A []>"):
+        with pytest.raises(ParseError) as e:
+            resolved(src, "A")
+        assert (e.value.message, e.value.col) == (
+            "an extension type needs a cube or shape domain", 10)
 
 
 def test_scope_error_in_tope_points_at_its_token():

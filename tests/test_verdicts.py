@@ -108,9 +108,9 @@ def _mutate(rng: random.Random, src: str) -> tuple[str, str]:
             return src[:start] + " " + new + " " + src[end:], f"replace {i} {text} {new}"
 
 
-def verdict_lines(scratch: Path) -> list[str]:
+def verdict_lines(workdir: Path) -> list[str]:
     """Every line of the snapshot, in order; mutated files are written to
-    ``scratch``."""
+    ``workdir``."""
     lines: list[str] = []
     before = _load("src", CORPUS_DIR, lines)
     _load("bench", BENCH_CORPUS, lines)
@@ -122,7 +122,7 @@ def verdict_lines(scratch: Path) -> list[str]:
     for k in range(MUTATION_COUNT):
         j = rng.randrange(len(files))
         src, edit = _mutate(rng, files[j].read_text(encoding="utf-8"))
-        mutated = scratch / files[j].name
+        mutated = workdir / files[j].name
         mutated.write_text(src, encoding="utf-8")
         lines.append(f"mutation\t{k}\t{files[j].name}\t{edit}\t{_first(before[j], mutated, ledger)}")
     return lines
@@ -131,13 +131,13 @@ def verdict_lines(scratch: Path) -> list[str]:
 def test_verdicts_are_pinned(tmp_path):
     expected = PINNED.read_text(encoding="utf-8").splitlines()
     actual = verdict_lines(tmp_path)
-    assert len(actual) == len(expected)
     for got, want in zip(actual, expected):
         assert got == want
+    assert len(actual) == len(expected)
 
 
 if __name__ == "__main__":
     import tempfile
 
-    with tempfile.TemporaryDirectory() as scratch:
-        PINNED.write_text("\n".join(verdict_lines(Path(scratch))) + "\n", encoding="utf-8")
+    with tempfile.TemporaryDirectory() as workdir:
+        PINNED.write_text("\n".join(verdict_lines(Path(workdir))) + "\n", encoding="utf-8")
