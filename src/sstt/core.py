@@ -20,12 +20,14 @@ applies it once with ``close``; ``subst_typed``, ``subst_cube`` and
 name from the substitution instead of storing the identity.
 
 Substitution keeps sharing: each case hands back the node itself when none
-of its children changed and its binder kept its name, a tope or cube point
-counting as unchanged when it compares ``==``.
+of its children changed and its binder kept its name, down to cube points
+and topes.
 
-The walkers over terms, ``free_vars``, ``Subst.expr`` and ``alpha_eq``,
-pick a node's case with one lookup of its class in a table built at import.
-``alpha_eq`` settles ``==`` sides at once, before any walk.
+The walkers ``free_vars``, ``Subst.expr`` and ``alpha_eq`` pick a node's
+case with one lookup of its class in a table built at import.  The first
+and last have a case for every class of term, cube point and tope, so one
+walk covers a term and the topes under its binders, with the same binder
+maps.  ``alpha_eq`` settles ``==`` sides at once, before any walk.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from typing import Container, Mapping, Optional, Union
 
 from .cube import (
     CFst,
+    COne,
     CPair,
     CSnd,
     CStar,
@@ -43,17 +46,22 @@ from .cube import (
     CubeExpr,
     CubeType,
     CVar,
+    CZero,
     Node,
-    cube_free_vars,
     subst_cube_sim,
 )
 from .tope import (
     BOT,
     TOP,
+    TAnd,
+    TBot,
+    TEq,
+    TLe,
+    TOr,
     Tope,
+    TTop,
     subst_tope_sim,
     tope_and,
-    tope_free_vars,
 )
 
 
@@ -197,6 +205,14 @@ class _Cases(dict):
 # ---------------------------------------------------------------------------
 # Free variables (both sorts share the namespace)
 
+# the classes of this and the lower layers whose fields are all subterms,
+# points or topes, and those with none
+_COMPOUND = (App, Pair, Fst, Snd, IdT, Refl, J, Ann, ExtApp, CubeLit,
+             CPair, CFst, CSnd, TAnd, TOr, TLe, TEq)
+_LEAVES = (U, UnitType, UnitPoint, CZero, COne, CStar, TTop, TBot,
+           type(None))  # a bare ``refl`` has no argument
+
+
 def free_vars(e: Expr) -> set[str]:
     return _FREE[e.__class__](e)
 
@@ -207,33 +223,31 @@ def _fv_binder(e: Union[Pi, Sigma]) -> set[str]:
 
 
 def _fv_ext(e: Ext) -> set[str]:
-    fam, bd = e.family, e.boundary
-    return (tope_free_vars(e.shape_tope) | _FREE[fam.__class__](fam)
-            | tope_free_vars(e.boundary_tope) | _FREE[bd.__class__](bd)) - {e.var}
+    parts = (e.shape_tope, e.family, e.boundary_tope, e.boundary)
+    return set().union(*[_FREE[p.__class__](p) for p in parts]) - {e.var}
 
 
 def _fv_children(e: Expr) -> set[str]:
-    """The case of a node whose fields are subterms (or a missing one)."""
+    """The case of a node whose fields are subterms, points or topes."""
     children = [getattr(e, f) for f in e._fields]
     return set().union(*[_FREE[c.__class__](c) for c in children])
 
 
-def _no_free_vars(e: Expr) -> set[str]:
-    return set()
+def _not_a_node(e: object):
+    raise TypeError(f"not an expression: {e!r}")
 
 
-_FREE = _Cases(_no_free_vars, {
+_FREE = _Cases(_not_a_node, {
     Var: lambda e: {e.name},
+    CVar: lambda e: {e.name},
     Pi: _fv_binder,
     Sigma: _fv_binder,
     Lam: lambda e: _FREE[e.body.__class__](e.body) - {e.var},
     Ext: _fv_ext,
-    ExtApp: lambda e: _FREE[e.fn.__class__](e.fn) | cube_free_vars(e.arg),
-    TopeCase: lambda e: set().union(*[tope_free_vars(tp) | _FREE[br.__class__](br)
+    TopeCase: lambda e: set().union(*[_FREE[tp.__class__](tp) | _FREE[br.__class__](br)
                                       for tp, br in e.branches]),
-    CubeLit: lambda e: cube_free_vars(e.expr),
-    **dict.fromkeys((App, Pair, Fst, Snd, IdT, Refl, J, Ann), _fv_children),
-    **dict.fromkeys((U, UnitType, UnitPoint, Const), _no_free_vars),
+    **dict.fromkeys(_COMPOUND, _fv_children),
+    **dict.fromkeys((Const,) + _LEAVES, lambda e: set()),
 })
 
 
@@ -291,7 +305,7 @@ class Subst:
     def free_names(self) -> set[str]:
         if self._fvs is None:  # the free names of the values, found once
             self._fvs = set().union(*map(free_vars, self.values.values()),
-                                    *map(cube_free_vars, self.points.values()))
+                                    *map(free_vars, self.points.values()))
         return self._fvs
 
     def under(self, x: str, node: Expr) -> tuple[str, "Subst"]:
@@ -338,7 +352,7 @@ def _subst_ext(s: Subst, e: Ext) -> Expr:
     psi, fam, phi, bd = (sub.tope(e.shape_tope), sub.expr(e.family),
                          sub.tope(e.boundary_tope), sub.expr(e.boundary))
     if (nt is e.var and fam is e.family and bd is e.boundary
-            and psi == e.shape_tope and phi == e.boundary_tope):
+            and psi is e.shape_tope and phi is e.boundary_tope):
         return e
     return Ext(nt, e.cube, psi, fam, phi, bd, e.span)
 
@@ -346,8 +360,6 @@ def _subst_ext(s: Subst, e: Ext) -> Expr:
 def _subst_one(s: Subst, e: Union[Fst, Snd, Refl]) -> Expr:
     """The case of a node with one subterm, ``arg`` (a bare ``refl`` has none)."""
     a = e.arg
-    if a is None:
-        return e
     na = _SUBST[a.__class__](s, a)
     return e if na is a else e.__class__(na, e.span)
 
@@ -368,26 +380,22 @@ def _subst_three(s: Subst, e: Union[IdT, J]) -> Expr:
 def _subst_ext_app(s: Subst, e: ExtApp) -> Expr:
     fn = _SUBST[e.fn.__class__](s, e.fn)
     c = s.point(e.arg)
-    return e if fn is e.fn and c == e.arg else ExtApp(fn, c, e.span)
+    return e if fn is e.fn and c is e.arg else ExtApp(fn, c, e.span)
 
 
 def _subst_case(s: Subst, e: TopeCase) -> Expr:
     branches = tuple((s.tope(tp), _SUBST[br.__class__](s, br)) for tp, br in e.branches)
-    if all(nb is b and nt == t for (nt, nb), (t, b) in zip(branches, e.branches)):
+    if all(nb is b and nt is t for (nt, nb), (t, b) in zip(branches, e.branches)):
         return e
     return TopeCase(branches, e.span)
 
 
 def _subst_lit(s: Subst, e: CubeLit) -> Expr:
     c = s.point(e.expr)
-    return e if c == e.expr else CubeLit(c, e.span)
+    return e if c is e.expr else CubeLit(c, e.span)
 
 
-def _not_an_expression(s: Subst, e: object):
-    raise TypeError(f"not an expression: {e!r}")
-
-
-_SUBST = _Cases(_not_an_expression, {
+_SUBST = _Cases(lambda s, e: _not_a_node(e), {
     Var: lambda s, e: s.lookup(e.name) if e.name in s.values or e.name in s.points else e,
     Pi: _subst_binder,
     Sigma: _subst_binder,
@@ -399,7 +407,7 @@ _SUBST = _Cases(_not_an_expression, {
     ExtApp: _subst_ext_app,
     TopeCase: _subst_case,
     CubeLit: _subst_lit,
-    **dict.fromkeys((U, UnitType, UnitPoint, Const), lambda s, e: e),
+    **dict.fromkeys((U, UnitType, UnitPoint, Const, type(None)), lambda s, e: e),
 })
 
 
@@ -485,17 +493,8 @@ def _cross(x: str, y: str, left: dict, right: dict) -> tuple[dict, dict]:
     return {**left, x: (x, y)}, {**right, y: (x, y)}
 
 
-def _same_points(s, t, left: dict, right: dict, rename) -> bool:
-    """Two topes or cube points (``rename`` substitutes into either) equal
-    once each side's bound names stand for their tokens."""
-    if not left:
-        return s == t
-    return (rename(s, {x: CVar(k) for x, k in left.items()})
-            == rename(t, {y: CVar(k) for y, k in right.items()}))
-
-
 def _alpha_children(a: Expr, b: Expr, left: dict, right: dict) -> bool:
-    """The case of a node whose fields are all subterms."""
+    """The case of a node whose fields are all subterms, points or topes."""
     return all(_alpha(getattr(a, f), getattr(b, f), left, right) for f in a._fields)
 
 
@@ -509,34 +508,33 @@ def _alpha_ext(a: Ext, b: Ext, left: dict, right: dict) -> bool:
     if a.cube != b.cube:
         return False
     left, right = _cross(a.var, b.var, left, right)
-    return (_same_points(a.shape_tope, b.shape_tope, left, right, subst_tope_sim)
+    return (_alpha(a.shape_tope, b.shape_tope, left, right)
             and _alpha(a.family, b.family, left, right)
-            and _same_points(a.boundary_tope, b.boundary_tope, left, right, subst_tope_sim)
+            and _alpha(a.boundary_tope, b.boundary_tope, left, right)
             and _alpha(a.boundary, b.boundary, left, right))
 
 
 def _alpha_case(a: TopeCase, b: TopeCase, left: dict, right: dict) -> bool:
     return len(a.branches) == len(b.branches) and all(
-        _same_points(t1, t2, left, right, subst_tope_sim) and _alpha(e1, e2, left, right)
+        _alpha(t1, t2, left, right) and _alpha(e1, e2, left, right)
         for (t1, e1), (t2, e2) in zip(a.branches, b.branches))
 
 
+def _alpha_var(a: Union[Var, CVar], b: Union[Var, CVar], left: dict, right: dict) -> bool:
+    return left.get(a.name, a.name) == right.get(b.name, b.name)
+
+
 _ALPHA = _Cases(lambda a, b, left, right: False, {
-    Var: lambda a, b, left, right: left.get(a.name, a.name) == right.get(b.name, b.name),
+    Var: _alpha_var,
+    CVar: _alpha_var,
     Const: lambda a, b, left, right: a.name == b.name,
     Pi: _alpha_binder,
     Sigma: _alpha_binder,
     Lam: lambda a, b, left, right: _alpha(a.body, b.body, *_cross(a.var, b.var, left, right)),
-    Refl: lambda a, b, left, right: (a.arg is b.arg if a.arg is None or b.arg is None
-                                     else _alpha(a.arg, b.arg, left, right)),
     Ext: _alpha_ext,
-    ExtApp: lambda a, b, left, right: (_alpha(a.fn, b.fn, left, right) and _same_points(
-        a.arg, b.arg, left, right, subst_cube_sim)),
     TopeCase: _alpha_case,
-    CubeLit: lambda a, b, left, right: _same_points(a.expr, b.expr, left, right,
-                                                    subst_cube_sim),
-    **dict.fromkeys((App, Pair, Fst, Snd, IdT, J, Ann), _alpha_children),
-    **dict.fromkeys((U, UnitType, UnitPoint), lambda a, b, left, right: True),
+    **dict.fromkeys(_COMPOUND, _alpha_children),
+    **dict.fromkeys(_LEAVES, lambda a, b, left, right: True),
 })
 
 

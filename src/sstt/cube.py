@@ -10,7 +10,8 @@ point of a product cube is a tuple whose leaves are interval-valued atoms
 (``0``, ``1``, or a projection chain applied to a variable).
 ``normalize_cube`` types a point and normalizes it in one walk; the cube of
 a normal point can be read off its shape, so ``cube_type_of`` is that walk
-too.
+too.  ``subst_cube_sim`` hands back a point none of whose parts changed; the
+free variables and α-equivalence of points are ``core``'s term walkers'.
 
 The printers of this layer live here: ``print_cube_type`` and
 ``print_cube_expr`` write cube types and points in the surface syntax, and
@@ -322,27 +323,15 @@ def split_cube(cube: CubeType, k: int) -> list[CubeType]:
 
 
 def subst_cube_sim(e: CubeExpr, mapping: dict[str, CubeExpr]) -> CubeExpr:
-    """Simultaneous substitution of cube points for cube variables."""
-    match e:
-        case CVar(n):
-            return mapping.get(n, e)
-        case CPair(a, b):
-            return CPair(subst_cube_sim(a, mapping), subst_cube_sim(b, mapping))
-        case CFst(a):
-            return CFst(subst_cube_sim(a, mapping))
-        case CSnd(a):
-            return CSnd(subst_cube_sim(a, mapping))
-        case _:
-            return e
-
-
-def cube_free_vars(e: CubeExpr) -> set[str]:
-    match e:
-        case CVar(n):
-            return {n}
-        case CPair(a, b):
-            return cube_free_vars(a) | cube_free_vars(b)
-        case CFst(a) | CSnd(a):
-            return cube_free_vars(a)
-        case _:
-            return set()
+    """Simultaneous substitution of cube points for cube variables.  A point
+    none of whose parts changed comes back as the very node."""
+    cls = e.__class__
+    if cls is CVar:
+        return mapping.get(e.name, e)
+    if cls is CPair:
+        a, b = subst_cube_sim(e.fst, mapping), subst_cube_sim(e.snd, mapping)
+        return e if a is e.fst and b is e.snd else CPair(a, b)
+    if cls is CFst or cls is CSnd:
+        a = subst_cube_sim(e.arg, mapping)
+        return e if a is e.arg else cls(a)
+    return e

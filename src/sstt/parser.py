@@ -741,14 +741,18 @@ class Parser:
         var = self.expect("ident")[1]
         self.expect(":")
         shape = self.parse_domain(var)
-        if shape is None:
+        if shape is None:  # a name in parentheses is judged as a bare one
             t = self.next()
+            while t[0] == "(":
+                t = self.next()
             if t[0] != "ident":
                 raise self.fail("an extension type needs a cube or shape domain", t)
             if t[1] in self.scope or not isinstance(self.global_(t[1]), Shape):
                 raise ScopeError("an extension type needs a cube or shape domain",
                                  Span(t[2], t[3]))
-        self.expect(")")  # fails after a shape that other tokens follow
+            while self.accept(")"):  # a shape: fail at the token after its parentheses
+                pass
+        self.expect(")")
         self.expect("->")
         saved = self.bind(var, "cube")
         family = self.parse_sigma_op()

@@ -37,7 +37,7 @@ from .core import (
 )
 from .cube import display_name, print_cube_expr, print_cube_type
 from .parser import KEYWORDS
-from .tope import BOT, TOP, print_tope, tope_free_vars, tope_or
+from .tope import BOT, TOP, print_tope, tope_or
 
 # precedence levels, loosest to tightest; a node is parenthesized when its
 # own level is looser than the position demands
@@ -53,14 +53,8 @@ def _pick_name(x: str, avoid: set[str]) -> str:
     return base
 
 
-def _binder_env(x: str, parts: list, tope_parts: list, env: dict[str, str]):
-    fvs: set[str] = set()
-    for p in parts:
-        fvs |= free_vars(p)
-    for tp in tope_parts:
-        fvs |= tope_free_vars(tp)
-    fvs.discard(x)
-    avoid = {env.get(v, display_name(v)) for v in fvs}
+def _binder_env(x: str, parts: list, env: dict[str, str]):
+    avoid = {env.get(v, display_name(v)) for p in parts for v in free_vars(p) if v != x}
     nx = _pick_name(x, avoid)
     return nx, {**env, x: nx}
 
@@ -89,11 +83,11 @@ def _go(e: Expr, env: dict[str, str], level: int) -> str:
         case Const(n):
             return n
         case Lam(x, b):
-            nx, env2 = _binder_env(x, [b], [], env)
+            nx, env2 = _binder_env(x, [b], env)
             return _paren(f"\\{nx}. {_go(b, env2, LAM)}", LAM, level)
         case Pi(x, d, c):
             if x in free_vars(c):
-                nx, env2 = _binder_env(x, [c], [], env)
+                nx, env2 = _binder_env(x, [c], env)
                 s = f"({nx} : {_go(d, env, LAM)}) -> {_go(c, env2, ARROW)}"
             else:
                 dom = _go(d, env, SIGMA_OP)
@@ -105,7 +99,7 @@ def _go(e: Expr, env: dict[str, str], level: int) -> str:
             return _print_ext(e, env, level)
         case Sigma(x, a, b):
             if x in free_vars(b):
-                nx, env2 = _binder_env(x, [b], [], env)
+                nx, env2 = _binder_env(x, [b], env)
                 s = f"Sigma ({nx} : {_go(a, env, LAM)}) {_go(b, env2, ATOM)}"
                 return _paren(s, PREFIX, level)
             s = f"{_go(a, env, APP)} * {_go(b, env, SIGMA_OP)}"
@@ -154,8 +148,7 @@ def _go(e: Expr, env: dict[str, str], level: int) -> str:
 
 
 def _print_ext(e: Ext, env: dict[str, str], level: int) -> str:
-    nx, env2 = _binder_env(
-        e.var, [e.family, e.boundary], [e.shape_tope, e.boundary_tope], env)
+    nx, env2 = _binder_env(e.var, [e], env)  # free in e: free in a part, but not e.var
     if e.shape_tope == TOP:
         dom = print_cube_type(e.cube)
     else:

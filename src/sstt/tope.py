@@ -25,11 +25,12 @@ and normalizes each point of every inequality and equality in one walk
 (``cube.normalize_cube``), reads the point's cube off its normal form, and
 raises ``TopeError`` on an ill-typed one.  Normal parts are shared: a point,
 literal or connective that is already normal comes back as the very node,
-so normalizing a normal tope returns it.  The printer of this layer lives
-here too: ``print_tope`` writes a tope in the surface syntax, its points
-through ``cube.print_cube_expr``.  The solver prints each atom once, and
-that one string both orders the atoms and names the atom in a
-counter-model.
+so normalizing a normal tope returns it; ``subst_tope_sim`` shares alike.
+Free variables and α-equivalence of topes are ``core``'s term walkers'.
+The printer of this layer lives here too: ``print_tope`` writes a tope in
+the surface syntax, its points through ``cube.print_cube_expr``.  The
+solver prints each atom once, and that one string both orders the atoms
+and names the atom in a counter-model.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .cube import (
     CZero,
     CubeError,
     Node,
-    cube_free_vars,
     cube_of_normal,
     normalize_cube,
     print_cube_expr,
@@ -143,28 +143,16 @@ def tope_or(*ts: Tope) -> Tope:
 
 
 def subst_tope_sim(t: Tope, mapping: dict[str, CubeExpr]) -> Tope:
-    """Simultaneous substitution of cube points for cube variables."""
-    match t:
-        case TAnd(a, b):
-            return TAnd(subst_tope_sim(a, mapping), subst_tope_sim(b, mapping))
-        case TOr(a, b):
-            return TOr(subst_tope_sim(a, mapping), subst_tope_sim(b, mapping))
-        case TLe(a, b):
-            return TLe(subst_cube_sim(a, mapping), subst_cube_sim(b, mapping))
-        case TEq(a, b):
-            return TEq(subst_cube_sim(a, mapping), subst_cube_sim(b, mapping))
-        case _:
-            return t
-
-
-def tope_free_vars(t: Tope) -> set[str]:
-    match t:
-        case TAnd(a, b) | TOr(a, b):
-            return tope_free_vars(a) | tope_free_vars(b)
-        case TLe(a, b) | TEq(a, b):
-            return cube_free_vars(a) | cube_free_vars(b)
-        case _:
-            return set()
+    """Simultaneous substitution of cube points for cube variables.  A tope
+    none of whose parts changed comes back as the very node."""
+    cls = t.__class__
+    if cls is TLe or cls is TEq:
+        a, b = subst_cube_sim(t.left, mapping), subst_cube_sim(t.right, mapping)
+    elif cls is TAnd or cls is TOr:
+        a, b = subst_tope_sim(t.left, mapping), subst_tope_sim(t.right, mapping)
+    else:
+        return t
+    return t if a is t.left and b is t.right else cls(a, b)
 
 
 # ---------------------------------------------------------------------------

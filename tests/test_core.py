@@ -5,7 +5,7 @@ import typing
 
 import pytest
 
-from generators import CUBE_NAMES, NAMES, random_expr, random_point, random_term
+from generators import CUBE_NAMES, NAMES, random_expr, random_point, random_term, random_tope
 from sstt import core, cube, tope
 from sstt.core import (
     U,
@@ -37,9 +37,9 @@ from sstt.core import (
     subst_cube,
     subst_typed,
 )
-from sstt.cube import INTERVAL, CONE, CZERO, CFst, CPair, CVar, Node, display_name
+from sstt.cube import INTERVAL, CONE, CZERO, CFst, CPair, CSnd, CStar, CVar, Node, display_name
 from sstt.scope import GlobalEnv
-from sstt.tope import TAnd, TEq, TLe, TOr, TTop
+from sstt.tope import TAnd, TBot, TEq, TLe, TOr, TTop
 
 
 def test_alpha_eq_binders():
@@ -126,6 +126,12 @@ def test_rename_binder():
 def test_free_vars():
     e = Pi("x", Var("a"), App(Var("x"), Var("b")))
     assert free_vars(e) == {"a", "b"}
+    # the same walk covers cube points and topes, also under a binder
+    assert free_vars(CVar("t")) == {"t"}
+    assert free_vars(TOr(TLe(CFst(CVar("p")), CONE), TEq(CVar("t"), CZERO))) == {"p", "t"}
+    ext = Ext("t", INTERVAL, TLe(CVar("t"), CVar("s")), U(), TEq(CVar("r"), CZERO),
+              ExtApp(Var("f"), CSnd(CPair(CVar("t"), CVar("q")))))
+    assert free_vars(ext) == {"s", "r", "f", "q"}
 
 
 def test_fold_telescope_typed():
@@ -351,7 +357,40 @@ def test_free_vars_of_a_substitution():
     assert checked > 100
 
 
+def _parts(node):
+    """``node``, a cube point or tope, and every point and tope in it."""
+    yield node
+    if node.__class__ is not CVar:
+        for f in node._fields:
+            yield from _parts(getattr(node, f))
+
+
+def test_point_and_tope_substitutions_hand_back_what_they_do_not_change():
+    # a part in which no mapped name is free comes back as the very node,
+    # also when its whole is rebuilt around another part
+    rng = random.Random(15)
+    shared, changed = set(), 0
+    topes = typing.get_args(tope.Tope)
+    for _ in range(400):
+        mapping = {rng.choice(CUBE_NAMES): random_point(rng, 1)}
+        for node in (random_point(rng, 3), random_tope(rng, CUBE_NAMES, 3)):
+            for part in _parts(node):
+                subst = tope.subst_tope_sim if part.__class__ in topes else cube.subst_cube_sim
+                out = subst(part, mapping)
+                if free_vars(part).isdisjoint(mapping):
+                    assert out is part, (part, mapping)
+                    shared.add(part.__class__)
+                else:
+                    assert free_vars(out) == ((free_vars(part) - set(mapping))
+                                              | free_vars(next(iter(mapping.values()))))
+                    changed += 1
+    assert shared == set(POINT_AND_TOPE_CLASSES) - {CStar, TTop, TBot} and changed > 300
+
+
 # -- the walkers' tables and fast paths
+
+POINT_AND_TOPE_CLASSES = typing.get_args(cube.CubeExpr) + typing.get_args(tope.Tope)
+
 
 @pytest.mark.parametrize("table", ["_FREE", "_SUBST", "_ALPHA"])
 def test_every_term_class_has_a_case(table):
@@ -359,11 +398,22 @@ def test_every_term_class_has_a_case(table):
     assert [c.__name__ for c in typing.get_args(core.Expr) if c not in cases] == []
 
 
+@pytest.mark.parametrize("table", ["_FREE", "_ALPHA"])
+def test_every_point_and_tope_class_has_a_case(table):
+    # a point or tope inside a term is walked by the term's walker, so no
+    # class of either falls through to the table's default
+    cases = getattr(core, table)
+    assert [c.__name__ for c in POINT_AND_TOPE_CLASSES if c not in cases] == []
+
+
 def test_substituting_into_a_non_node_is_a_type_error():
     with pytest.raises(TypeError, match="not an expression: 'x'"):
         subst_typed("x", {"x": Var("y")})
     with pytest.raises(TypeError, match="not an expression: 3"):
         subst_typed(App(Var("f"), 3), {"x": Var("y")})
+    # nor does the free-variable walk pass over one
+    with pytest.raises(TypeError, match="not an expression: 3"):
+        free_vars(App(Var("f"), 3))
 
 
 def test_empty_substitution_returns_the_term_itself():

@@ -1,5 +1,6 @@
 import pytest
 
+from sstt.core import free_vars
 from sstt.cube import (
     INTERVAL,
     UNIT_CUBE,
@@ -11,7 +12,6 @@ from sstt.cube import (
     CSnd,
     CVar,
     ProdCube,
-    cube_free_vars,
     cube_type_of,
     normalize_cube,
     subst_cube_sim,
@@ -82,4 +82,4 @@ def test_subst():
     e = CPair(CVar("t"), CFst(CVar("p")))
     out = subst_cube_sim(e, {"t": CONE})
     assert out == CPair(CONE, CFst(CVar("p")))
-    assert cube_free_vars(out) == {"p"}
+    assert free_vars(out) == {"p"}

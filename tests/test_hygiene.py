@@ -10,6 +10,7 @@ annotation written as a string.
 import ast
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -237,3 +238,50 @@ def test_checker_reaches_the_solver_only_through_its_cache():
 
     visit(ast.parse(path.read_text(), str(path)), "checker")
     assert [use.split(":")[0] for use in uses] == ["checker.Checker.entails_ctx"], uses
+
+
+# No dead code: every module-level function and class of ``src/sstt`` is
+# referenced, by a name or an attribute, somewhere besides its own
+# definition, in the package, the tests or the benchmark.  ``bench/tracer.py``
+# rebinds some functions by the string of their name, which counts too.
+
+TRACER = ROOT / "bench" / "tracer.py"
+USERS = MODULES + sorted((ROOT / "bench").rglob("*.py"))
+
+
+def _references(node: ast.AST) -> Counter:
+    """How often each name is read, as a name or an attribute, in ``node``."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Name | ast.Attribute))
+
+
+def _rebound(tree: ast.Module) -> set[str]:
+    """The names a tracer rebinds: the second argument of each ``_rebind``."""
+    return {call.args[1].value for call in ast.walk(tree)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "_rebind" and isinstance(call.args[1], ast.Constant)}
+
+
+def _unreferenced(definitions: list[tuple[str, ast.Module]], users: list[ast.Module],
+                  rebound: set[str]) -> list[str]:
+    """``module.name`` of each top-level function or class of ``definitions``
+    that no tree of ``users`` references outside that definition."""
+    total = sum(map(_references, users), Counter())
+    return [f"{module}.{d.name}" for module, tree in definitions for d in tree.body
+            if isinstance(d, ast.FunctionDef | ast.ClassDef) and d.name not in rebound
+            and total[d.name] == _references(d)[d.name]]
+
+
+def test_every_function_and_class_is_used():
+    trees = {p: ast.parse(p.read_text(), str(p)) for p in USERS}
+    definitions = [(p.stem, trees[p]) for p in SRC_MODULES]
+    dead = _unreferenced(definitions, list(trees.values()), _rebound(trees[TRACER]))
+    assert not dead, f"defined but never used: {', '.join(dead)}"
+
+
+def test_unused_definition_is_reported():
+    defs = ast.parse("def used(): pass\ndef only_recursive(n): return only_recursive(n)\n"
+                     "class Dead: pass\ndef rebound(): pass\nclass Alive: pass\n")
+    user = ast.parse("used()\nx = mod.Alive\n")
+    assert _unreferenced([("m", defs)], [defs, user], {"rebound"}) == [
+        "m.only_recursive", "m.Dead"]
