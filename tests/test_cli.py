@@ -287,6 +287,35 @@ def test_tope_search_budget(capsys):
     assert "too large" in json.loads(capsys.readouterr().out)["error"]
 
 
+def unordered_pairs(k):
+    """Cube variables and a hypothesis whose DNF has 2**k disjuncts:
+    each of k pairs of variables is ordered one way or the other."""
+    names = [f"{c}{i}" for i in range(k) for c in "ab"]
+    hyp = " /\\ ".join(f"(a{i} <= b{i} \\/ b{i} <= a{i})" for i in range(k))
+    return names, hyp
+
+
+@pytest.mark.parametrize("goal", ["TOP", "a0 <= a1"])
+def test_tope_disjunct_bound(capsys, goal):
+    names, hyp = unordered_pairs(13)
+    ctx = ", ".join(f"{n} : 2" for n in names)
+    assert main(["--machine", "tope", f"{ctx} | {hyp} |- {goal}"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "tope too large: more than 4096 disjuncts"}
+
+
+def test_check_reports_disjunct_bound_as_tope_too_large(capsys, tmp_path):
+    names, hyp = unordered_pairs(13)
+    src = tmp_path / "wide.sstt"
+    src.write_text(f"def wide ({' '.join(names)} : 2) {{{hyp}}} (A : U) (a : A) : A :=\n"
+                   "  [ TOP |-> a ]\n")
+    code = main(["--machine", "check", str(src)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    diags = [(d["kind"], d["message"]) for f in payload["files"] for d in f["diagnostics"]]
+    assert diags == [("tope-too-large", "tope too large: more than 4096 disjuncts")]
+
+
 def test_check_reports_tope_too_large(capsys, tmp_path):
     names, hyp, goal = chained_links(12)
     src = tmp_path / "big.sstt"
