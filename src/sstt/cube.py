@@ -334,4 +334,6 @@ def subst_cube_sim(e: CubeExpr, mapping: dict[str, CubeExpr]) -> CubeExpr:
     if cls is CFst or cls is CSnd:
         a = subst_cube_sim(e.arg, mapping)
         return e if a is e.arg else cls(a)
-    return e
+    if cls is CZero or cls is COne or cls is CStar:
+        return e
+    raise TypeError(f"not a cube point: {e!r}")

@@ -47,8 +47,10 @@ matching parentheses built once per input:
   ``<=`` or ``===`` follows it, and applies a shape otherwise.
 
 So every token is parsed once, and a parenthesized term costs three frames
-(``parse_atom``, ``parse_arrow``, ``parse_app``).  The grammar is documented
-in docs/syntax.md.
+(``parse_atom``, ``parse_arrow``, ``parse_app``).  A tope is read in one
+loop that keeps what it read outside each open parenthesis on a list, so
+its parentheses cost no frames.  The grammar is documented in
+docs/syntax.md.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ from .cube import (
 )
 from .scope import GlobalEnv, ScopeError
 from .tope import (
-    BOT, TOP, Shape, TAnd, TEq, TLe, TOr, Tope, TopeError, normalize_tope, tope_or,
+    BOT, TOP, Sequent, Shape, TAnd, TEq, TLe, TOr, Tope, TopeError, normalize_tope, tope_or,
 )
 
 
@@ -207,6 +209,10 @@ _ATOM_START = _PREFIX | {"ident", "0", "1", "2", "U", "Unit", "star", "(", "<"}
 
 _TERM_CONSTANTS = {"U": U, "Unit": UnitType, "star": UnitPoint}
 _CUBE_CONSTANTS = {"0": CZERO, "1": CONE, "star": CSTAR}
+
+# the tokens that are a cube point on their own, and the relations of a tope
+_POINT_TOKENS = frozenset({"ident", *_CUBE_CONSTANTS})
+_RELATIONS = ("<=", "===")
 
 
 def _matching_parens(toks: list[Token]) -> dict[int, int]:
@@ -524,6 +530,10 @@ class Parser:
         self.scope = saved
         return cube, psi
 
+    def token_point(self, t: Token) -> CubeExpr:
+        """The point one token stands for: a name or a constant."""
+        return self.cube_name(t) if t[0] == "ident" else _CUBE_CONSTANTS[t[0]]
+
     def parse_cube_atom(self) -> CubeExpr:
         t = self.next()
         match t[0]:
@@ -546,29 +556,59 @@ class Parser:
     # -- topes
 
     def parse_tope(self) -> Tope:
-        left = self.parse_tope_conj()
-        while self.accept("\\/"):
-            left = TOr(left, self.parse_tope_conj())
-        return left
-
-    def parse_tope_conj(self) -> Tope:
-        left = self.parse_tope_atom()
-        while self.accept("/\\"):
-            left = TAnd(left, self.parse_tope_atom())
-        return left
+        """A tope, read in one loop: ``/\\`` binds tighter than ``\\/`` and
+        both associate to the left.  ``outer`` keeps the disjunction and
+        conjunction read before each open parenthesis, so parentheses do not
+        recurse, and a relation of two one-token points is read in one step."""
+        toks, close = self.toks, self.close
+        outer: list[tuple[Optional[Tope], Optional[Tope]]] = []
+        disj = conj = None
+        pos = self.pos
+        while True:
+            t = toks[pos]
+            kind = t[0]
+            if kind == "(":
+                j = close.get(pos)
+                if j is None or toks[j + 1][0] not in _RELATIONS:  # a group
+                    pos += 1
+                    outer.append((disj, conj))
+                    disj = conj = None
+                    continue
+            rel, right = toks[pos + 1][0], toks[pos + 2]
+            if kind in _POINT_TOKENS and rel in _RELATIONS and right[0] in _POINT_TOKENS:
+                pos += 3
+                a, b = self.token_point(t), self.token_point(right)
+                atom = TLe(a, b) if rel == "<=" else TEq(a, b)
+            else:
+                self.pos = pos
+                atom = self.parse_tope_atom()
+                pos = self.pos
+            while True:
+                conj = atom if conj is None else TAnd(conj, atom)
+                kind = toks[pos][0]
+                if kind == "/\\":
+                    break
+                if kind == "\\/":
+                    disj = conj if disj is None else TOr(disj, conj)
+                    conj = None
+                    break
+                atom = conj if disj is None else TOr(disj, conj)
+                self.pos = pos
+                if not outer:
+                    return atom
+                self.expect(")")
+                pos += 1
+                disj, conj = outer.pop()
+            pos += 1
 
     def parse_tope_atom(self) -> Tope:
+        """``TOP``, ``BOT``, an applied shape or a relation of two points."""
         t, after = self.toks[self.pos], self.toks[self.pos + 1][0]
         match t[0]:
             case "TOP" | "BOT":
                 self.pos += 1
                 return TOP if t[0] == "TOP" else BOT
-            case "(" if not self.after_group("<=", "==="):
-                self.pos += 1
-                tope = self.parse_tope()
-                self.expect(")")
-                return tope
-            case "ident" if t[1] not in self.scope and after not in ("<=", "==="):
+            case "ident" if t[1] not in self.scope and after not in _RELATIONS:
                 self.pos += 1
                 if self.env is None:
                     raise self.fail(f"unknown tope form {t[1]!r}", t)
@@ -817,8 +857,6 @@ def parse_sequent_source(src: str, filename: str = "<sequent>"):
 
     The context lists cube variables; the hypothesis and goal are topes
     (shape applications are not allowed here)."""
-    from .tope import Sequent
-
     p = Parser(src, filename)
     ctx: list[tuple[str, CubeType]] = []
     if not p.at("|"):

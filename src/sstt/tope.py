@@ -20,6 +20,24 @@ Closing and checking one branch takes time polynomial in the number of
 points; the DNF disjuncts and the tableau branches are each bounded by
 ``MAX_DISJUNCTS``.
 
+``dnf`` builds the disjuncts of a product from the same literal nodes, so
+neighbouring disjuncts often share a prefix, as every disjunct of
+``C /\ (D1 \/ D2 \/ ...)`` shares the literals of ``C``.  The solver
+closes such a prefix once and starts the next disjunct from its order.  It
+also settles the negated goal once on that prefix; if the goal holds there
+without branching, every disjunct that extends the prefix would close at its
+root, so it is skipped.  Closure does not depend on the order in which
+literals are added, and a stronger order closes every branch a weaker one
+closes, so the disjuncts that are tried are tried in DNF order, with the
+same branches: verdicts, counter-models and both bounds are as if each
+disjunct were closed from scratch.
+
+``bench/tracer.py`` wraps ``entails``, ``normalize_tope``, ``dnf`` and
+``cube.normalize_cube`` by their names, and the benchmark requires calls
+of each when deciding a sequent; so ``entails`` calls ``normalize_tope``
+and ``dnf`` by those names, and ``normalize_tope`` calls ``normalize_cube``
+for every point.
+
 ``normalize_tope`` is the one well-formedness check for topes: it types
 and normalizes each point of every inequality and equality in one walk
 (``cube.normalize_cube``), reads the point's cube off its normal form, and
@@ -35,12 +53,10 @@ and names the atom in a counter-model.
 
 from __future__ import annotations
 
-from operator import is_, itemgetter
+from operator import is_
 from typing import Optional, Union
 
 from .cube import (
-    CONE,
-    CZERO,
     CubeContext,
     CubeExpr,
     COne,
@@ -51,6 +67,7 @@ from .cube import (
     CubeError,
     Node,
     cube_of_normal,
+    display_name,
     normalize_cube,
     print_cube_expr,
     print_cube_type,
@@ -150,8 +167,10 @@ def subst_tope_sim(t: Tope, mapping: dict[str, CubeExpr]) -> Tope:
         a, b = subst_cube_sim(t.left, mapping), subst_cube_sim(t.right, mapping)
     elif cls is TAnd or cls is TOr:
         a, b = subst_tope_sim(t.left, mapping), subst_tope_sim(t.right, mapping)
-    else:
+    elif cls is TTop or cls is TBot:
         return t
+    else:
+        raise TypeError(f"not a tope: {t!r}")
     return t if a is t.left and b is t.right else cls(a, b)
 
 
@@ -246,29 +265,35 @@ def _eq_components(a: CubeExpr, b: CubeExpr) -> Tope:
 def dnf(t: Tope) -> list[list[Tope]]:
     """Disjunctive normal form: a list of disjuncts, each a list of atomic
     literals (TLe/TEq).  An unsatisfiable literal TBot kills its disjunct; an
-    empty disjunct list means the tope is equivalent to BOT."""
-    match t:
-        case TTop():
-            return [[]]
-        case TBot():
-            return []
-        case TLe(_, _) | TEq(_, _):
-            return [[t]]
-        case TOr():
-            out = []
-            for s in _operands(t, TOr):
-                out += dnf(s)
-                if len(out) > MAX_DISJUNCTS:
-                    raise TopeTooLargeError(f"tope too large: more than {MAX_DISJUNCTS} disjuncts")
-            return out
-        case TAnd():
-            out = [[]]
-            for s in _operands(t, TAnd):
-                ds = dnf(s)
-                if len(out) * len(ds) > MAX_DISJUNCTS:
-                    raise TopeTooLargeError(f"tope too large: more than {MAX_DISJUNCTS} disjuncts")
-                out = [x + y for x in out for y in ds]
-            return out
+    empty disjunct list means the tope is equivalent to BOT.  Disjuncts are
+    built from the very literal nodes of ``t``, so two disjuncts of one
+    product share the nodes of their common prefix."""
+    cls = t.__class__
+    if cls is TLe or cls is TEq:
+        return [[t]]
+    if cls is TAnd:
+        out = [[]]
+        for s in _operands(t, TAnd):
+            if s.__class__ is TLe or s.__class__ is TEq:
+                for x in out:  # each a list of its own
+                    x.append(s)
+                continue
+            ds = dnf(s)
+            if len(out) * len(ds) > MAX_DISJUNCTS:
+                raise TopeTooLargeError(f"tope too large: more than {MAX_DISJUNCTS} disjuncts")
+            out = [x + y for x in out for y in ds]
+        return out
+    if cls is TOr:
+        out = []
+        for s in _operands(t, TOr):
+            out += dnf(s)
+            if len(out) > MAX_DISJUNCTS:
+                raise TopeTooLargeError(f"tope too large: more than {MAX_DISJUNCTS} disjuncts")
+        return out
+    if cls is TTop:
+        return [[]]
+    if cls is TBot:
+        return []
     raise TopeError(f"not a tope: {t!r}")
 
 
@@ -292,12 +317,16 @@ class EntailResult(Node):
         return self.yes
 
 
-def _number_atoms(ts: list[Tope]) -> tuple[dict[CubeExpr, int], list[str]]:
+def _number_atoms(ts: list[Tope]) -> tuple[dict[int, int], list[str]]:
     """Number the points of normal topes: 0 and 1, then the distinct atoms
     in the order of their printed names, which also name them in a
     counter-model.  Each atom is printed once; atoms that print alike keep
-    their order of first occurrence, left to right."""
-    named: dict[CubeExpr, str] = {}
+    their order of first occurrence, left to right.  The numbers are keyed
+    by the ``id`` of each point node of the topes, which stay alive while
+    they are decided, so that only the first sight of a node hashes it."""
+    index: dict[int, int] = {}  # an endpoint's number, or 2 + an atom's first occurrence
+    seen: dict[CubeExpr, int] = {}
+    names: list[str] = []
     todo = ts[::-1]
     while todo:
         t = todo.pop()
@@ -306,16 +335,22 @@ def _number_atoms(ts: list[Tope]) -> tuple[dict[CubeExpr, int], list[str]]:
             todo += (t.right, t.left)
         elif cls is TLe or cls is TEq:
             for e in (t.left, t.right):
-                if e.__class__ not in _ENDPOINTS and e not in named:
-                    named[e] = print_cube_expr(e)
-    atoms = sorted(named.items(), key=itemgetter(1))
-    index: dict[CubeExpr, int] = {CZERO: 0, CONE: 1}
-    for i, (a, _) in enumerate(atoms, 2):
-        index[a] = i
-    return index, ["0", "1"] + [name for _, name in atoms]
-
-
-_ENDPOINTS = (CZero, COne)
+                k = id(e)
+                if k in index:
+                    continue
+                kind = e.__class__
+                if kind is CZero or kind is COne:
+                    index[k] = 1 if kind is COne else 0
+                    continue
+                first = seen.setdefault(e, len(names))
+                if first == len(names):
+                    names.append(display_name(e.name) if kind is CVar else print_cube_expr(e))
+                index[k] = 2 + first
+    # the atoms sorted by name, ties by first occurrence, are numbered from 2
+    number = [0, 1] + [0] * len(names)
+    for i, first in enumerate(sorted(range(len(names)), key=names.__getitem__), 2):
+        number[2 + first] = i
+    return {k: number[v] for k, v in index.items()}, ["0", "1"] + sorted(names)
 
 
 # ---------------------------------------------------------------------------
@@ -341,19 +376,34 @@ def _assume(up: list[int], above: list[int], a: int, b: int, strict: bool) -> bo
     return True
 
 
-def _close_disjunct(disjunct: list[Tope], index: dict[CubeExpr, int],
-                    n_points: int) -> Optional[tuple[list[int], list[int]]]:
-    """The partial order of a DNF disjunct, with 0 < 1 and 0 <= x <= 1 for
-    every atom x; None if the disjunct is unsatisfiable."""
+def _root_order(n_points: int) -> tuple[list[int], list[int]]:
+    """The partial order 0 < 1 with 0 <= x <= 1 for every atom x."""
     up = [(1 << n_points) - 1, 0b10] + [(1 << p) | 0b10 for p in range(2, n_points)]
     above = [0b10] + [0] * (n_points - 1)
-    for lit in disjunct:
-        a, b = index[lit.left], index[lit.right]
-        if not _assume(up, above, a, b, False):
-            return None
-        if isinstance(lit, TEq) and not _assume(up, above, b, a, False):
-            return None
     return up, above
+
+
+def _close(up: list[int], above: list[int], literals: list[Tope],
+           index: dict[int, int]) -> bool:
+    """Add the literals to the order; False if they make it contradictory."""
+    for lit in literals:
+        a, b = index[id(lit.left)], index[id(lit.right)]
+        if not _assume(up, above, a, b, False):
+            return False
+        if lit.__class__ is TEq and not _assume(up, above, b, a, False):
+            return False
+    return True
+
+
+def _shared(d: list[Tope], e: list[Tope]) -> int:
+    """The length of the longest common prefix of two disjuncts, literal by
+    literal node."""
+    k = 0
+    for x, y in zip(d, e):
+        if x is not y:
+            break
+        k += 1
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -363,41 +413,41 @@ def _close_disjunct(disjunct: list[Tope], index: dict[CubeExpr, int],
 # An obligation is a pair (a, b), which demands a < b, or a choice: a list of
 # alternatives, each itself a conjunction.  None stands for falsity.
 
-def _negate(t: Tope, index: dict[CubeExpr, int]) -> Optional[list]:
+def _negate(t: Tope, index: dict[int, int]) -> Optional[list]:
     """The obligations of ``not t``; models are total orders, so not (x <= y)
     is y < x and not (x === y) is x < y or y < x."""
-    match t:
-        case TTop():
-            return None
-        case TBot():
-            return []
-        case TLe(x, y):
-            return [(index[y], index[x])]
-        case TEq(x, y):
-            a, b = index[x], index[y]
-            return [[[(a, b)], [(b, a)]]]
-        case TOr():
-            out: list = []
-            for s in _operands(t, TOr):
-                ns = _negate(s, index)
-                if ns is None:
-                    return None
-                out += ns
-            return out
-        case TAnd():
-            alts: list = []
-            for side in [_negate(s, index) for s in _operands(t, TAnd)]:
-                if side is None:
-                    continue
-                if not side:
-                    return []
-                if len(side) == 1 and type(side[0]) is list:
-                    alts += side[0]
-                else:
-                    alts.append(side)
-            if not alts:
+    cls = t.__class__
+    if cls is TLe:
+        return [(index[id(t.right)], index[id(t.left)])]
+    if cls is TEq:
+        a, b = index[id(t.left)], index[id(t.right)]
+        return [[[(a, b)], [(b, a)]]]
+    if cls is TOr:
+        out: list = []
+        for s in _operands(t, TOr):
+            ns = _negate(s, index)
+            if ns is None:
                 return None
-            return alts[0] if len(alts) == 1 else [alts]
+            out += ns
+        return out
+    if cls is TAnd:
+        alts: list = []
+        for side in [_negate(s, index) for s in _operands(t, TAnd)]:
+            if side is None:
+                continue
+            if not side:
+                return []
+            if len(side) == 1 and type(side[0]) is list:
+                alts += side[0]
+            else:
+                alts.append(side)
+        if not alts:
+            return None
+        return alts[0] if len(alts) == 1 else [alts]
+    if cls is TTop:
+        return None
+    if cls is TBot:
+        return []
     raise TopeError(f"not a tope: {t!r}")
 
 
@@ -418,9 +468,17 @@ def _settle(up: list[int], above: list[int], todo: list) -> Optional[list]:
         for alts in choices:
             live = []
             for alt in alts:
-                if all(type(o) is tuple and above[o[0]] >> o[1] & 1 for o in alt):
-                    break
-                if not any(type(o) is tuple and up[o[1]] >> o[0] & 1 for o in alt):
+                met = True
+                for o in alt:
+                    if type(o) is list:
+                        met = False
+                    elif up[o[1]] >> o[0] & 1:
+                        break  # refuted
+                    elif met and not above[o[0]] >> o[1] & 1:
+                        met = False
+                else:
+                    if met:
+                        break  # the choice is met
                     live.append(alt)
             else:
                 if not live:
@@ -456,12 +514,37 @@ def entails(seq: Sequent) -> EntailResult:
     negated = _negate(goal, index)
     if negated is None:
         return EntailResult(True, None)
+    # the orders of prefixes of the disjunct in hand, by length; None for a
+    # prefix that is contradictory or on which the negated goal closes
+    saved: list = [(0, _root_order(len(names)))]
     branches = 0
-    for disjunct in disjuncts:
-        order = _close_disjunct(disjunct, index, len(names))
+    ahead = 0
+    for i, disjunct in enumerate(disjuncts):
+        shared = ahead
+        ahead = _shared(disjunct, disjuncts[i + 1]) if i + 1 < len(disjuncts) else 0
+        while saved[-1][0] > shared:
+            saved.pop()
+        start, order = saved[-1]
         if order is None:
             continue
-        stack = [(*order, list(negated))]
+        up, above = order[0][:], order[1][:]
+        if ahead > start:
+            # the next disjunct shares this prefix: settle the negated goal
+            # on it once, and drop every disjunct that extends a closed one
+            if _close(up, above, disjunct[start:ahead], index):
+                order = up[:], above[:]
+                if _settle(up, above, list(negated)) is None:
+                    order = None
+            else:
+                order = None
+            saved.append((ahead, order))
+            if order is None:
+                continue
+            up, above = order[0][:], order[1][:]
+            start = ahead
+        if not _close(up, above, disjunct[start:], index):
+            continue
+        stack = [(up, above, list(negated))]
         while stack:
             up, above, todo = stack.pop()
             choices = _settle(up, above, todo)

@@ -205,10 +205,23 @@ def test_tope_long_disjunction_is_decided(capsys):
 
 
 def test_tope_deep_nesting_is_an_input_error(capsys):
+    # 2,000 levels of alternating connectives: the reader takes them in its
+    # loop, but normalizing the tope recurses once a level
     depth = 2000
-    sequent = f"t : 2 | {'(' * depth}t <= 1{')' * depth} |- TOP"
-    assert main(["--machine", "tope", sequent]) == 2
+    tope = "t <= 1"
+    for i in range(depth):
+        connective = "/\\" if i % 2 else "\\/"
+        tope = f"t <= 1 {connective} ({tope})"
+    assert main(["--machine", "tope", f"t : 2 | {tope} |- TOP"]) == 2
     assert json.loads(capsys.readouterr().out) == {"error": "the sequent is nested too deeply"}
+
+
+def test_tope_deep_parentheses_hold(capsys):
+    # parentheses alone do not nest the tope, and the reader does not recurse
+    deep = f"{'(' * 2000}t <= 1{')' * 2000}"
+    for sequent in (f"t : 2 | {deep} |- TOP", f"t : 2 | TOP |- {deep}"):
+        assert main(["--machine", "tope", sequent]) == 0
+        assert json.loads(capsys.readouterr().out) == {"holds": True}
 
 
 def test_parse_error_after_trailing_comment_points_at_end_of_input(capsys, tmp_path):

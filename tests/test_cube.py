@@ -16,6 +16,7 @@ from sstt.cube import (
     normalize_cube,
     subst_cube_sim,
 )
+from sstt.tope import TLe
 
 SQUARE = ProdCube(INTERVAL, INTERVAL)
 
@@ -83,3 +84,13 @@ def test_subst():
     out = subst_cube_sim(e, {"t": CONE})
     assert out == CPair(CONE, CFst(CVar("p")))
     assert free_vars(out) == {"p"}
+
+
+def test_subst_keeps_constants_and_rejects_a_non_point():
+    for c in (CZERO, CONE, CSTAR):
+        assert subst_cube_sim(c, {"t": CONE}) is c
+    with pytest.raises(TypeError, match="not a cube point: 't'"):
+        subst_cube_sim("t", {"t": CONE})
+    # a tope is not a point, even where it holds one
+    with pytest.raises(TypeError, match="not a cube point"):
+        subst_cube_sim(CFst(TLe(CVar("t"), CONE)), {"t": CONE})

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from generators import CASE_NAMES, random_expr
+from generators import CASE_NAMES, random_expr, random_tope
 from test_core import _subterms
 from sstt.checker import Checker
 from sstt.core import (
@@ -36,7 +36,7 @@ from sstt.parser import (
 )
 from sstt.printer import print_expr
 from sstt.scope import GlobalEnv, ScopeError, elaborate_toplevels
-from sstt.tope import BOT, TOP, TAnd, TEq, TLe
+from sstt.tope import BOT, TOP, TAnd, TEq, TLe, TOr, print_tope
 
 
 def roundtrip(e, scope=None):
@@ -172,6 +172,43 @@ def test_parse_error_has_location():
 def test_parse_sequent():
     seq = parse_sequent_source("t : 2, s : 2 | t <= s |- t <= 1")
     assert [n for n, _ in seq.ctx] == ["t", "s"]
+
+
+def _bracketed(t) -> str:
+    """A tope with every compound operand in parentheses, some twice."""
+    if isinstance(t, (TAnd, TOr)):
+        op = " /\\ " if isinstance(t, TAnd) else " \\/ "
+        parts = [_bracketed(x) for x in (t.left, t.right)]
+        return op.join(f"(({p}))" if isinstance(x, TAnd) else f"({p})"
+                       if isinstance(x, TOr) else p for p, x in zip(parts, (t.left, t.right)))
+    return print_tope(t)
+
+
+def test_topes_print_and_parse_back():
+    # the one-loop reader gives the printed tree back, with the fewest
+    # parentheses and with every compound operand bracketed
+    rng = random.Random(20261019)
+    names = ["t1", "t2", "t3"]
+    ctx = ", ".join(f"{n} : 2" for n in names)
+    for _ in range(300):
+        hyp, goal = random_tope(rng, names, 5), random_tope(rng, names, 5)
+        for show in (print_tope, _bracketed):
+            seq = parse_sequent_source(f"{ctx} | {show(hyp)} |- {show(goal)}")
+            assert (seq.hyp, seq.goal) == (hyp, goal), show(hyp)
+
+
+@pytest.mark.parametrize("src,message", [
+    ("t : 2 | (t <= 1 /\\ (0 <= t) |- TOP", "1:29: expected ')', found '|-'"),
+    ("t : 2 | TOP |- (t <= 1 \\/ t === 0", "1:34: expected ')', found 'eof'"),
+    ("t : 2 | t <= 1 /\\ |- TOP", "1:19: expected a cube point"),
+    ("t : 2 | TOP |- t <= 1 \\/", "1:25: expected a cube point"),
+    ("t : 2 | t <= 1 |-> TOP", "1:16: expected '|-', found '|->'"),
+    ("t : 2 | t <= 1 \\/ (0 <= t |-> t) |- TOP", "1:27: expected ')', found '|->'"),
+])
+def test_malformed_topes_keep_their_errors(src, message):
+    with pytest.raises(ParseError) as e:
+        parse_sequent_source(src)
+    assert str(e.value) == f"<sequent>:{message}"
 
 
 def test_a_parse_makes_one_node_per_cube_variable():

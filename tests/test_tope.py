@@ -239,6 +239,16 @@ def test_simplex_not_inside_boundary_at_twelve_atoms():
     assert not any(true_at(face, rank) for face in FACES)
 
 
+def test_tope_substitution_keeps_constants_and_rejects_a_non_tope():
+    for t in (TTop(), TBot()):
+        assert subst_tope_sim(t, {"t": CZERO}) is t
+    # a point is not a tope: it is not handed back unsubstituted
+    with pytest.raises(TypeError, match="not a tope: CVar"):
+        subst_tope_sim(CVar("t"), {"t": CZERO})
+    with pytest.raises(TypeError, match="not a tope: CVar"):
+        subst_tope_sim(TAnd(TLe(T, CONE), CVar("t")), {"t": CZERO})
+
+
 # -- normalization and point equality
 
 
@@ -332,6 +342,39 @@ def test_oracle_agreement_property(seed):
     rng = random.Random(seed)
     seq = random_sequent(rng, n_vars=rng.randint(1, 4), depth=rng.randint(1, 3))
     assert entails(seq).yes == oracle_entails(seq), str(seq)
+
+
+def shared_prefix_sequent(rng: random.Random) -> Sequent:
+    """A sequent whose hypothesis is ``C /\\ (D1 \\/ ... \\/ Dk)`` or
+    ``(C /\\ (D \\/ E)) \\/ F``, so that its DNF disjuncts share the
+    literals of ``C`` as a prefix; the goal often follows from ``C`` alone.
+    At most five atoms: at six the oracle's 8**6 valuations take most of a
+    second a sequent."""
+    names = [f"t{i}" for i in range(1, rng.randint(3, 5) + 1)]
+    literals = lambda k: [random_tope(rng, names, 0) for _ in range(k)]
+    common = literals(rng.randint(1, 4))
+    ds = [tope_and(*literals(rng.randint(1, 2))) for _ in range(rng.randint(2, 4))]
+    if rng.random() < 0.5:
+        hyp = TAnd(tope_and(*common), tope_or(*ds))
+    else:
+        hyp = TOr(TAnd(tope_and(*common), tope_or(*ds[:2])), tope_or(*ds[2:] or ds[:1]))
+    goal = random_tope(rng, names, 2)
+    if rng.random() < 0.5:  # weaken the goal by a literal of C
+        goal = TOr(goal, rng.choice(common))
+    return Sequent(tuple((n, INTERVAL) for n in names), hyp, goal)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_disjuncts_with_a_shared_prefix_match_oracle(seed):
+    # the solver closes a prefix that DNF disjuncts share once, and skips
+    # the disjuncts that extend a prefix on which the negated goal closes
+    seq = shared_prefix_sequent(random.Random(seed))
+    res = entails(seq)
+    assert res.yes == oracle_entails(seq), str(seq)
+    if not res.yes:
+        rank = ranks(res.counter_model)
+        assert true_at(seq.hyp, rank) and not true_at(seq.goal, rank), str(seq)
 
 
 @settings(max_examples=200, deadline=None)
