@@ -530,10 +530,6 @@ class Parser:
         self.scope = saved
         return cube, psi
 
-    def token_point(self, t: Token) -> CubeExpr:
-        """The point one token stands for: a name or a constant."""
-        return self.cube_name(t) if t[0] == "ident" else _CUBE_CONSTANTS[t[0]]
-
     def parse_cube_atom(self) -> CubeExpr:
         t = self.next()
         match t[0]:
@@ -561,6 +557,8 @@ class Parser:
         conjunction read before each open parenthesis, so parentheses do not
         recurse, and a relation of two one-token points is read in one step."""
         toks, close = self.toks, self.close
+        # the point each one-token point stands for, since a tope binds no names
+        points: dict[str, CubeExpr] = dict(_CUBE_CONSTANTS)
         outer: list[tuple[Optional[Tope], Optional[Tope]]] = []
         disj = conj = None
         pos = self.pos
@@ -577,7 +575,12 @@ class Parser:
             rel, right = toks[pos + 1][0], toks[pos + 2]
             if kind in _POINT_TOKENS and rel in _RELATIONS and right[0] in _POINT_TOKENS:
                 pos += 3
-                a, b = self.token_point(t), self.token_point(right)
+                a = points.get(t[1])
+                if a is None:
+                    a = points[t[1]] = self.cube_name(t)
+                b = points.get(right[1])
+                if b is None:
+                    b = points[right[1]] = self.cube_name(right)
                 atom = TLe(a, b) if rel == "<=" else TEq(a, b)
             else:
                 self.pos = pos
@@ -856,14 +859,22 @@ def parse_sequent_source(src: str, filename: str = "<sequent>"):
     """Parse ``x : 2, y : 2 | hyp |- goal`` into a tope sequent.
 
     The context lists cube variables; the hypothesis and goal are topes
-    (shape applications are not allowed here)."""
+    (shape applications are not allowed here).  A variable of the interval,
+    ``x : 2`` followed by ``,`` or ``|``, is read in one step."""
     p = Parser(src, filename)
+    toks = p.toks
     ctx: list[tuple[str, CubeType]] = []
     if not p.at("|"):
         while True:
-            name = p.expect("ident")[1]
-            p.expect(":")
-            cube = p.parse_cube_type()
+            t, pos = toks[p.pos], p.pos
+            if (t[0] == "ident" and toks[pos + 1][0] == ":" and toks[pos + 2][0] == "2"
+                    and toks[pos + 3][0] in (",", "|")):
+                p.pos += 3
+                name, cube = t[1], INTERVAL
+            else:
+                name = p.expect("ident")[1]
+                p.expect(":")
+                cube = p.parse_cube_type()
             ctx.append((name, cube))
             p.scope[name] = "cube"
             if not p.accept(","):

@@ -172,6 +172,9 @@ def test_parse_error_has_location():
 def test_parse_sequent():
     seq = parse_sequent_source("t : 2, s : 2 | t <= s |- t <= 1")
     assert [n for n, _ in seq.ctx] == ["t", "s"]
+    # an interval variable next to a product one, read in one step or not
+    seq = parse_sequent_source("t : 2, p : 2 * 2, s : 2 | TOP |- TOP")
+    assert seq.ctx == (("t", INTERVAL), ("p", ProdCube(INTERVAL, INTERVAL)), ("s", INTERVAL))
 
 
 def _bracketed(t) -> str:
@@ -204,8 +207,11 @@ def test_topes_print_and_parse_back():
     ("t : 2 | TOP |- t <= 1 \\/", "1:25: expected a cube point"),
     ("t : 2 | t <= 1 |-> TOP", "1:16: expected '|-', found '|->'"),
     ("t : 2 | t <= 1 \\/ (0 <= t |-> t) |- TOP", "1:27: expected ')', found '|->'"),
+    ("t : 2 2 | TOP |- TOP", "1:7: expected '|', found '2'"),
+    ("t : 2 * | TOP |- TOP", "1:9: expected a cube type (1, 2, or a product)"),
+    ("t : 2, : 2 | TOP |- TOP", "1:8: expected 'ident', found ':'"),
 ])
-def test_malformed_topes_keep_their_errors(src, message):
+def test_malformed_sequents_keep_their_errors(src, message):
     with pytest.raises(ParseError) as e:
         parse_sequent_source(src)
     assert str(e.value) == f"<sequent>:{message}"
