@@ -140,9 +140,12 @@ PUNCT = [
 # of input ends the last one, so n tokens take n + 1 matches (one more, and
 # empty, after a final blank or comment); the lexer counts offsets itself.
 # The blanks are matched as an unrolled loop, and the one-character
-# punctuation as one character class.
+# punctuation as one character class.  Some token always follows the blanks
+# (at worst any one character, or the end), so they never have to be given
+# back, and their repeats are possessive: the engine keeps no backtracking
+# state for them.
 _TOKEN = re.compile(
-    r"([ \t\r\n]*(?:--[^\n]*[ \t\r\n]*)*)"  # blanks and comments, then the token:
+    r"([ \t\r\n]*+(?:--[^\n]*+[ \t\r\n]*+)*+)"  # blanks and comments, then the token:
     r"([^\W\d][\w']*|\d+|"                 # a name, digits,
     + "|".join(re.escape(p) for p in PUNCT if len(p) > 1)    # punctuation,
     + "|[" + "".join(re.escape(p) for p in PUNCT if len(p) == 1) + "]"
@@ -157,16 +160,17 @@ Token = tuple[str, str, int, int]  # (kind, text, start, end)
 def lex(src: str, filename: str = "<input>") -> list[Token]:
     toks: list[Token] = []
     append = toks.append
+    kinds = dict(_KINDS)  # and the names met so far
     end = 0
     for blank, text in _TOKEN.findall(src):
         start = end + len(blank)
         end = start + len(text)
-        kind = _KINDS.get(text)
+        kind = kinds.get(text)
         if kind is None:
             # \w takes in numeric characters that are not letters, like ²,
             # and \d+ stops before a digit of another kind, as in 1²
             if text[:1].isalpha() or text[:1] == "_":
-                kind = "ident"
+                kind = kinds[text] = "ident"
             elif text in ("0", "1", "2") and not src[end:end + 1].isdigit():
                 kind = text
             elif text:
