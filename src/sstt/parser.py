@@ -140,12 +140,9 @@ PUNCT = [
 # of input ends the last one, so n tokens take n + 1 matches (one more, and
 # empty, after a final blank or comment); the lexer counts offsets itself.
 # The blanks are matched as an unrolled loop, and the one-character
-# punctuation as one character class.  Some token always follows the blanks
-# (at worst any one character, or the end), so they never have to be given
-# back, and their repeats are possessive: the engine keeps no backtracking
-# state for them.
+# punctuation as one character class.
 _TOKEN = re.compile(
-    r"([ \t\r\n]*+(?:--[^\n]*+[ \t\r\n]*+)*+)"  # blanks and comments, then the token:
+    r"([ \t\r\n]*(?:--[^\n]*[ \t\r\n]*)*)"  # blanks and comments, then the token:
     r"([^\W\d][\w']*|\d+|"                 # a name, digits,
     + "|".join(re.escape(p) for p in PUNCT if len(p) > 1)    # punctuation,
     + "|[" + "".join(re.escape(p) for p in PUNCT if len(p) == 1) + "]"
@@ -160,17 +157,16 @@ Token = tuple[str, str, int, int]  # (kind, text, start, end)
 def lex(src: str, filename: str = "<input>") -> list[Token]:
     toks: list[Token] = []
     append = toks.append
-    kinds = dict(_KINDS)  # and the names met so far
     end = 0
     for blank, text in _TOKEN.findall(src):
         start = end + len(blank)
         end = start + len(text)
-        kind = kinds.get(text)
+        kind = _KINDS.get(text)
         if kind is None:
             # \w takes in numeric characters that are not letters, like ²,
             # and \d+ stops before a digit of another kind, as in 1²
             if text[:1].isalpha() or text[:1] == "_":
-                kind = kinds[text] = "ident"
+                kind = "ident"
             elif text in ("0", "1", "2") and not src[end:end + 1].isdigit():
                 kind = text
             elif text:
@@ -561,8 +557,6 @@ class Parser:
         conjunction read before each open parenthesis, so parentheses do not
         recurse, and a relation of two one-token points is read in one step."""
         toks, close = self.toks, self.close
-        # the point each one-token point stands for, since a tope binds no names
-        points: dict[str, CubeExpr] = dict(_CUBE_CONSTANTS)
         outer: list[tuple[Optional[Tope], Optional[Tope]]] = []
         disj = conj = None
         pos = self.pos
@@ -579,12 +573,8 @@ class Parser:
             rel, right = toks[pos + 1][0], toks[pos + 2]
             if kind in _POINT_TOKENS and rel in _RELATIONS and right[0] in _POINT_TOKENS:
                 pos += 3
-                a = points.get(t[1])
-                if a is None:
-                    a = points[t[1]] = self.cube_name(t)
-                b = points.get(right[1])
-                if b is None:
-                    b = points[right[1]] = self.cube_name(right)
+                a = self.cube_name(t) if kind == "ident" else _CUBE_CONSTANTS[kind]
+                b = self.cube_name(right) if right[0] == "ident" else _CUBE_CONSTANTS[right[0]]
                 atom = TLe(a, b) if rel == "<=" else TEq(a, b)
             else:
                 self.pos = pos
@@ -863,22 +853,14 @@ def parse_sequent_source(src: str, filename: str = "<sequent>"):
     """Parse ``x : 2, y : 2 | hyp |- goal`` into a tope sequent.
 
     The context lists cube variables; the hypothesis and goal are topes
-    (shape applications are not allowed here).  A variable of the interval,
-    ``x : 2`` followed by ``,`` or ``|``, is read in one step."""
+    (shape applications are not allowed here)."""
     p = Parser(src, filename)
-    toks = p.toks
     ctx: list[tuple[str, CubeType]] = []
     if not p.at("|"):
         while True:
-            t, pos = toks[p.pos], p.pos
-            if (t[0] == "ident" and toks[pos + 1][0] == ":" and toks[pos + 2][0] == "2"
-                    and toks[pos + 3][0] in (",", "|")):
-                p.pos += 3
-                name, cube = t[1], INTERVAL
-            else:
-                name = p.expect("ident")[1]
-                p.expect(":")
-                cube = p.parse_cube_type()
+            name = p.expect("ident")[1]
+            p.expect(":")
+            cube = p.parse_cube_type()
             ctx.append((name, cube))
             p.scope[name] = "cube"
             if not p.accept(","):

@@ -172,7 +172,7 @@ def test_parse_error_has_location():
 def test_parse_sequent():
     seq = parse_sequent_source("t : 2, s : 2 | t <= s |- t <= 1")
     assert [n for n, _ in seq.ctx] == ["t", "s"]
-    # an interval variable next to a product one, read in one step or not
+    # interval variables on both sides of a product one
     seq = parse_sequent_source("t : 2, p : 2 * 2, s : 2 | TOP |- TOP")
     assert seq.ctx == (("t", INTERVAL), ("p", ProdCube(INTERVAL, INTERVAL)), ("s", INTERVAL))
 
