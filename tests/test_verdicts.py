@@ -8,8 +8,10 @@
 - ``negative FILE FIRST``: the first diagnostic of each file of
   ``tests/negative``, checked against the bundled corpus;
 - ``mutation K FILE EDIT FIRST``: the first diagnostic of the K-th of a
-  seeded set of one-token edits of the bundled corpus's files, each checked
-  against the declarations of the files before it.
+  seeded set of one-token edits of the benchmark's frozen corpus's files,
+  each checked against the declarations of the files before it.  They are
+  drawn from the frozen copy, so a proof added to the bundled corpus does
+  not reshuffle them.
 
 ``FIRST`` is the diagnostic's kind, declaration (``-`` if none), span
 (``START-END``, ``-`` if none) and message, or ``accepted``.  A change that
@@ -112,12 +114,13 @@ def verdict_lines(workdir: Path) -> list[str]:
     """Every line of the snapshot, in order; mutated files are written to
     ``workdir``."""
     lines: list[str] = []
-    before = _load("src", CORPUS_DIR, lines)
-    _load("bench", BENCH_CORPUS, lines)
+    corpus = _load("src", CORPUS_DIR, lines)[-1]
+    before = _load("bench", BENCH_CORPUS, lines)
     ledger = read_ledger(CORPUS_DIR / LEDGER_NAME)
     for path in sorted(NEGATIVE_DIR.glob("*.sstt")):
-        lines.append(f"negative\t{path.name}\t{_first(before[-1], path, ledger)}")
-    files = sorted(CORPUS_DIR.glob("*.sstt"))
+        lines.append(f"negative\t{path.name}\t{_first(corpus, path, ledger)}")
+    files = sorted(BENCH_CORPUS.glob("*.sstt"))
+    ledger = read_ledger(BENCH_CORPUS / LEDGER_NAME)
     rng = random.Random(MUTATION_SEED)
     for k in range(MUTATION_COUNT):
         j = rng.randrange(len(files))
