@@ -45,8 +45,9 @@ tope constraint is split into disjuncts and conversion must hold under
 every consistent one; an inconsistent constraint makes all terms equal.
 Two cube points are equal when they lie in the same cube and the context
 entails their equality.
-Every entailment goes through ``Checker.entails_ctx`` and its cache.  Pi
-and Sigma types enjoy eta; extension types do not.
+Every entailment goes through ``Checker.entails_ctx`` and its cache.  Pi,
+Sigma and extension types all enjoy eta: at each, two terms are compared
+through their eliminations, whatever their form.
 """
 
 from __future__ import annotations
@@ -437,19 +438,15 @@ class Checker:
                 return self.equal(
                     ctx, Snd(a), Snd(b), sub.bind(x, Fst(a)).close(snd_ty))
             case Ext(t, cube, psi, fam, _, _):
-                # no eta here: only compare pointwise when both sides are
-                # literal functions
-                if isinstance(a, Lam) and isinstance(b, Lam):
-                    v = ctx.fresh(t)
-                    sub = sub.bind_point(t, CVar(v))
-                    ctx2 = ctx.bind_cube(v, cube).bind_tope(sub.tope(psi))
-                    return self.equal(
-                        ctx2,
-                        ExtApp(a, CVar(v)),
-                        ExtApp(b, CVar(v)),
-                        sub.close(fam),
-                    )
-                return None
+                v = ctx.fresh(t)
+                sub = sub.bind_point(t, CVar(v))
+                ctx2 = ctx.bind_cube(v, cube).bind_tope(sub.tope(psi))
+                return self.equal(
+                    ctx2,
+                    ExtApp(a, CVar(v)),
+                    ExtApp(b, CVar(v)),
+                    sub.close(fam),
+                )
             case _:
                 return None
 

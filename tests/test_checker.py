@@ -176,6 +176,18 @@ def test_equal_eta_sigma(checker, corpus_env):
     assert checker.equal(ctx, Var("p"), pair, ty)
 
 
+def test_equal_eta_extension(checker):
+    # f and \s. f s are compared pointwise at <(t : 2) -> A [ t === 0 |-> a ]>,
+    # although only one of them is a literal function; g is another section
+    ty = Ext("t", INTERVAL, TOP, Var("A"), TEq(CVar("t"), CZERO), Var("a"))
+    ctx = (TriContext().bind_typed("A", U()).bind_typed("a", Var("A"))
+           .bind_typed("f", ty).bind_typed("g", ty))
+    lam = checker.check(ctx, Lam("s", ExtApp(Var("f"), CVar("s"))), ty)
+    assert checker.equal(ctx, Var("f"), lam, ty)
+    assert checker.equal(ctx, lam, Var("f"), ty)
+    assert not checker.equal(ctx, Var("g"), lam, ty)
+
+
 def test_equal_unit_eta(checker):
     ctx = TriContext().bind_typed("x", UnitType()).bind_typed("y", UnitType())
     assert checker.equal(ctx, Var("x"), Var("y"), UnitType())

@@ -45,6 +45,16 @@ def test_designated_theorems_proved(corpus):
     assert DESIGNATED_PROVED <= set(manifest["theorems_proved"])
 
 
+def test_yoneda_lemma_is_proved_and_the_ledger_holds_only_assumptions(corpus, ledger):
+    # with eta at extension types the directed Yoneda lemma, plain and
+    # dependent, is proved, so none of its parts is postulated
+    proved = set(corpus.to_json()["theorems_proved"])
+    for name in ("yoneda_evid_yon", "yoneda_yon_evid", "yoneda_dependent"):
+        assert name in proved and corpus.env.decls[name].body is not None, name
+    assert ledger == {"funext", "relfunext", "representable_initial",
+                      "representable_terminal", "arrcoerce", "dua"}
+
+
 def test_stated_theorems_have_no_body(corpus):
     for name in corpus.to_json()["theorems_stated"]:
         assert corpus.env.decls[name].body is None

@@ -285,3 +285,46 @@ def test_unused_definition_is_reported():
     user = ast.parse("used()\nx = mod.Alive\n")
     assert _unreferenced([("m", defs)], [defs, user], {"rebound"}) == [
         "m.only_recursive", "m.Dead"]
+
+
+# ``pyproject.toml`` allows Python 3.10, so no module may use syntax or a
+# regular expression that 3.10 lacks: possessive repeats and atomic groups
+# came to ``re`` in 3.11, and before it ``re.compile`` raises on them.
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_modules_parse_as_python_3_10(path):
+    ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
+def test_syntax_after_python_3_10_is_reported():
+    with pytest.raises(SyntaxError, match="3.11"):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+
+
+POSSESSIVE = ("*+", "++", "?+", "(?>")
+
+
+def _possessive_patterns(tree: ast.Module) -> list[str]:
+    """Each string literal in a pattern passed to ``re.compile`` that holds
+    a possessive repeat or an atomic group, with its line."""
+    return [f"{c.value!r} (line {c.lineno})" for call in ast.walk(tree)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "compile" and isinstance(call.func.value, ast.Name)
+            and call.func.value.id == "re" and call.args
+            for c in ast.walk(call.args[0])
+            if isinstance(c, ast.Constant) and isinstance(c.value, str)
+            and any(m in c.value for m in POSSESSIVE)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_pattern_needs_python_3_11(path):
+    found = _possessive_patterns(ast.parse(path.read_text(), str(path)))
+    assert not found, f"{path.name} compiles patterns 3.10 rejects: {', '.join(found)}"
+
+
+def test_possessive_pattern_is_reported():
+    tree = ast.parse("import re\nA = re.compile(r'[ \\t]*' + r'x++' + '|' + '(?>ab)')\n"
+                     "B = re.compile(r'\\w*+')\nC = re.compile('a?+')\n"
+                     "D = re.compile(r'[ \\t]*(?:--[^\\n]*)*')\nE = '*+'\n")
+    assert set(_possessive_patterns(tree)) == {
+        "'x++' (line 2)", "'(?>ab)' (line 2)", "'\\\\w*+' (line 3)", "'a?+' (line 4)"}

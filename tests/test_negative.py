@@ -70,6 +70,14 @@ def test_unsolved_obligations_are_shown_in_normal_form(corpus, ledger, tmp_path)
                             "(needed: t1 === 0 \\/ t2 === 1)")
 
 
+def test_eta_relates_an_arrow_only_to_itself(corpus, ledger):
+    # \s. f s is f at an extension type, so 36 fails only at its second
+    # theorem, which equates it with another arrow g
+    diag, env = _first(corpus, ledger, NEGATIVE_DIR / "36-eta-extension-other-arrow.sstt")
+    assert (diag.kind, diag.decl) == ("type-mismatch", "eta_other")
+    assert "eta_same" in env.decls
+
+
 def test_checker_fault_is_an_internal_diagnostic(corpus, ledger, tmp_path, monkeypatch):
     from sstt.checker import Checker
 

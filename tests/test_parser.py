@@ -98,7 +98,7 @@ def test_roundtrip_corpus():
                 env.decls[item.name] = item
             else:
                 env.shapes[item.name] = item
-    assert terms == 234
+    assert terms == 247
 
 
 def position(src, i):
