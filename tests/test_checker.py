@@ -177,7 +177,7 @@ def test_equal_eta_sigma(checker, corpus_env):
 
 
 def test_equal_eta_extension(checker):
-    # f and \s. f s are compared pointwise at <(t : 2) -> A [ t === 0 |-> a ]>,
+    # f and \s. f s are compared pointwise at <Pi (t : 2) -> A [ t === 0 |-> a ]>,
     # although only one of them is a literal function; g is another section
     ty = Ext("t", INTERVAL, TOP, Var("A"), TEq(CVar("t"), CZERO), Var("a"))
     ctx = (TriContext().bind_typed("A", U()).bind_typed("a", Var("A"))
