@@ -7,30 +7,30 @@ Negation, implication and quantifiers do not exist in this layer.
 The models of the theory are valuations of the interval atoms into a bounded
 total order with distinct endpoints, so ``Xi | Phi |- psi`` holds iff no
 total order satisfies ``Phi`` and falsifies ``psi``.  The procedure searches
-for such an order.  It DNF-expands the hypothesis and closes each disjunct's
-literals, together with 0 < 1 and 0 <= x <= 1, into a partial order on the
-points, kept as bit sets; a disjunct whose closure puts a point strictly
-above itself is unsatisfiable.  It then tries to falsify the goal with a
-small tableau: not (A \/ B) adds both negations, not (A /\ B) branches,
-not (x <= y) adds y < x, and not (x === y) branches on x < y or y < x.
-Obligations that do not branch go first, and a branch is dropped as soon as
-its closure is contradictory.  A surviving branch is a counter-model, read
-off as the weak order of its points: 0 in the bottom block, 1 in the top.
-Closing and checking one branch takes time polynomial in the number of
-points; the DNF disjuncts and the tableau branches are each bounded by
-``MAX_DISJUNCTS``.
+for such an order.  Each top-level conjunct of the hypothesis is expanded
+into its DNF, a level of alternatives, and the levels are walked depth
+first: a node closes one alternative of each level so far, together with
+0 < 1 and 0 <= x <= 1, into a partial order on the points, kept as bit
+sets, and a node whose closure puts a point strictly above itself is
+dropped.  At a leaf, every level is closed, and the solver tries to
+falsify the goal with a small tableau: not (A \/ B) adds both negations,
+not (A /\ B) branches, not (x <= y) adds y < x, and not (x === y) branches
+on x < y or y < x.  Obligations that do not branch go first, and a branch
+is dropped as soon as its closure is contradictory.  A surviving branch is
+a counter-model, read off as the weak order of its points: 0 in the bottom
+block, 1 in the top.  Closing and checking one branch takes time
+polynomial in the number of points.  The nodes the walk reaches at any one
+depth, and the tableau branches, are each bounded by ``MAX_DISJUNCTS``.
 
-``dnf`` builds the disjuncts of a product from the same literal nodes, so
-neighbouring disjuncts often share a prefix, as every disjunct of
-``C /\ (D1 \/ D2 \/ ...)`` shares the literals of ``C``.  The solver
-closes such a prefix once and starts the next disjunct from its order.  It
-also settles the negated goal once on that prefix; if the goal holds there
-without branching, every disjunct that extends the prefix would close at its
-root, so it is skipped.  Closure does not depend on the order in which
-literals are added, and a stronger order closes every branch a weaker one
-closes, so the disjuncts that are tried are tried in DNF order, with the
-same branches: verdicts, counter-models and both bounds are as if each
-disjunct were closed from scratch.
+Disjuncts that take the same alternatives on the first levels share the
+node that closed them, and a level with a single alternative is closed
+into its node's own order.  Before a node branches, the negated goal is
+settled on its order; if it closes there without branching, every leaf
+below would close at its root, so the node is dropped.  Closure does not
+depend on the order in which literals are added, and a stronger order
+closes every branch a weaker one closes, so the leaves are reached in DNF
+order, with the same branches: verdicts, counter-models and the tableau
+bound are as if each disjunct were closed from scratch.
 
 ``bench/tracer.py`` wraps ``entails``, ``normalize_tope``, ``dnf`` and
 ``cube.normalize_cube`` by their names, and the benchmark requires calls
@@ -84,7 +84,8 @@ class TopeError(Exception):
 
 
 class TopeTooLargeError(TopeError):
-    """The DNF or the refutation search exceeded MAX_DISJUNCTS branches."""
+    """A DNF, the walk over a hypothesis's disjuncts or the refutation
+    search exceeded MAX_DISJUNCTS branches."""
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +266,7 @@ def _eq_components(a: CubeExpr, b: CubeExpr) -> Tope:
 def dnf(t: Tope) -> list[list[Tope]]:
     """Disjunctive normal form: a list of disjuncts, each a list of atomic
     literals (TLe/TEq).  An unsatisfiable literal TBot kills its disjunct; an
-    empty disjunct list means the tope is equivalent to BOT.  Disjuncts are
-    built from the very literal nodes of ``t``, so two disjuncts of one
-    product share the nodes of their common prefix."""
+    empty disjunct list means the tope is equivalent to BOT."""
     cls = t.__class__
     if cls is TLe or cls is TEq:
         return [[t]]
@@ -395,17 +394,6 @@ def _close(up: list[int], above: list[int], literals: list[Tope],
     return True
 
 
-def _shared(d: list[Tope], e: list[Tope]) -> int:
-    """The length of the longest common prefix of two disjuncts, literal by
-    literal node."""
-    k = 0
-    for x, y in zip(d, e):
-        if x is not y:
-            break
-        k += 1
-    return k
-
-
 # ---------------------------------------------------------------------------
 # Refutation search
 #
@@ -509,40 +497,38 @@ def entails(seq: Sequent) -> EntailResult:
     ctx = seq.cube_context()
     hyp = normalize_tope(ctx, seq.hyp)
     goal = normalize_tope(ctx, seq.goal)
-    disjuncts = dnf(hyp)
+    # one level of alternatives per conjunct of the hypothesis: a DNF
+    # disjunct of the hypothesis takes one alternative of each level
+    levels = [dnf(c) for c in _operands(hyp, TAnd)]
     index, names = _number_atoms([hyp, goal])
     negated = _negate(goal, index)
     if negated is None:
         return EntailResult(True, None)
-    # the orders of prefixes of the disjunct in hand, by length; None for a
-    # prefix that is contradictory or on which the negated goal closes
-    saved: list = [(0, _root_order(len(names)))]
+    # the nodes reached at each depth: those at depth d are disjuncts of
+    # the DNF of the first d levels
+    reached = [0] * (len(levels) + 1)
     branches = 0
-    ahead = 0
-    for i, disjunct in enumerate(disjuncts):
-        shared = ahead
-        ahead = _shared(disjunct, disjuncts[i + 1]) if i + 1 < len(disjuncts) else 0
-        while saved[-1][0] > shared:
-            saved.pop()
-        start, order = saved[-1]
-        if order is None:
+    # a node is the number of levels it has closed, its parent's order and
+    # the alternative that it adds to a copy of that order
+    nodes = [(0, *_root_order(len(names)), [])]
+    while nodes:
+        depth, up, above, alt = nodes.pop()
+        reached[depth] += 1
+        if reached[depth] > MAX_DISJUNCTS:
+            raise TopeTooLargeError(f"tope too large: more than {MAX_DISJUNCTS} disjuncts")
+        up, above = up[:], above[:]
+        closed = _close(up, above, alt, index)
+        while closed and depth < len(levels) and len(levels[depth]) == 1:
+            closed = _close(up, above, levels[depth][0], index)
+            depth += 1
+        if not closed:
             continue
-        up, above = order[0][:], order[1][:]
-        if ahead > start:
-            # the next disjunct shares this prefix: settle the negated goal
-            # on it once, and drop every disjunct that extends a closed one
-            if _close(up, above, disjunct[start:ahead], index):
-                order = up[:], above[:]
-                if _settle(up, above, list(negated)) is None:
-                    order = None
-            else:
-                order = None
-            saved.append((ahead, order))
-            if order is None:
-                continue
-            up, above = order[0][:], order[1][:]
-            start = ahead
-        if not _close(up, above, disjunct[start:], index):
+        if depth < len(levels):
+            # a stronger order closes every branch that a weaker one
+            # closes, so if the negated goal closes here without branching,
+            # every leaf below would close at its root
+            if _settle(up[:], above[:], list(negated)) is not None:
+                nodes += [(depth + 1, up, above, alt) for alt in reversed(levels[depth])]
             continue
         stack = [(up, above, list(negated))]
         while stack:
@@ -581,6 +567,3 @@ def shape_included(sub: Shape, sup: Shape) -> EntailResult:
     seq = Sequent(tuple(zip(sub.pattern, factors)), sub.tope, sup.applied_to(point))
     return entails(seq)
 
-
-def tope_unsatisfiable(ctx: CubeContext, hyp: Tope) -> bool:
-    return entails(Sequent(tuple(sorted(ctx.items())), hyp, BOT)).yes

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import NEGATIVE_DIR
 from sstt.cli import main
 from sstt.corpus import CORPUS_DIR
-from sstt.parser import lex
+from sstt.parser import lex, parse_sequent_source
+from test_tope import true_at
 
 
 def run_cli(*argv, timeout=None):
@@ -309,24 +310,70 @@ def unordered_pairs(k):
 
 
 @pytest.mark.parametrize("goal", ["TOP", "a0 <= a1"])
-def test_tope_disjunct_bound(capsys, goal):
+def test_tope_wide_product_is_decided(capsys, goal):
+    # the hypothesis is a conjunction of totality instances, so it is
+    # equivalent to TOP, however many disjuncts its DNF has
     names, hyp = unordered_pairs(13)
     ctx = ", ".join(f"{n} : 2" for n in names)
+    source = f"{ctx} | {hyp} |- {goal}"
+    code = main(["--machine", "tope", source])
+    payload = json.loads(capsys.readouterr().out)
+    assert (code, payload["holds"]) == ((0, True) if goal == "TOP" else (1, False))
+    if goal != "TOP":
+        seq = parse_sequent_source(source)
+        rank = {name: i for i, block in enumerate(payload["counter_model"].split(" < "))
+                for name in block.split(" = ")}
+        assert true_at(seq.hyp, rank) and not true_at(seq.goal, rank)
+
+
+def chained_choices(k):
+    """Cube variables, hypothesis and goal of a valid sequent whose
+    hypothesis has 2**k consistent DNF disjuncts: link i orders x_i below
+    or at x_{i+1}, and the goal x0 <= xk follows only from all k links."""
+    names = [f"x{i}" for i in range(k + 1)]
+    hyp = " /\\ ".join(f"(x{i} <= x{i + 1} \\/ x{i} === x{i + 1})" for i in range(k))
+    return names, hyp, f"x0 <= x{k}"
+
+
+def test_tope_disjunct_bound(capsys):
+    names, hyp, goal = chained_choices(12)
+    ctx = ", ".join(f"{n} : 2" for n in names)
+    assert main(["--machine", "tope", f"{ctx} | {hyp} |- {goal}"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"holds": True}
+    names, hyp, goal = chained_choices(13)
+    ctx = ", ".join(f"{n} : 2" for n in names)
     assert main(["--machine", "tope", f"{ctx} | {hyp} |- {goal}"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "tope too large: more than 4096 disjuncts"}
+    # a disjunct counts when it is reached, also if it then turns out
+    # contradictory, so a hypothesis refuted only by its last conjunct is
+    # refused rather than walked through all its prefixes
+    names, hyp = unordered_pairs(13)
+    ctx = ", ".join(f"{n} : 2" for n in names)
+    assert main(["--machine", "tope", f"{ctx} | {hyp} /\\ 0 === 1 |- BOT"]) == 2
     assert json.loads(capsys.readouterr().out) == {
         "error": "tope too large: more than 4096 disjuncts"}
 
 
 def test_check_reports_disjunct_bound_as_tope_too_large(capsys, tmp_path):
-    names, hyp = unordered_pairs(13)
-    src = tmp_path / "wide.sstt"
-    src.write_text(f"def wide ({' '.join(names)} : 2) {{{hyp}}} (A : U) (a : A) : A :=\n"
-                   "  [ TOP |-> a ]\n")
+    names, hyp, goal = chained_choices(13)
+    src = tmp_path / "long.sstt"
+    src.write_text(f"def long ({' '.join(names)} : 2) {{{hyp}}} (A : U) (a : A) : A :=\n"
+                   f"  [ {goal} |-> a ]\n")
     code = main(["--machine", "check", str(src)])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
     diags = [(d["kind"], d["message"]) for f in payload["files"] for d in f["diagnostics"]]
     assert diags == [("tope-too-large", "tope too large: more than 4096 disjuncts")]
+
+
+def test_check_decides_a_wide_tope_parameter(capsys, tmp_path):
+    names, hyp = unordered_pairs(13)
+    src = tmp_path / "wide.sstt"
+    src.write_text(f"def wide ({' '.join(names)} : 2) {{{hyp}}} (A : U) (a : A) : A :=\n"
+                   "  [ TOP |-> a ]\n")
+    assert main(["--machine", "check", str(src)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
 def test_check_reports_tope_too_large(capsys, tmp_path):

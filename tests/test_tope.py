@@ -27,7 +27,6 @@ from sstt.tope import (
     subst_tope_sim,
     tope_and,
     tope_or,
-    tope_unsatisfiable,
 )
 
 T, S, V = CVar("t"), CVar("s"), CVar("u")
@@ -321,9 +320,9 @@ def test_eq_under():
 
 
 def test_unsatisfiable():
-    ctx = {"t": INTERVAL}
-    assert tope_unsatisfiable(ctx, TAnd(TEq(T, CZERO), TEq(T, CONE)))
-    assert not tope_unsatisfiable(ctx, TEq(T, CZERO))
+    # a hypothesis is unsatisfiable iff it entails BOT
+    assert holds(CTX1, TAnd(TEq(T, CZERO), TEq(T, CONE)), TBot())
+    assert not holds(CTX1, TEq(T, CZERO), TBot())
 
 
 # -- agreement with the brute-force valuation oracle
@@ -345,19 +344,26 @@ def test_oracle_agreement_property(seed):
 
 
 def shared_prefix_sequent(rng: random.Random) -> Sequent:
-    """A sequent whose hypothesis is ``C /\\ (D1 \\/ ... \\/ Dk)`` or
-    ``(C /\\ (D \\/ E)) \\/ F``, so that its DNF disjuncts share the
-    literals of ``C`` as a prefix; the goal often follows from ``C`` alone.
-    At most five atoms: at six the oracle's 8**6 valuations take most of a
-    second a sequent."""
-    names = [f"t{i}" for i in range(1, rng.randint(3, 5) + 1)]
+    """A sequent over three to six atoms whose hypothesis conjoins literals
+    ``C`` with two to four disjunctions, in some order, or is
+    ``C /\\ (D1 \\/ ... \\/ Dk)`` or ``(C /\\ (D \\/ E)) \\/ F``; so its DNF
+    disjuncts share the literals of ``C`` and the choices made on the
+    disjunctions before them.  The goal often follows from ``C`` alone."""
+    names = [f"t{i}" for i in range(1, rng.randint(3, 6) + 1)]
     literals = lambda k: [random_tope(rng, names, 0) for _ in range(k)]
     common = literals(rng.randint(1, 4))
     ds = [tope_and(*literals(rng.randint(1, 2))) for _ in range(rng.randint(2, 4))]
-    if rng.random() < 0.5:
+    shape = rng.randrange(3)
+    if shape == 0:
         hyp = TAnd(tope_and(*common), tope_or(*ds))
-    else:
+    elif shape == 1:
         hyp = TOr(TAnd(tope_and(*common), tope_or(*ds[:2])), tope_or(*ds[2:] or ds[:1]))
+    else:
+        conjuncts = common + [tope_or(*[tope_and(*literals(rng.randint(1, 2)))
+                                        for _ in range(rng.randint(2, 3))])
+                              for _ in ds]
+        rng.shuffle(conjuncts)
+        hyp = tope_and(*conjuncts)
     goal = random_tope(rng, names, 2)
     if rng.random() < 0.5:  # weaken the goal by a literal of C
         goal = TOr(goal, rng.choice(common))
@@ -367,8 +373,6 @@ def shared_prefix_sequent(rng: random.Random) -> Sequent:
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_disjuncts_with_a_shared_prefix_match_oracle(seed):
-    # the solver closes a prefix that DNF disjuncts share once, and skips
-    # the disjuncts that extend a prefix on which the negated goal closes
     seq = shared_prefix_sequent(random.Random(seed))
     res = entails(seq)
     assert res.yes == oracle_entails(seq), str(seq)
