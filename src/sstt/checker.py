@@ -40,11 +40,12 @@ No context binds a name twice: a binder whose name it binds already is
 renamed first, to the first ``name$k`` it does not bind.
 
 Equality is tope-aware.  Two α-equal terms are equal at once, in any
-context (``core.alpha_eq`` tries ``==`` first).  Otherwise the context's
-tope constraint is split into disjuncts and conversion must hold under
-every consistent one; an inconsistent constraint makes all terms equal.
-Two cube points are equal when they lie in the same cube and the context
-entails their equality.
+context (``core.alpha_eq`` tries ``==`` first).  ``Checker.equal`` applies
+both rules of a tope context itself: an inconsistent constraint makes all
+terms equal, and a consistent one is split into disjuncts, conversion
+having to hold under every consistent disjunct.  So no caller asks whether
+a context is consistent before comparing in it.  Two cube points are equal
+when they lie in the same cube and the context entails their equality.
 Every entailment goes through ``Checker.entails_ctx`` and its cache.  Pi,
 Sigma and extension types all enjoy eta: at each, two terms are compared
 through their eliminations, whatever their form.
@@ -203,20 +204,6 @@ class Checker:
     def ctx_unsat(self, ctx: TriContext) -> bool:
         return self.entails_ctx(ctx, BOT)
 
-    def _ctx_disjuncts(self, ctx: TriContext) -> list[TriContext]:
-        """Split the context's tope into satisfiable disjuncts."""
-        try:
-            norm = normalize_tope(ctx.cube_context(), ctx.tope)
-            parts = dnf(norm)
-        except TopeTooLargeError as e:
-            self._err("tope-too-large", str(e))
-        out = []
-        for atoms in parts:
-            branch = ctx.with_tope(tope_and(*atoms))
-            if not self.ctx_unsat(branch):
-                out.append(branch)
-        return out
-
     # -- cube embedding
 
     def as_cube_expr(self, ctx: TriContext, e: Expr) -> Optional[CubeExpr]:
@@ -360,8 +347,15 @@ class Checker:
               ty: Optional[Expr] = None) -> bool:
         if alpha_eq(a, b):  # convertible in every context
             return True
-        for branch in self._ctx_disjuncts(ctx):
-            if not self._equal_branch(branch, a, b, ty):
+        if self.ctx_unsat(ctx):  # any two terms are equal under a contradiction
+            return True
+        try:
+            parts = dnf(normalize_tope(ctx.cube_context(), ctx.tope))
+        except TopeTooLargeError as e:
+            self._err("tope-too-large", str(e))
+        for atoms in parts:
+            branch = ctx.with_tope(tope_and(*atoms))
+            if not self.ctx_unsat(branch) and not self._equal_branch(branch, a, b, ty):
                 return False
         return True
 
@@ -409,13 +403,8 @@ class Checker:
                           ty: Optional[Expr]) -> bool:
         """A neutral case split equals ``other`` iff each branch body does
         under the branch's tope (the branches cover the context)."""
-        for t, body in case.branches:
-            branch = ctx.bind_tope(t)
-            if self.ctx_unsat(branch):
-                continue
-            if not self.equal(branch, body, other, ty):
-                return False
-        return True
+        return all(self.equal(ctx.bind_tope(t), body, other, ty)
+                   for t, body in case.branches)
 
     def _equal_at_type(self, ctx: TriContext, a: Expr, b: Expr,
                        ty: Expr) -> Optional[bool]:
@@ -618,10 +607,8 @@ class Checker:
         if not (self.entails_ctx(ctx_psi.bind_tope(phi_a), phi_b)
                 and self.entails_ctx(ctx_psi.bind_tope(phi_b), phi_a)):
             return False
-        ctx_phi = ctx_psi.bind_tope(phi_a)
-        if self.ctx_unsat(ctx_phi):
-            return True
-        return self.equal(ctx_phi, sub_a.close(a.boundary), sub_b.close(b.boundary), fam_a)
+        return self.equal(ctx_psi.bind_tope(phi_a), sub_a.close(a.boundary),
+                          sub_b.close(b.boundary), fam_a)
 
     # -- inference
 
@@ -793,10 +780,7 @@ class Checker:
             for j in range(i + 1, len(elaborated)):
                 ti, bi = elaborated[i]
                 tj, bj = elaborated[j]
-                overlap = ctx.bind_tope(ti).bind_tope(tj)
-                if self.ctx_unsat(overlap):
-                    continue
-                if not self.equal(overlap, bi, bj, ty):
+                if not self.equal(ctx.bind_tope(ti).bind_tope(tj), bi, bj, ty):
                     self._err(
                         "boundary",
                         "the branches of a case split disagree where "
@@ -852,13 +836,11 @@ class Checker:
         ctx2 = ctx.bind_cube(x, w.cube).bind_tope(sub.tope(w.shape_tope))
         be = self.check(ctx2, e.body, fam_x)
         phi_x = sub.tope(w.boundary_tope)
-        ctx_phi = ctx2.bind_tope(phi_x)
-        if not self.ctx_unsat(ctx_phi):
-            if not self.equal(ctx_phi, be, sub.close(w.boundary), fam_x):
-                self._err(
-                    "boundary",
-                    "the function does not restrict to the required "
-                    f"boundary on {print_tope(phi_x)}", e.span)
+        if not self.equal(ctx2.bind_tope(phi_x), be, sub.close(w.boundary), fam_x):
+            self._err(
+                "boundary",
+                "the function does not restrict to the required "
+                f"boundary on {print_tope(phi_x)}", e.span)
         return e if be is e.body else Lam(x, be, span=e.span)
 
     def _check_refl(self, ctx: TriContext, e: Refl, w: IdT) -> Expr:

@@ -858,7 +858,10 @@ def parse_sequent_source(src: str, filename: str = "<sequent>"):
     ctx: list[tuple[str, CubeType]] = []
     if not p.at("|"):
         while True:
-            name = p.expect("ident")[1]
+            tok = p.expect("ident")
+            name = tok[1]
+            if name in p.scope:
+                raise p.fail(f"repeated variable {name!r} in the context", tok)
             p.expect(":")
             cube = p.parse_cube_type()
             ctx.append((name, cube))

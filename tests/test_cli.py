@@ -174,6 +174,14 @@ def test_tope_context_names_are_cube_variables(capsys):
         "error": "<sequent>:1:11: expected '===', found '|-'"}
 
 
+@pytest.mark.parametrize("ctx,col", [("x : 2 * 2, x : 2", 12), ("x : 2, x : 2 * 2", 8)])
+def test_tope_repeated_context_variable_is_an_input_error(capsys, ctx, col):
+    # the later entry must not silently take the name over
+    assert main(["--machine", "tope", f"{ctx} | x <= 1 |- TOP"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": f"<sequent>:1:{col}: repeated variable 'x' in the context"}
+
+
 def long_chain(n, connective):
     """Cube variables x0 ... xn and the run x1 <= x0 CONN ... CONN xn <= x(n-1)."""
     ctx = ", ".join(f"x{i} : 2" for i in range(n + 1))
@@ -372,6 +380,23 @@ def test_check_decides_a_wide_tope_parameter(capsys, tmp_path):
     src = tmp_path / "wide.sstt"
     src.write_text(f"def wide ({' '.join(names)} : 2) {{{hyp}}} (A : U) (a : A) : A :=\n"
                    "  [ TOP |-> a ]\n")
+    assert main(["--machine", "check", str(src)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+@pytest.mark.parametrize("ty,body", [
+    ("<Pi (t : 2) -> A [ t === 0 |-> a ]>", "\\t. b"),
+    ("A", "[ TOP |-> a | TOP |-> b ]"),
+    ("Id A a b", "refl"),
+], ids=["boundary", "case", "refl"])
+def test_check_under_a_contradictory_tope_parameter(capsys, tmp_path, ty, body):
+    # any two terms are equal under a contradiction, whether they meet at a
+    # boundary, on the overlap of a case split or as the endpoints of refl;
+    # the wide product after 0 === 1 has a DNF past the disjunct bound
+    names, hyp = unordered_pairs(13)
+    src = tmp_path / "absurd.sstt"
+    src.write_text(f"def f ({' '.join(names)} : 2) {{0 === 1}} {{{hyp}}} (A : U) (a b : A) "
+                   f": {ty} :=\n  {body}\n")
     assert main(["--machine", "check", str(src)]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
 

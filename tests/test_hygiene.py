@@ -223,7 +223,8 @@ def test_checking_leaves_module_globals_unchanged():
 # Every entailment the checker asks goes through ``Checker.entails_ctx``,
 # which caches it and turns a solver fault into a diagnostic.
 
-def test_checker_reaches_the_solver_only_through_its_cache():
+def _checker_uses(matches) -> list[str]:
+    """``Class.method:line`` of each node of ``checker.py`` that ``matches``."""
     path = ROOT / "src" / "sstt" / "checker.py"
     uses = []
 
@@ -232,12 +233,28 @@ def test_checker_reaches_the_solver_only_through_its_cache():
             if isinstance(child, ast.ClassDef | ast.FunctionDef):
                 visit(child, f"{where}.{child.name}")
                 continue
-            if isinstance(child, ast.Name) and child.id == "entails":
+            if matches(child):
                 uses.append(f"{where}:{child.lineno}")
             visit(child, where)
 
     visit(ast.parse(path.read_text(), str(path)), "checker")
+    return uses
+
+
+def test_checker_reaches_the_solver_only_through_its_cache():
+    uses = _checker_uses(lambda n: isinstance(n, ast.Name) and n.id == "entails")
     assert [use.split(":")[0] for use in uses] == ["checker.Checker.entails_ctx"], uses
+
+
+# Any two terms are equal under a contradictory tope context, and
+# ``Checker.equal`` decides that itself (for the whole context and for each
+# disjunct), so no caller asks first; only a case split's check asks once,
+# to leave a contradictory branch unchecked, and not again for overlaps.
+
+def test_only_equal_and_case_splits_ask_whether_a_context_is_consistent():
+    uses = _checker_uses(lambda n: isinstance(n, ast.Attribute) and n.attr == "ctx_unsat")
+    assert Counter(use.split(":")[0] for use in uses) == {
+        "checker.Checker.equal": 2, "checker.Checker._check_tope_case": 1}, uses
 
 
 # No dead code: every module-level function and class of ``src/sstt`` is
