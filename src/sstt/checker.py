@@ -18,7 +18,9 @@ substitution is closed when it is pushed.  A Π, Σ or extension type at the
 head keeps its substitution pending, as a closure: checking a λ or a pair
 against it, comparing at it and eliminating with it instantiate its binder
 by extending that substitution, and close only the part they look at.
-``whnf`` closes the whole head.
+``whnf`` closes the whole head.  A case split none of whose branches the
+context entails is stuck, and eliminations pending on it go into every
+branch: ``[φ |-> f | ψ |-> g] a`` becomes ``[φ |-> f a | ψ |-> g a]``.
 
 ``check`` takes the expected type apart only for a λ, a pair or ``refl``.
 Any other term has its type inferred and compared with the expected type as
@@ -40,15 +42,16 @@ No context binds a name twice: a binder whose name it binds already is
 renamed first, to the first ``name$k`` it does not bind.
 
 Equality is tope-aware.  Two α-equal terms are equal at once, in any
-context (``core.alpha_eq`` tries ``==`` first).  ``Checker.equal`` applies
-both rules of a tope context itself: an inconsistent constraint makes all
-terms equal, and a consistent one is split into disjuncts, conversion
-having to hold under every consistent disjunct.  So no caller asks whether
-a context is consistent before comparing in it.  Two cube points are equal
-when they lie in the same cube and the context entails their equality.
-Every entailment goes through ``Checker.entails_ctx`` and its cache.  Pi,
-Sigma and extension types all enjoy eta: at each, two terms are compared
-through their eliminations, whatever their form.
+context (``core.alpha_eq`` tries ``==`` first), and ``Checker.equal``
+decides itself that an inconsistent context makes all terms equal, so no
+caller asks first.  Conversion splits only on case splits, which their
+branches determine: a side that is a case split, or a type that reduces to
+one, is compared branch by branch, and anything else under the whole
+context.  Two cube points are equal when they lie in the same cube and the
+context entails their equality.  Every entailment goes through
+``Checker.entails_ctx`` and its cache.  Pi, Sigma and extension types all
+enjoy eta: at each, two terms are compared through their eliminations,
+whatever their form.
 """
 
 from __future__ import annotations
@@ -112,7 +115,6 @@ from .tope import (
     Tope,
     TopeError,
     TopeTooLargeError,
-    dnf,
     entails,
     normalize_tope,
     print_tope,
@@ -303,22 +305,14 @@ class Checker:
                 continue
             e, env = env.close(e), EMPTY
             while stack:
-                kind, arg = stack.pop()
-                if kind == "ext":
-                    r = self._boundary_reduce(ctx, e, arg)
+                frame = stack.pop()
+                if frame[0] == "ext":
+                    r = self._boundary_reduce(ctx, e, frame[1])
                     if r is not None:
                         self._tick()
                         e = r
                         break
-                    e = ExtApp(e, arg)
-                elif kind == "app":
-                    e = App(e, arg)
-                elif kind == "fst":
-                    e = Fst(e)
-                elif kind == "snd":
-                    e = Snd(e)
-                else:
-                    e = J(arg[0], arg[1], e)
+                e = _eliminate(e, frame)
             else:
                 return e, env
 
@@ -335,11 +329,7 @@ class Checker:
         sub = sub.bind_point(w.var, c)
         if not self.entails_ctx(ctx, sub.tope(w.boundary_tope)):
             return None
-        bd = w.boundary
-        if isinstance(bd, TopeCase):
-            bd = next((body for t, body in bd.branches
-                       if self.entails_ctx(ctx, sub.tope(t))), None)
-        return None if bd is None else sub.close(bd)
+        return sub.close(w.boundary)
 
     # -- equality
 
@@ -349,18 +339,8 @@ class Checker:
             return True
         if self.ctx_unsat(ctx):  # any two terms are equal under a contradiction
             return True
-        try:
-            parts = dnf(normalize_tope(ctx.cube_context(), ctx.tope))
-        except TopeTooLargeError as e:
-            self._err("tope-too-large", str(e))
-        for atoms in parts:
-            branch = ctx.with_tope(tope_and(*atoms))
-            if not self.ctx_unsat(branch) and not self._equal_branch(branch, a, b, ty):
-                return False
-        return True
-
-    def _equal_branch(self, ctx: TriContext, a: Expr, b: Expr,
-                      ty: Optional[Expr]) -> bool:
+        if a.__class__ is TopeCase or b.__class__ is TopeCase:
+            return self._equal_split_case(ctx, a, b, ty)
         a1 = self.whnf(ctx, a, unfold=False)
         b1 = self.whnf(ctx, b, unfold=False)
         if self._alpha_mod_cube(ctx, a1, b1):
@@ -372,10 +352,8 @@ class Checker:
         b2 = self.whnf(ctx, b1)
         if self._alpha_mod_cube(ctx, a2, b2):
             return True
-        if isinstance(a2, TopeCase):
+        if a2.__class__ is TopeCase or b2.__class__ is TopeCase:
             return self._equal_split_case(ctx, a2, b2, ty)
-        if isinstance(b2, TopeCase):
-            return self._equal_split_case(ctx, b2, a2, ty)
         if ty is not None:
             r = self._equal_at_type(ctx, a2, b2, ty)
             if r is not None:
@@ -399,10 +377,11 @@ class Checker:
         return (cube_type_of(cubes, a) == cube_type_of(cubes, b)
                 and self.entails_ctx(ctx, TEq(a, b)))
 
-    def _equal_split_case(self, ctx: TriContext, case: TopeCase, other: Expr,
+    def _equal_split_case(self, ctx: TriContext, a: Expr, b: Expr,
                           ty: Optional[Expr]) -> bool:
-        """A neutral case split equals ``other`` iff each branch body does
-        under the branch's tope (the branches cover the context)."""
+        """A case split, ``a`` or else ``b``, equals the other side iff each
+        branch body does under the branch's tope (the branches cover the context)."""
+        case, other = (a, b) if a.__class__ is TopeCase else (b, a)
         return all(self.equal(ctx.bind_tope(t), body, other, ty)
                    for t, body in case.branches)
 
@@ -436,6 +415,8 @@ class Checker:
                     ExtApp(b, CVar(v)),
                     sub.close(fam),
                 )
+            case TopeCase(branches):  # a stuck case split of types
+                return all(self.equal(ctx.bind_tope(t), a, b, body) for t, body in branches)
             case _:
                 return None
 
@@ -886,6 +867,23 @@ class Checker:
                 and all(p is q for p, q in zip(tele, decl.telescope))):
             return decl
         return Decl(decl.name, decl.tag, tuple(tele), ity, ibody, span=decl.span)
+
+
+def _eliminate(e: Expr, frame: tuple[str, object]) -> Expr:
+    """``e`` under the elimination a frame of ``Checker._reduce``'s stack
+    stands for; a stuck case split takes it into every branch."""
+    kind, arg = frame
+    if e.__class__ is TopeCase:
+        return TopeCase(tuple((t, _eliminate(b, frame)) for t, b in e.branches), span=e.span)
+    if kind == "app":
+        return App(e, arg)
+    if kind == "ext":
+        return ExtApp(e, arg)
+    if kind == "fst":
+        return Fst(e)
+    if kind == "snd":
+        return Snd(e)
+    return J(arg[0], arg[1], e)
 
 
 # The cases of ``Checker._equal_structural``, by the class both sides share.

@@ -76,7 +76,7 @@ def _with_siblings(paths: list[Path]) -> tuple[list[Path], set[Path]]:
     for p in paths:
         out.add(p.resolve())
         for sib in p.resolve().parent.glob("*.sstt"):
-            if sib.name < p.name:
+            if sib.name < p.name and sib.is_file():
                 out.add(sib.resolve())
     ordered = sorted(out, key=lambda p: (str(p.parent), p.name))
     return ordered, wanted
@@ -136,6 +136,8 @@ def cmd_corpus(args) -> int:
     except UnicodeDecodeError as e:
         return _input_error(
             args, f"the axiom ledger is not valid UTF-8: {e.reason} (byte {e.start})")
+    except OSError as e:
+        return _input_error(args, f"the axiom ledger cannot be read: {e.strerror or e}")
     if args.machine:
         print(_machine_dump(result.to_json()))
         return 0 if result.ok else 1

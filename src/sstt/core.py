@@ -568,10 +568,6 @@ class TriContext(Node):
     def bind_tope(self, t: Tope) -> "TriContext":
         return TriContext(self.cube_vars, tope_and(self.tope, t), self.typed_vars)
 
-    def with_tope(self, t: Tope) -> "TriContext":
-        """Replace the tope constraint (used for branch-wise reasoning)."""
-        return TriContext(self.cube_vars, t, self.typed_vars)
-
     def bind_typed(self, name: str, ty: Optional[Expr]) -> "TriContext":
         return TriContext(self.cube_vars, self.tope, self.typed_vars + ((name, ty),))
 

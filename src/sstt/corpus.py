@@ -166,7 +166,7 @@ def load_corpus(directory: Optional[Path] = None,
                 fuel: int = DEFAULT_FUEL) -> CorpusResult:
     directory = directory or CORPUS_DIR
     ledger = read_ledger(directory / LEDGER_NAME)
-    paths = sorted(p for p in directory.glob("*.sstt"))
+    paths = sorted(p for p in directory.glob("*.sstt") if p.is_file())
     start = time.monotonic()
     reports, env = check_files(paths, fuel=fuel, ledger=ledger)
     elapsed = time.monotonic() - start

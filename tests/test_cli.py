@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,18 +100,23 @@ def test_check_directory_is_an_input_error(capsys, tmp_path):
     assert captured.err == f"error: not a file: {tmp_path}\n"
 
 
-@pytest.mark.parametrize("case", ["no-such-file", "no-such-directory", "undecodable-ledger"])
+@pytest.mark.parametrize("case", ["no-such-file", "no-such-directory", "undecodable-ledger",
+                                  "unreadable-ledger"])
 def test_input_errors_are_json_under_machine(capsys, tmp_path, case):
     # as for `sstt tope`: the error on stdout with --machine, on stderr
     # without it, exit status 2 either way
     missing = tmp_path / "missing"
+    unreadable = tmp_path / "unreadable"
     argv, message = {
         "no-such-file": (["check", str(missing)], f"no such file: {missing}"),
         "no-such-directory": (["corpus", str(missing)], f"no such directory: {missing}"),
         "undecodable-ledger": (["corpus", str(tmp_path)],
                                "the axiom ledger is not valid UTF-8: invalid start byte (byte 3)"),
+        "unreadable-ledger": (["corpus", str(unreadable)],
+                              "the axiom ledger cannot be read: Is a directory"),
     }[case]
     (tmp_path / "axioms.ledger").write_bytes(b"ok\n\xff\n")
+    (unreadable / "axioms.ledger").mkdir(parents=True)
     assert main(["--machine", *argv]) == 2
     captured = capsys.readouterr()
     assert json.loads(captured.out) == {"error": message}
@@ -133,6 +139,20 @@ def test_corpus_undecodable_ledger_is_an_input_error(capsys, tmp_path):
     (tmp_path / "axioms.ledger").write_bytes(b"ok\n\xff\n")
     assert main(["corpus", str(tmp_path)]) == 2
     assert "not valid UTF-8: invalid start byte (byte 3)" in capsys.readouterr().err
+
+
+def test_a_directory_named_like_a_source_file_is_not_read(capsys, tmp_path):
+    # only regular files are sources, for `corpus` and for the siblings
+    # that `check` loads first
+    (tmp_path / "01-x.sstt").mkdir()
+    target = tmp_path / "02-f.sstt"
+    target.write_text("def f (A : U) (a : A) : A := a\n")
+    assert main(["--machine", "corpus", str(tmp_path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [f["path"] for f in payload["files"]] == [str(target)]
+    assert main(["--machine", "check", str(target)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [(f["path"], f["decls"]) for f in payload["files"]] == [(str(target), ["f"])]
 
 
 @pytest.mark.parametrize("fuel", ["0", "-5"])
@@ -399,6 +419,47 @@ def test_check_under_a_contradictory_tope_parameter(capsys, tmp_path, ty, body):
                    f": {ty} :=\n  {body}\n")
     assert main(["--machine", "check", str(src)]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+def _wide_decl(k, ty):
+    names, hyp = unordered_pairs(k)
+    return f"def wide ({' '.join(names)} : 2) {{{hyp}}} (A : U) (a : A) : {ty} := refl"
+
+
+@pytest.mark.parametrize("decl", [
+    # no branch of g's boundary holds in the whole context, so the
+    # application to a goes into each branch and is compared there
+    "def c (t : 2) {t === 0 \\/ t === 1} (A : U) (a : A) "
+    "(g : <Pi (s : 2) -> (A -> A) [ s === 0 |-> \\x. x | s === 1 |-> \\x. x ]>) "
+    ": Id A (g t a) a := refl",
+    # at a type that is a stuck case split, eta applies branch by branch
+    "def e (t : 2) {t === 0 \\/ t === 1} (A : U) (f : A -> A) "
+    ": Id ([ t === 0 |-> A -> A | t === 1 |-> A -> A ] : U) f ((\\x. f x) : A -> A) := refl",
+    # a context with 2**13 disjuncts is not expanded to compare two terms
+    _wide_decl(13, "Id A (idf A a) a"),
+], ids=["commute", "eta", "wide"])
+def test_check_compares_under_a_disjunctive_context(capsys, tmp_path, decl):
+    src = tmp_path / "disjunctive.sstt"
+    src.write_text(f"def idf (A : U) (a : A) : A := a\n\n{decl}\n")
+    assert main(["--machine", "check", str(src)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+def test_check_nested_case_splits_in_a_wide_context_end_in_bounded_time(capsys, tmp_path):
+    # each of 13 nested case splits splits the comparison in two, so it has
+    # 2**13 leaves; the fuel bound ends it
+    k = 13
+    term = "a"
+    for i in range(k):
+        term = f"sel a{i} b{i} A ({term})"
+    src = tmp_path / "nested.sstt"
+    src.write_text("def sel (t s : 2) (A : U) (x : A) : A := [ t <= s |-> x | s <= t |-> x ]\n\n"
+                   + _wide_decl(k, f"Id A ({term}) a") + "\n")
+    start = time.monotonic()
+    assert main(["--machine", "--fuel", "1000", "check", str(src)]) == 1
+    assert time.monotonic() - start < 10
+    diags = [d for f in json.loads(capsys.readouterr().out)["files"] for d in f["diagnostics"]]
+    assert [(d["kind"], d["decl"]) for d in diags] == [("fuel", "wide")]
 
 
 def test_check_reports_tope_too_large(capsys, tmp_path):

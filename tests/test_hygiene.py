@@ -247,14 +247,24 @@ def test_checker_reaches_the_solver_only_through_its_cache():
 
 
 # Any two terms are equal under a contradictory tope context, and
-# ``Checker.equal`` decides that itself (for the whole context and for each
-# disjunct), so no caller asks first; only a case split's check asks once,
-# to leave a contradictory branch unchecked, and not again for overlaps.
+# ``Checker.equal`` decides that itself, once for the whole context, so no
+# caller asks first; only a case split's check asks once, to leave a
+# contradictory branch unchecked, and not again for overlaps.
 
 def test_only_equal_and_case_splits_ask_whether_a_context_is_consistent():
     uses = _checker_uses(lambda n: isinstance(n, ast.Attribute) and n.attr == "ctx_unsat")
     assert Counter(use.split(":")[0] for use in uses) == {
-        "checker.Checker.equal": 2, "checker.Checker._check_tope_case": 1}, uses
+        "checker.Checker.equal": 1, "checker.Checker._check_tope_case": 1}, uses
+
+
+# Conversion splits only where a term is a case split; it compares
+# everything else under the whole tope context, never once per disjunct.
+
+def test_checker_does_not_expand_a_context_into_disjuncts():
+    uses = _checker_uses(lambda n: isinstance(n, ast.Name) and n.id == "dnf"
+                         or isinstance(n, ast.Attribute) and n.attr == "dnf"
+                         or isinstance(n, ast.alias) and n.name == "dnf")
+    assert uses == []
 
 
 # No dead code: every module-level function and class of ``src/sstt`` is
