@@ -106,9 +106,10 @@ def check_files(paths: list[Path], env: Optional[GlobalEnv] = None,
                 ledger: Optional[set[str]] = None) -> tuple[list[FileReport], GlobalEnv]:
     """Parse and check the given files in order, adding each declaration
     to one environment once it checks.  Stops at the first diagnostic, since
-    later declarations may depend on a failed one.  Input nested past
-    Python's recursion limit is reported as ``too-deep``, and any other
-    exception as ``internal``."""
+    later declarations may depend on a failed one.  A file that cannot be
+    read or decoded is reported as ``parse``, input nested past Python's
+    recursion limit as ``too-deep``, and any other exception as
+    ``internal``."""
     env = env if env is not None else GlobalEnv()
     reports: list[FileReport] = []
     checker = Checker(env, fuel=fuel)
@@ -120,6 +121,9 @@ def check_files(paths: list[Path], env: Optional[GlobalEnv] = None,
         except UnicodeDecodeError as e:
             report.diagnostics.append(Diagnostic(
                 "parse", f"the file is not valid UTF-8: {e.reason} (byte {e.start})"))
+        except OSError as e:
+            report.diagnostics.append(
+                Diagnostic("parse", f"the file cannot be read: {e.strerror or e}"))
         except ParseError as e:
             report.diagnostics.append(
                 Diagnostic("parse", e.message + f" (line {e.line}, column {e.col})"))

@@ -7,30 +7,31 @@ Negation, implication and quantifiers do not exist in this layer.
 The models of the theory are valuations of the interval atoms into a bounded
 total order with distinct endpoints, so ``Xi | Phi |- psi`` holds iff no
 total order satisfies ``Phi`` and falsifies ``psi``.  The procedure searches
-for such an order.  Each top-level conjunct of the hypothesis is expanded
-into its DNF, a level of alternatives, and the levels are walked depth
-first: a node closes one alternative of each level so far, together with
-0 < 1 and 0 <= x <= 1, into a partial order on the points, kept as bit
-sets, and a node whose closure puts a point strictly above itself is
-dropped.  At a leaf, every level is closed, and the solver tries to
-falsify the goal with a small tableau: not (A \/ B) adds both negations,
-not (A /\ B) branches, not (x <= y) adds y < x, and not (x === y) branches
-on x < y or y < x.  Obligations that do not branch go first, and a branch
-is dropped as soon as its closure is contradictory.  A surviving branch is
-a counter-model, read off as the weak order of its points: 0 in the bottom
-block, 1 in the top.  Closing and checking one branch takes time
-polynomial in the number of points.  The nodes the walk reaches at any one
-depth, and the tableau branches, are each bounded by ``MAX_DISJUNCTS``.
+for such an order.  The root closes the literals of every top-level
+conjunct of the hypothesis whose DNF has a single alternative, together
+with 0 < 1 and 0 <= x <= 1, into a partial order on the points, kept as
+bit sets.  The DNF of each other conjunct is a level of alternatives,
+walked depth first in the order written: a node closes one alternative of
+each level so far, and a node whose closure puts a point strictly above
+itself is dropped.  At a leaf, every level is closed, and the solver
+tries to falsify the goal with a small tableau: not (A \/ B) adds both
+negations, not (A /\ B) branches, not (x <= y) adds y < x, and not
+(x === y) branches on x < y or y < x.  Obligations that do not branch go
+first, and a branch is dropped once its closure is contradictory.  A
+surviving branch is a counter-model: the weak order of its points, 0 in
+the bottom block and 1 in the top.  Closing and checking a branch takes
+time polynomial in the number of points.  The nodes the walk reaches at
+any one depth, and the tableau branches, are bounded by ``MAX_DISJUNCTS``.
 
 Disjuncts that take the same alternatives on the first levels share the
-node that closed them, and a level with a single alternative is closed
-into its node's own order.  Before a node branches, the negated goal is
+node that closed them.  Before a node branches, the negated goal is
 settled on its order; if it closes there without branching, every leaf
 below would close at its root, so the node is dropped.  Closure does not
 depend on the order in which literals are added, and a stronger order
 closes every branch a weaker one closes, so the leaves are reached in DNF
 order, with the same branches: verdicts, counter-models and the tableau
-bound are as if each disjunct were closed from scratch.
+bound are as if each disjunct were closed from scratch.  Sorting the
+levels would reorder the leaves, and so change the counter-models.
 
 ``bench/tracer.py`` wraps ``entails``, ``normalize_tope``, ``dnf`` and
 ``cube.normalize_cube`` by their names, and the benchmark requires calls
@@ -497,9 +498,11 @@ def entails(seq: Sequent) -> EntailResult:
     ctx = seq.cube_context()
     hyp = normalize_tope(ctx, seq.hyp)
     goal = normalize_tope(ctx, seq.goal)
-    # one level of alternatives per conjunct of the hypothesis: a DNF
-    # disjunct of the hypothesis takes one alternative of each level
+    # a DNF disjunct of the hypothesis takes one alternative of each conjunct:
+    # single ones are closed at the root, the others are levels, as written
     levels = [dnf(c) for c in _operands(hyp, TAnd)]
+    root = [lit for alts in levels if len(alts) == 1 for lit in alts[0]]
+    levels = [alts for alts in levels if len(alts) != 1]
     index, names = _number_atoms([hyp, goal])
     negated = _negate(goal, index)
     if negated is None:
@@ -510,18 +513,14 @@ def entails(seq: Sequent) -> EntailResult:
     branches = 0
     # a node is the number of levels it has closed, its parent's order and
     # the alternative that it adds to a copy of that order
-    nodes = [(0, *_root_order(len(names)), [])]
+    nodes = [(0, *_root_order(len(names)), root)]
     while nodes:
         depth, up, above, alt = nodes.pop()
         reached[depth] += 1
         if reached[depth] > MAX_DISJUNCTS:
             raise TopeTooLargeError(f"tope too large: more than {MAX_DISJUNCTS} disjuncts")
         up, above = up[:], above[:]
-        closed = _close(up, above, alt, index)
-        while closed and depth < len(levels) and len(levels[depth]) == 1:
-            closed = _close(up, above, levels[depth][0], index)
-            depth += 1
-        if not closed:
+        if not _close(up, above, alt, index):
             continue
         if depth < len(levels):
             # a stronger order closes every branch that a weaker one

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -133,6 +134,30 @@ def test_check_undecodable_file_is_a_parse_diagnostic(capsys, tmp_path):
     diags = [d for f in json.loads(capsys.readouterr().out)["files"] for d in f["diagnostics"]]
     assert diags == [{"kind": "parse",
                       "message": "the file is not valid UTF-8: invalid start byte (byte 0)"}]
+
+
+@pytest.mark.parametrize("command,name", [("check", "02-b.sstt"), ("check", "01-a.sstt"),
+                                          ("corpus", "")], ids=["later-file", "the-file", "corpus"])
+def test_unreadable_file_is_a_parse_diagnostic(capsys, monkeypatch, tmp_path, command, name):
+    # a source that cannot be read is a fault of the input, not of sstt;
+    # the read is made to fail, since a superuser reads a file of mode 000
+    unreadable = tmp_path / "01-a.sstt"
+    unreadable.write_text("def a (A : U) (x : A) : A := x\n")
+    (tmp_path / "02-b.sstt").write_text("def b (A : U) (x : A) : A := a A x\n")
+    read_text = pathlib.Path.read_text
+
+    def refuse(path, *args, **kwargs):
+        if path.name == unreadable.name:
+            raise PermissionError(13, "Permission denied")
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "read_text", refuse)
+    assert main(["--machine", command, str(tmp_path / name)]) == 1
+    files = json.loads(capsys.readouterr().out)["files"]
+    assert [d for f in files for d in f["diagnostics"]] == [
+        {"kind": "parse", "message": "the file cannot be read: Permission denied"}]
+    if name == "02-b.sstt":
+        assert files[-1]["not_checked"] == str(unreadable.resolve())
 
 
 def test_corpus_undecodable_ledger_is_an_input_error(capsys, tmp_path):
@@ -378,9 +403,13 @@ def test_tope_disjunct_bound(capsys):
     # refused rather than walked through all its prefixes
     names, hyp = unordered_pairs(13)
     ctx = ", ".join(f"{n} : 2" for n in names)
-    assert main(["--machine", "tope", f"{ctx} | {hyp} /\\ 0 === 1 |- BOT"]) == 2
+    assert main(["--machine", "tope", f"{ctx} | {hyp} /\\ (0 === 1 \\/ 1 <= 0) |- BOT"]) == 2
     assert json.loads(capsys.readouterr().out) == {
         "error": "tope too large: more than 4096 disjuncts"}
+    # a last conjunct with a single alternative is closed before the walk
+    # branches, so it refutes the hypothesis at the root
+    assert main(["--machine", "tope", f"{ctx} | {hyp} /\\ 0 === 1 |- BOT"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"holds": True}
 
 
 def test_check_reports_disjunct_bound_as_tope_too_large(capsys, tmp_path):
@@ -402,6 +431,30 @@ def test_check_decides_a_wide_tope_parameter(capsys, tmp_path):
                    "  [ TOP |-> a ]\n")
     assert main(["--machine", "check", str(src)]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+def test_a_literal_after_a_wide_product_is_closed_before_the_walk(capsys, tmp_path):
+    # the goal literal is a conjunct written after 2**13 disjuncts; closed
+    # at the root, it refutes the negated goal before the walk branches
+    names, hyp = unordered_pairs(13)
+    ctx = ", ".join(f"{n} : 2" for n in [*names, "c", "d"])
+    assert main(["--machine", "tope", f"{ctx} | {hyp} /\\ c <= d |- c <= d"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"holds": True}
+    src = tmp_path / "wide.sstt"
+    src.write_text(f"def wide ({' '.join(names)} c d : 2) {{{hyp} /\\ c <= d}} (A : U) (a : A) "
+                   ": A :=\n  [ c <= d |-> a ]\n")
+    assert main(["--machine", "check", str(src)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+def test_tope_disjunctive_conjuncts_are_walked_in_the_order_written(capsys):
+    # the counter-model is the first leaf of the walk that survives, so it
+    # depends on the order of the levels: x === 0 /\ y === 1 here, and
+    # x === 1 /\ y === 0 if the shorter level were walked first
+    seq = "x : 2, y : 2 | (x === 0 \\/ y === 0 \\/ x <= y) /\\ (x === 1 \\/ y === 1) |- BOT"
+    assert main(["--machine", "tope", seq]) == 1
+    assert json.loads(capsys.readouterr().out) == {"holds": False,
+                                                   "counter_model": "0 = x < 1 = y"}
 
 
 @pytest.mark.parametrize("ty,body", [
@@ -445,19 +498,21 @@ def test_check_compares_under_a_disjunctive_context(capsys, tmp_path, decl):
     assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
-def test_check_nested_case_splits_in_a_wide_context_end_in_bounded_time(capsys, tmp_path):
-    # each of 13 nested case splits splits the comparison in two, so it has
-    # 2**13 leaves; the fuel bound ends it
-    k = 13
+@pytest.mark.parametrize("k", [13, 14, 15])
+def test_check_nested_case_splits_in_a_wide_context_end_in_bounded_time(capsys, tmp_path, k):
+    # each nested case split splits the comparison in two, so 13 of them
+    # give 2**13 leaves; the fuel bound ends it.  Level i splits on pair
+    # i % 13, so past 13 levels a pair repeats, and every tope sequent
+    # below it has a hypothesis with that pair's literal as a conjunct
     term = "a"
     for i in range(k):
-        term = f"sel a{i} b{i} A ({term})"
+        term = f"sel a{i % 13} b{i % 13} A ({term})"
     src = tmp_path / "nested.sstt"
     src.write_text("def sel (t s : 2) (A : U) (x : A) : A := [ t <= s |-> x | s <= t |-> x ]\n\n"
-                   + _wide_decl(k, f"Id A ({term}) a") + "\n")
+                   + _wide_decl(13, f"Id A ({term}) a") + "\n")
     start = time.monotonic()
     assert main(["--machine", "--fuel", "1000", "check", str(src)]) == 1
-    assert time.monotonic() - start < 10
+    assert time.monotonic() - start < 5
     diags = [d for f in json.loads(capsys.readouterr().out)["files"] for d in f["diagnostics"]]
     assert [(d["kind"], d["decl"]) for d in diags] == [("fuel", "wide")]
 
