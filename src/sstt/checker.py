@@ -110,11 +110,12 @@ from .printer import print_expr
 from .scope import GlobalEnv
 from .tope import (
     BOT,
+    DEFAULT_FUEL,
+    OutOfFuel,
     Sequent,
     TEq,
     Tope,
     TopeError,
-    TopeTooLargeError,
     entails,
     normalize_tope,
     print_tope,
@@ -130,7 +131,6 @@ DIAGNOSTIC_KINDS = (
     "boundary",
     "fuel",
     "unledgered-axiom",
-    "tope-too-large",
     "too-deep",
     "internal",
 )
@@ -165,14 +165,11 @@ class CheckError(Exception):
         self.diagnostic = diagnostic
 
 
-DEFAULT_FUEL = 10_000
-
-
 class Checker:
     def __init__(self, env: GlobalEnv, fuel: int = DEFAULT_FUEL):
         self.env = env
         self.fuel = fuel
-        self.steps = 0
+        self.steps = self.solver_steps = 0  # metered apart, each within fuel
         self.current_decl: Optional[str] = None
         # the sequents this checker decided, keyed as written
         self.entailed: dict[tuple, bool] = {}
@@ -182,14 +179,14 @@ class Checker:
     def _err(self, kind: str, message: str, span: Optional[Span] = None):
         raise CheckError(Diagnostic(kind, message, self.current_decl, span))
 
+    def _out_of_fuel(self, work: str):
+        self._err("fuel", f"{work} did not finish within {self.fuel} steps; "
+                  "the declaration may require a larger --fuel bound")
+
     def _tick(self):
         self.steps += 1
         if self.steps > self.fuel:
-            self._err(
-                "fuel",
-                f"reduction did not finish within {self.fuel} steps; "
-                "the declaration may require a larger --fuel bound",
-            )
+            self._out_of_fuel("reduction")
 
     # -- tope layer access
 
@@ -198,9 +195,11 @@ class Checker:
         yes = self.entailed.get(key)
         if yes is None:
             try:
-                yes = self.entailed[key] = bool(entails(Sequent(*key)))
-            except TopeTooLargeError as e:
-                self._err("tope-too-large", str(e))
+                result = entails(Sequent(*key), self.fuel - self.solver_steps)
+            except OutOfFuel:
+                self._out_of_fuel("deciding topes")
+            self.solver_steps += result.steps
+            yes = self.entailed[key] = result.yes
         return yes
 
     def ctx_unsat(self, ctx: TriContext) -> bool:
@@ -844,7 +843,7 @@ class Checker:
 
     def check_decl(self, decl: Decl) -> Decl:
         self.current_decl = decl.name
-        self.steps = 0
+        self.steps = self.solver_steps = 0
         ctx = TriContext()
         tele = []
         for p in decl.telescope:

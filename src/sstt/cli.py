@@ -27,10 +27,9 @@ import os
 import sys
 from pathlib import Path
 
-from .checker import DEFAULT_FUEL
 from .corpus import FileReport, check_files, load_corpus
 from .parser import ParseError, parse_sequent_source
-from .tope import TopeError, entails
+from .tope import DEFAULT_FUEL, TopeError, entails
 
 
 def _machine_dump(obj) -> str:
@@ -156,7 +155,7 @@ def cmd_tope(args) -> int:
     style = _style(args)
     try:
         seq = parse_sequent_source(args.sequent)
-        result = entails(seq)
+        result = entails(seq, args.fuel)
     except (ParseError, TopeError) as e:
         return _input_error(args, str(e))
     except RecursionError:
@@ -192,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--no-color", action="store_true",
                     help="disable ANSI colors (NO_COLOR is also honored)")
     ap.add_argument("--fuel", type=positive_int, default=DEFAULT_FUEL,
-                    help="reduction step budget per declaration")
+                    help="steps per declaration or sequent, for reduction and tope solving each")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="type-check source files")

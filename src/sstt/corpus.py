@@ -13,10 +13,11 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from .checker import CheckError, Checker, DEFAULT_FUEL, Diagnostic
+from .checker import CheckError, Checker, Diagnostic
 from .core import Decl, DeclTag
 from .parser import ParseError, parse_file
 from .scope import GlobalEnv, ScopeError, elaborate_toplevels
+from .tope import DEFAULT_FUEL
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 LEDGER_NAME = "axioms.ledger"

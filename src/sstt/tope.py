@@ -7,21 +7,22 @@ Negation, implication and quantifiers do not exist in this layer.
 The models of the theory are valuations of the interval atoms into a bounded
 total order with distinct endpoints, so ``Xi | Phi |- psi`` holds iff no
 total order satisfies ``Phi`` and falsifies ``psi``.  The procedure searches
-for such an order.  The root closes the literals of every top-level
-conjunct of the hypothesis whose DNF has a single alternative, together
-with 0 < 1 and 0 <= x <= 1, into a partial order on the points, kept as
-bit sets.  The DNF of each other conjunct is a level of alternatives,
-walked depth first in the order written: a node closes one alternative of
-each level so far, and a node whose closure puts a point strictly above
-itself is dropped.  At a leaf, every level is closed, and the solver
-tries to falsify the goal with a small tableau: not (A \/ B) adds both
-negations, not (A /\ B) branches, not (x <= y) adds y < x, and not
-(x === y) branches on x < y or y < x.  Obligations that do not branch go
-first, and a branch is dropped once its closure is contradictory.  A
-surviving branch is a counter-model: the weak order of its points, 0 in
-the bottom block and 1 in the top.  Closing and checking a branch takes
-time polynomial in the number of points.  The nodes the walk reaches at
-any one depth, and the tableau branches, are bounded by ``MAX_DISJUNCTS``.
+for such an order.  The root closes the literals of every top-level conjunct
+of the hypothesis whose DNF has a single alternative, together with 0 < 1
+and 0 <= x <= 1, into a partial order on the points, kept as bit sets; one
+with no alternative refutes the hypothesis at once.  The DNF of each other
+conjunct is a level of alternatives, walked depth first in the order
+written: a node closes one alternative of each level so far, and a node
+whose closure puts a point strictly above itself is dropped.  At a leaf,
+every level is closed, and the solver tries to falsify the goal with a
+small tableau: not (A \/ B) adds both negations, not (A /\ B) branches,
+not (x <= y) adds y < x, and not (x === y) branches on x < y or y < x.
+Obligations that do not branch go first, and a branch is dropped once its
+closure is contradictory.  A surviving branch is a counter-model: the weak
+order of its points, 0 in the bottom block and 1 in the top.  Closing and
+checking a branch takes time polynomial in the number of points.  Each walk
+node popped and each tableau branch pushed is one step of the ``fuel`` of
+``entails``; past it, or at a DNF wider than it, ``OutOfFuel`` is raised.
 
 Disjuncts that take the same alternatives on the first levels share the
 node that closed them.  Before a node branches, the negated goal is
@@ -30,7 +31,7 @@ below would close at its root, so the node is dropped.  Closure does not
 depend on the order in which literals are added, and a stronger order
 closes every branch a weaker one closes, so the leaves are reached in DNF
 order, with the same branches: verdicts, counter-models and the tableau
-bound are as if each disjunct were closed from scratch.  Sorting the
+steps are as if each disjunct were closed from scratch.  Sorting the
 levels would reorder the leaves, and so change the counter-models.
 
 ``bench/tracer.py`` wraps ``entails``, ``normalize_tope``, ``dnf`` and
@@ -77,16 +78,19 @@ from .cube import (
     subst_cube_sim,
 )
 
-MAX_DISJUNCTS = 4096
+DEFAULT_FUEL = 10_000  # steps per declaration, or per sequent decided alone
 
 
 class TopeError(Exception):
     """Ill-scoped or ill-typed tope."""
 
 
-class TopeTooLargeError(TopeError):
-    """A DNF, the walk over a hypothesis's disjuncts or the refutation
-    search exceeded MAX_DISJUNCTS branches."""
+class OutOfFuel(TopeError):
+    """A sequent took more steps, or a DNF more disjuncts, than its fuel."""
+
+    def __init__(self, fuel: int):
+        super().__init__(f"deciding topes did not finish within {fuel} steps; "
+                         "the sequent may require a larger --fuel bound")
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +268,11 @@ def _eq_components(a: CubeExpr, b: CubeExpr) -> Tope:
 # ---------------------------------------------------------------------------
 # DNF
 
-def dnf(t: Tope) -> list[list[Tope]]:
+def dnf(t: Tope, fuel: int = DEFAULT_FUEL) -> list[list[Tope]]:
     """Disjunctive normal form: a list of disjuncts, each a list of atomic
     literals (TLe/TEq).  An unsatisfiable literal TBot kills its disjunct; an
-    empty disjunct list means the tope is equivalent to BOT."""
+    empty disjunct list means the tope is equivalent to BOT.  More than
+    ``fuel`` disjuncts raise ``OutOfFuel``."""
     cls = t.__class__
     if cls is TLe or cls is TEq:
         return [[t]]
@@ -278,17 +283,17 @@ def dnf(t: Tope) -> list[list[Tope]]:
                 for x in out:  # each a list of its own
                     x.append(s)
                 continue
-            ds = dnf(s)
-            if len(out) * len(ds) > MAX_DISJUNCTS:
-                raise TopeTooLargeError(f"tope too large: more than {MAX_DISJUNCTS} disjuncts")
+            ds = dnf(s, fuel)
+            if len(out) * len(ds) > fuel:
+                raise OutOfFuel(fuel)
             out = [x + y for x in out for y in ds]
         return out
     if cls is TOr:
         out = []
         for s in _operands(t, TOr):
-            out += dnf(s)
-            if len(out) > MAX_DISJUNCTS:
-                raise TopeTooLargeError(f"tope too large: more than {MAX_DISJUNCTS} disjuncts")
+            out += dnf(s, fuel)
+            if len(out) > fuel:
+                raise OutOfFuel(fuel)
         return out
     if cls is TTop:
         return [[]]
@@ -311,7 +316,7 @@ class WeakOrder(Node):
 
 
 class EntailResult(Node):
-    __slots__ = __match_args__ = ("yes", "counter_model")
+    __slots__ = __match_args__ = ("yes", "counter_model", "steps")
 
     def __bool__(self) -> bool:
         return self.yes
@@ -388,9 +393,8 @@ def _close(up: list[int], above: list[int], literals: list[Tope],
     """Add the literals to the order; False if they make it contradictory."""
     for lit in literals:
         a, b = index[id(lit.left)], index[id(lit.right)]
-        if not _assume(up, above, a, b, False):
-            return False
-        if lit.__class__ is TEq and not _assume(up, above, b, a, False):
+        if not _assume(up, above, a, b, False) or (
+                lit.__class__ is TEq and not _assume(up, above, b, a, False)):
             return False
     return True
 
@@ -492,33 +496,31 @@ def _weak_order(up: list[int], names: list[str]) -> WeakOrder:
     return WeakOrder(tuple(tuple(sorted(block)) for _, block in ordered))
 
 
-def entails(seq: Sequent) -> EntailResult:
-    """Decide the sequent.  Yes iff the goal holds in every model of the
-    hypothesis; otherwise one violating weak order is returned."""
+def entails(seq: Sequent, fuel: int = DEFAULT_FUEL) -> EntailResult:
+    """Decide the sequent within ``fuel`` steps, or raise ``OutOfFuel``.
+    Yes iff the goal holds in every model of the hypothesis; otherwise one
+    violating weak order is returned.  The result counts the steps taken."""
     ctx = seq.cube_context()
     hyp = normalize_tope(ctx, seq.hyp)
     goal = normalize_tope(ctx, seq.goal)
     # a DNF disjunct of the hypothesis takes one alternative of each conjunct:
     # single ones are closed at the root, the others are levels, as written
-    levels = [dnf(c) for c in _operands(hyp, TAnd)]
+    levels = [dnf(c, fuel) for c in _operands(hyp, TAnd)]
     root = [lit for alts in levels if len(alts) == 1 for lit in alts[0]]
     levels = [alts for alts in levels if len(alts) != 1]
     index, names = _number_atoms([hyp, goal])
     negated = _negate(goal, index)
-    if negated is None:
-        return EntailResult(True, None)
-    # the nodes reached at each depth: those at depth d are disjuncts of
-    # the DNF of the first d levels
-    reached = [0] * (len(levels) + 1)
-    branches = 0
+    if negated is None or [] in levels:  # a goal TOP, or a conjunct BOT
+        return EntailResult(True, None, 0)
+    steps = 0  # walk nodes popped and tableau branches pushed
     # a node is the number of levels it has closed, its parent's order and
     # the alternative that it adds to a copy of that order
     nodes = [(0, *_root_order(len(names)), root)]
     while nodes:
         depth, up, above, alt = nodes.pop()
-        reached[depth] += 1
-        if reached[depth] > MAX_DISJUNCTS:
-            raise TopeTooLargeError(f"tope too large: more than {MAX_DISJUNCTS} disjuncts")
+        steps += 1
+        if steps > fuel:
+            raise OutOfFuel(fuel)
         up, above = up[:], above[:]
         if not _close(up, above, alt, index):
             continue
@@ -536,15 +538,14 @@ def entails(seq: Sequent) -> EntailResult:
             if choices is None:
                 continue
             if not choices:
-                return EntailResult(False, _weak_order(up, names))
+                return EntailResult(False, _weak_order(up, names), steps)
             first, rest = choices[0], choices[1:]
-            branches += len(first)
-            if branches > MAX_DISJUNCTS:
-                raise TopeTooLargeError(
-                    f"tope too large: more than {MAX_DISJUNCTS} refutation branches")
+            steps += len(first)
+            if steps > fuel:
+                raise OutOfFuel(fuel)
             for alt in reversed(first):
                 stack.append((up[:], above[:], rest + alt))
-    return EntailResult(True, None)
+    return EntailResult(True, None, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from conftest import NEGATIVE_DIR
 from sstt.cli import main
 from sstt.corpus import CORPUS_DIR
 from sstt.parser import lex, parse_sequent_source
+from sstt.tope import entails
 from test_tope import true_at
 
 
@@ -343,15 +344,30 @@ def chained_links(k):
     return names, f"x{k} <= x0", goal
 
 
+def out_of_fuel(fuel):
+    """What ``sstt --machine tope`` prints when deciding takes more than
+    ``fuel`` steps."""
+    return {"error": f"deciding topes did not finish within {fuel} steps; "
+                     "the sequent may require a larger --fuel bound"}
+
+
 def test_tope_search_budget(capsys):
     names, hyp, goal = chained_links(4)
     ctx = ", ".join(f"{n} : 2" for n in names)
     assert main(["--machine", "tope", f"{ctx} | {hyp} |- {goal}"]) == 0
     capsys.readouterr()
+    # one walk node, then 2 + 4 + ... + 2**13 tableau branches
     names, hyp, goal = chained_links(12)
+    source = f"{', '.join(f'{n} : 2' for n in names)} | {hyp} |- {goal}"
+    assert entails(parse_sequent_source(source)).steps == 8191
+    assert main(["--machine", "tope", source]) == 0
+    assert json.loads(capsys.readouterr().out) == {"holds": True}
+    assert main(["--machine", "--fuel", "8000", "tope", source]) == 2
+    assert json.loads(capsys.readouterr().out) == out_of_fuel(8000)
+    names, hyp, goal = chained_links(13)
     ctx = ", ".join(f"{n} : 2" for n in names)
     assert main(["--machine", "tope", f"{ctx} | {hyp} |- {goal}"]) == 2
-    assert "too large" in json.loads(capsys.readouterr().out)["error"]
+    assert json.loads(capsys.readouterr().out) == out_of_fuel(10000)
 
 
 def unordered_pairs(k):
@@ -389,6 +405,7 @@ def chained_choices(k):
 
 
 def test_tope_disjunct_bound(capsys):
+    # the walk pops 1 + 2 + ... + 2**12 nodes
     names, hyp, goal = chained_choices(12)
     ctx = ", ".join(f"{n} : 2" for n in names)
     assert main(["--machine", "tope", f"{ctx} | {hyp} |- {goal}"]) == 0
@@ -396,23 +413,25 @@ def test_tope_disjunct_bound(capsys):
     names, hyp, goal = chained_choices(13)
     ctx = ", ".join(f"{n} : 2" for n in names)
     assert main(["--machine", "tope", f"{ctx} | {hyp} |- {goal}"]) == 2
-    assert json.loads(capsys.readouterr().out) == {
-        "error": "tope too large: more than 4096 disjuncts"}
-    # a disjunct counts when it is reached, also if it then turns out
+    assert json.loads(capsys.readouterr().out) == out_of_fuel(10000)
+    # a node costs a step when it is reached, also if it then turns out
     # contradictory, so a hypothesis refuted only by its last conjunct is
     # refused rather than walked through all its prefixes
     names, hyp = unordered_pairs(13)
     ctx = ", ".join(f"{n} : 2" for n in names)
     assert main(["--machine", "tope", f"{ctx} | {hyp} /\\ (0 === 1 \\/ 1 <= 0) |- BOT"]) == 2
-    assert json.loads(capsys.readouterr().out) == {
-        "error": "tope too large: more than 4096 disjuncts"}
+    assert json.loads(capsys.readouterr().out) == out_of_fuel(10000)
     # a last conjunct with a single alternative is closed before the walk
     # branches, so it refutes the hypothesis at the root
     assert main(["--machine", "tope", f"{ctx} | {hyp} /\\ 0 === 1 |- BOT"]) == 0
     assert json.loads(capsys.readouterr().out) == {"holds": True}
 
 
-def test_check_reports_disjunct_bound_as_tope_too_large(capsys, tmp_path):
+SOLVER_OUT_OF_FUEL = ("fuel", "deciding topes did not finish within 10000 steps; "
+                             "the declaration may require a larger --fuel bound")
+
+
+def test_check_reports_a_long_walk_as_fuel(capsys, tmp_path):
     names, hyp, goal = chained_choices(13)
     src = tmp_path / "long.sstt"
     src.write_text(f"def long ({' '.join(names)} : 2) {{{hyp}}} (A : U) (a : A) : A :=\n"
@@ -421,7 +440,7 @@ def test_check_reports_disjunct_bound_as_tope_too_large(capsys, tmp_path):
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
     diags = [(d["kind"], d["message"]) for f in payload["files"] for d in f["diagnostics"]]
-    assert diags == [("tope-too-large", "tope too large: more than 4096 disjuncts")]
+    assert diags == [SOLVER_OUT_OF_FUEL]
 
 
 def test_check_decides_a_wide_tope_parameter(capsys, tmp_path):
@@ -445,6 +464,17 @@ def test_a_literal_after_a_wide_product_is_closed_before_the_walk(capsys, tmp_pa
                    ": A :=\n  [ c <= d |-> a ]\n")
     assert main(["--machine", "check", str(src)]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+@pytest.mark.parametrize("bot,goal", [("BOT", "BOT"), ("(BOT \\/ BOT)", "a0 <= a1")])
+def test_a_conjunct_equivalent_to_bot_refutes_a_wide_hypothesis(capsys, bot, goal):
+    # the conjunct has no DNF alternative, so the hypothesis is refuted
+    # before the walk, wherever the conjunct is written
+    names, hyp = unordered_pairs(13)
+    source = f"{', '.join(f'{n} : 2' for n in names)} | {hyp} /\\ {bot} |- {goal}"
+    assert main(["--machine", "tope", source]) == 0
+    assert json.loads(capsys.readouterr().out) == {"holds": True}
+    assert entails(parse_sequent_source(source)).steps == 0
 
 
 def test_tope_disjunctive_conjuncts_are_walked_in_the_order_written(capsys):
@@ -501,32 +531,38 @@ def test_check_compares_under_a_disjunctive_context(capsys, tmp_path, decl):
 @pytest.mark.parametrize("k", [13, 14, 15])
 def test_check_nested_case_splits_in_a_wide_context_end_in_bounded_time(capsys, tmp_path, k):
     # each nested case split splits the comparison in two, so 13 of them
-    # give 2**13 leaves; the fuel bound ends it.  Level i splits on pair
-    # i % 13, so past 13 levels a pair repeats, and every tope sequent
-    # below it has a hypothesis with that pair's literal as a conjunct
+    # give 2**13 leaves, each with a tope sequent of its own; the solver's
+    # steps count against the declaration's fuel, which ends it.  Level i
+    # splits on pair i % 13, so past 13 levels a pair repeats, and every
+    # tope sequent below it has a hypothesis with that pair's literal as a
+    # conjunct
     term = "a"
     for i in range(k):
         term = f"sel a{i % 13} b{i % 13} A ({term})"
     src = tmp_path / "nested.sstt"
     src.write_text("def sel (t s : 2) (A : U) (x : A) : A := [ t <= s |-> x | s <= t |-> x ]\n\n"
                    + _wide_decl(13, f"Id A ({term}) a") + "\n")
-    start = time.monotonic()
-    assert main(["--machine", "--fuel", "1000", "check", str(src)]) == 1
-    assert time.monotonic() - start < 5
-    diags = [d for f in json.loads(capsys.readouterr().out)["files"] for d in f["diagnostics"]]
-    assert [(d["kind"], d["decl"]) for d in diags] == [("fuel", "wide")]
+    for options, fuel in ((["--fuel", "1000"], 1000), ([], 10000)):
+        start = time.monotonic()
+        assert main(["--machine", *options, "check", str(src)]) == 1
+        assert time.monotonic() - start < 5
+        diags = [d for f in json.loads(capsys.readouterr().out)["files"]
+                 for d in f["diagnostics"]]
+        assert [(d["kind"], d["decl"], d["message"]) for d in diags] == [(
+            "fuel", "wide", f"deciding topes did not finish within {fuel} steps; "
+                            "the declaration may require a larger --fuel bound")]
 
 
-def test_check_reports_tope_too_large(capsys, tmp_path):
-    names, hyp, goal = chained_links(12)
+def test_check_reports_a_long_refutation_as_fuel(capsys, tmp_path):
+    names, hyp, goal = chained_links(13)
     src = tmp_path / "big.sstt"
     src.write_text(f"def big ({' '.join(names)} : 2) {{{hyp}}} (A : U) (a : A) : A :=\n"
                    f"  [ {goal} |-> a ]\n")
     code = main(["--machine", "check", str(src)])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
-    kinds = [d["kind"] for f in payload["files"] for d in f["diagnostics"]]
-    assert kinds == ["tope-too-large"]
+    diags = [(d["kind"], d["message"]) for f in payload["files"] for d in f["diagnostics"]]
+    assert diags == [SOLVER_OUT_OF_FUEL]
 
 
 def test_check_reports_deep_nesting_as_too_deep(tmp_path):

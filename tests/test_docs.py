@@ -1,13 +1,16 @@
 """The docs stay in step with the code: the concordance table with the
-corpus, and the lexical section of the syntax reference with the lexer."""
+corpus, the lexical section of the syntax reference with the lexer, and
+the README's list of diagnostic kinds with the checker's."""
 
 import csv
 import re
 from pathlib import Path
 
+from sstt.checker import DIAGNOSTIC_KINDS
 from sstt.parser import KEYWORDS, PUNCT
 
 DOCS = Path(__file__).parent.parent / "docs"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def read_concordance():
@@ -55,3 +58,9 @@ def test_lexical_section_lists_the_keywords_and_punctuation():
     keywords, punct = (block.split() for block in re.findall(r"```\n(.*?)```", section, re.S))
     assert sorted(keywords) == sorted(KEYWORDS)
     assert sorted(punct) == sorted(PUNCT)
+
+
+def test_readme_lists_the_diagnostic_kinds():
+    text = README.read_text(encoding="utf-8")
+    listed = re.search(r"reported as a structured diagnostic \((.*?)\)", text, re.S).group(1)
+    assert re.findall(r"`([a-z-]+)`", listed) == list(DIAGNOSTIC_KINDS)

@@ -104,7 +104,7 @@ def test_tope_solver_fault_is_an_internal_diagnostic(corpus, ledger, tmp_path, m
     # the cover of a case split or on the context of a comparison
     from sstt.tope import TopeError
 
-    def broken(arg):
+    def broken(*args):
         raise TopeError("injected")
 
     monkeypatch.setattr("sstt.checker.entails", broken)
