@@ -154,8 +154,7 @@ class Diagnostic(Node):
         if self.decl is not None:
             out["decl"] = self.decl
         if self.span is not None:
-            out["start"] = self.span.start
-            out["end"] = self.span.end
+            out["start"], out["end"] = self.span
         return out
 
 
@@ -171,8 +170,9 @@ class Checker:
         self.fuel = fuel
         self.steps = self.solver_steps = 0  # metered apart, each within fuel
         self.current_decl: Optional[str] = None
-        # the sequents this checker decided, keyed as written
-        self.entailed: dict[tuple, bool] = {}
+        # the sequents this checker decided, keyed as written: verdict and steps
+        self.entailed: dict[tuple, tuple[bool, int]] = {}
+        self.charged: set[tuple] = set()  # the keys this declaration paid for
 
     # -- plumbing
 
@@ -191,16 +191,22 @@ class Checker:
     # -- tope layer access
 
     def entails_ctx(self, ctx: TriContext, goal: Tope) -> bool:
+        """Each sequent is decided within the whole fuel, once per checker,
+        and charged to every declaration that asks it, once per declaration."""
         key = (ctx.cube_vars, ctx.tope, goal)
-        yes = self.entailed.get(key)
-        if yes is None:
+        known = self.entailed.get(key)
+        if known is None:
             try:
-                result = entails(Sequent(*key), self.fuel - self.solver_steps)
+                result = entails(Sequent(*key), self.fuel)
             except OutOfFuel:
                 self._out_of_fuel("deciding topes")
-            self.solver_steps += result.steps
-            yes = self.entailed[key] = result.yes
-        return yes
+            known = self.entailed[key] = result.yes, result.steps
+        if key not in self.charged:
+            self.charged.add(key)
+            self.solver_steps += known[1]
+            if self.solver_steps > self.fuel:
+                self._out_of_fuel("deciding topes")
+        return known[0]
 
     def ctx_unsat(self, ctx: TriContext) -> bool:
         return self.entails_ctx(ctx, BOT)
@@ -844,6 +850,7 @@ class Checker:
     def check_decl(self, decl: Decl) -> Decl:
         self.current_decl = decl.name
         self.steps = self.solver_steps = 0
+        self.charged.clear()
         ctx = TriContext()
         tele = []
         for p in decl.telescope:

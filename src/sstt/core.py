@@ -65,11 +65,7 @@ from .tope import (
 )
 
 
-class Span(Node):
-    __slots__ = __match_args__ = ("start", "end")
-
-    def contains(self, other: "Span") -> bool:
-        return self.start <= other.start and other.end <= self.end
+Span = tuple[int, int]  # the offsets (start, end) of a node's text in its source string
 
 
 def fresh(base: str, avoid: Container[str]) -> str:

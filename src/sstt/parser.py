@@ -2,7 +2,8 @@
 
 The lexer makes one match of one compiled pattern per token, the blanks and
 comments before it included.  A token is a plain tuple ``(kind, text, start,
-end)``; ``line_col`` works out a line and column only for a ``ParseError``.
+end)``, and a node's span the offsets ``(start, end)`` from its first token to
+its last; ``line_col`` works out a line and column only for a ``ParseError``.
 A token's kind is its own text (a keyword, a numeral ``0``/``1``/``2`` or
 punctuation), except ``"ident"`` for any other name and ``"eof"`` at the end
 of input, so the parser compares kinds only and picks each alternative with
@@ -281,7 +282,7 @@ class Parser:
 
     def span_from(self, start: Token) -> Span:
         """From ``start`` to the last token read, at least one token on."""
-        return Span(start[2], self.toks[self.pos - 1][3])
+        return start[2], self.toks[self.pos - 1][3]
 
     # -- lookahead
 
@@ -340,7 +341,7 @@ class Parser:
         return item
 
     def term_name(self, t: Token) -> Expr:
-        name, span = t[1], Span(t[2], t[3])
+        name, span = t[1], t[2:]
         bound = self.scope.get(name)
         if isinstance(bound, str):
             return Var(name, span=span)
@@ -361,12 +362,12 @@ class Parser:
         bound = self.scope.get(name)
         if bound is None:
             if self.env is not None:
-                raise ScopeError(f"unbound variable {name!r} in tope", Span(t[2], t[3]))
+                raise ScopeError(f"unbound variable {name!r} in tope", t[2:])
         elif not isinstance(bound, str):
             return bound
         elif bound == "typed":
             raise ScopeError(f"variable {name!r} has a type, not a cube, "
-                             "and cannot appear in a tope", Span(t[2], t[3]))
+                             "and cannot appear in a tope", t[2:])
         var = self.cube_vars.get(name)
         if var is None:
             var = self.cube_vars[name] = CVar(name)
@@ -611,7 +612,7 @@ class Parser:
                     raise self.fail(f"unknown tope form {t[1]!r}", t)
                 sh = self.global_(t[1])
                 if not isinstance(sh, Shape):
-                    raise ScopeError(f"unknown shape {t[1]!r}", Span(t[2], t[3]))
+                    raise ScopeError(f"unknown shape {t[1]!r}", t[2:])
                 return sh.applied_to(self.parse_cube_atom())
         a = self.parse_cube_atom()
         if self.accept("<="):
@@ -785,8 +786,7 @@ class Parser:
             if t[0] != "ident":
                 raise self.fail("an extension type needs a cube or shape domain", t)
             if t[1] in self.scope or not isinstance(self.global_(t[1]), Shape):
-                raise ScopeError("an extension type needs a cube or shape domain",
-                                 Span(t[2], t[3]))
+                raise ScopeError("an extension type needs a cube or shape domain", t[2:])
             while self.accept(")"):  # a shape: fail at the token after its parentheses
                 pass
         self.expect(")")

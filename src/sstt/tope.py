@@ -49,8 +49,9 @@ so normalizing a normal tope returns it; ``subst_tope_sim`` shares alike.
 Free variables and α-equivalence of topes are ``core``'s term walkers'.
 The printer of this layer lives here too: ``print_tope`` writes a tope in
 the surface syntax, its points through ``cube.print_cube_expr``.  The
-solver prints each atom once, and that one string both orders the atoms
-and names the atom in a counter-model.
+solver numbers the atoms in the order they first occur and prints none of
+them to decide a sequent; only a counter-model prints its atoms, which
+name them and order them there.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ from .cube import (
     CubeError,
     Node,
     cube_of_normal,
-    display_name,
     normalize_cube,
     print_cube_expr,
     print_cube_type,
@@ -322,16 +322,14 @@ class EntailResult(Node):
         return self.yes
 
 
-def _number_atoms(ts: list[Tope]) -> tuple[dict[int, int], list[str]]:
+def _number_atoms(ts: list[Tope]) -> tuple[dict[int, int], list[CubeExpr]]:
     """Number the points of normal topes: 0 and 1, then the distinct atoms
-    in the order of their printed names, which also name them in a
-    counter-model.  Each atom is printed once; atoms that print alike keep
-    their order of first occurrence, left to right.  The numbers are keyed
-    by the ``id`` of each point node of the topes, which stay alive while
-    they are decided, so that only the first sight of a node hashes it."""
-    index: dict[int, int] = {}  # an endpoint's number, or 2 + an atom's first occurrence
+    in the order of their first occurrence, left to right, which are
+    returned in that order.  The numbers are keyed by the ``id`` of each
+    point node of the topes, which stay alive while they are decided, so
+    that only the first sight of a node hashes it."""
+    index: dict[int, int] = {}
     seen: dict[CubeExpr, int] = {}
-    names: list[str] = []
     todo = ts[::-1]
     while todo:
         t = todo.pop()
@@ -346,16 +344,9 @@ def _number_atoms(ts: list[Tope]) -> tuple[dict[int, int], list[str]]:
                 kind = e.__class__
                 if kind is CZero or kind is COne:
                     index[k] = 1 if kind is COne else 0
-                    continue
-                first = seen.setdefault(e, len(names))
-                if first == len(names):
-                    names.append(display_name(e.name) if kind is CVar else print_cube_expr(e))
-                index[k] = 2 + first
-    # the atoms sorted by name, ties by first occurrence, are numbered from 2
-    number = [0, 1] + [0] * len(names)
-    for i, first in enumerate(sorted(range(len(names)), key=names.__getitem__), 2):
-        number[2 + first] = i
-    return {k: number[v] for k, v in index.items()}, ["0", "1"] + sorted(names)
+                else:
+                    index[k] = seen.setdefault(e, 2 + len(seen))
+    return index, list(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -485,13 +476,16 @@ def _settle(up: list[int], above: list[int], todo: list) -> Optional[list]:
             return choices
 
 
-def _weak_order(up: list[int], names: list[str]) -> WeakOrder:
+def _weak_order(up: list[int], atoms: list[CubeExpr]) -> WeakOrder:
     """The counter-model of a surviving branch: points with equal up-sets
     are tied, and a larger up-set lies lower.  Sorting by size extends the
-    partial order to a total one."""
+    partial order to a total one; it is stable, and points are grouped in
+    the order of their names (0, 1, then the atoms sorted by name, ties by
+    first occurrence), so blocks of one size are ordered by name."""
+    names = ["0", "1"] + [print_cube_expr(e) for e in atoms]
     classes: dict[int, list[str]] = {}
-    for name, u in zip(names, up):
-        classes.setdefault(u, []).append(name)
+    for p in [0, 1] + sorted(range(2, len(names)), key=names.__getitem__):
+        classes.setdefault(up[p], []).append(names[p])
     ordered = sorted(classes.items(), key=lambda item: -item[0].bit_count())
     return WeakOrder(tuple(tuple(sorted(block)) for _, block in ordered))
 
@@ -508,14 +502,14 @@ def entails(seq: Sequent, fuel: int = DEFAULT_FUEL) -> EntailResult:
     levels = [dnf(c, fuel) for c in _operands(hyp, TAnd)]
     root = [lit for alts in levels if len(alts) == 1 for lit in alts[0]]
     levels = [alts for alts in levels if len(alts) != 1]
-    index, names = _number_atoms([hyp, goal])
+    index, atoms = _number_atoms([hyp, goal])
     negated = _negate(goal, index)
     if negated is None or [] in levels:  # a goal TOP, or a conjunct BOT
         return EntailResult(True, None, 0)
     steps = 0  # walk nodes popped and tableau branches pushed
     # a node is the number of levels it has closed, its parent's order and
     # the alternative that it adds to a copy of that order
-    nodes = [(0, *_root_order(len(names)), root)]
+    nodes = [(0, *_root_order(2 + len(atoms)), root)]
     while nodes:
         depth, up, above, alt = nodes.pop()
         steps += 1
@@ -538,7 +532,7 @@ def entails(seq: Sequent, fuel: int = DEFAULT_FUEL) -> EntailResult:
             if choices is None:
                 continue
             if not choices:
-                return EntailResult(False, _weak_order(up, names), steps)
+                return EntailResult(False, _weak_order(up, atoms), steps)
             first, rest = choices[0], choices[1:]
             steps += len(first)
             if steps > fuel:

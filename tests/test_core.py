@@ -22,7 +22,6 @@ from sstt.core import (
     Refl,
     Sigma,
     Snd,
-    Span,
     Subst,
     TopeCase,
     TopeParam,
@@ -166,11 +165,11 @@ def _node(cls, span, **changed):
 
 @pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: c.__name__)
 def test_nodes_compare_and_hash_by_field_not_span(cls):
-    a, b = _node(cls, Span(0, 1)), _node(cls, Span(5, 9))
+    a, b = _node(cls, (0, 1)), _node(cls, (5, 9))
     assert a == b and not a != b and hash(a) == hash(b)
     fields = [f for f in cls.__match_args__ if f != "span"]
     for f in fields:
-        assert a != _node(cls, Span(0, 1), **{f: (f, 2)}), f
+        assert a != _node(cls, (0, 1), **{f: (f, 2)}), f
     shown = ", ".join(f"{f}={(f, 1)!r}" for f in fields)
     assert repr(a) == f"{cls.__name__}({shown})"
 
@@ -184,7 +183,7 @@ def test_same_shaped_nodes_of_different_classes_differ():
 
 
 def test_node_repr_shows_compared_fields():
-    assert repr(Var("x", Span(0, 1))) == "Var(name='x')"
+    assert repr(Var("x", (0, 1))) == "Var(name='x')"
     assert repr(TLe(CFst(CVar("t")), CZERO)) == (
         "TLe(left=CFst(arg=CVar(name='t')), right=CZero())")
 
@@ -423,9 +422,10 @@ def test_empty_substitution_returns_the_term_itself():
 
 
 def test_alpha_eq_settles_identical_sides_under_binders_of_one_name():
-    # the walker has no case for a span, so only the fast path settles it:
-    # a binder pair of one name leaves the maps empty and the path open
-    opaque = Span(0, 1)
+    # the walker has no case for a telescope parameter, so only the fast
+    # path settles it: a binder pair of one name leaves the maps empty and
+    # the path open
+    opaque = TopeParam(TTop())
     a = Pi("x", Lam("y", Var("y")), App(Var("x"), opaque))
     assert alpha_eq(a, Pi("x", Lam("z", Var("z")), App(Var("x"), opaque)))
     assert not alpha_eq(a, Pi("w", Lam("y", Var("y")), App(Var("w"), opaque)))

@@ -1,7 +1,14 @@
 import json
 from pathlib import Path
 
+import pytest
+
+from sstt.checker import Checker
 from sstt.corpus import CORPUS_DIR, check_files, load_corpus
+from sstt.parser import parse_file
+from sstt.scope import GlobalEnv, elaborate_toplevels
+
+BENCH_CORPUS = Path(__file__).parent.parent / "bench" / "data" / "corpus"
 
 DESIGNATED_PROVED = {
     # endpoint laws for arrows
@@ -80,6 +87,26 @@ def test_corpus_checks_within_a_small_fuel_budget():
     # needs more than 118 steps, where unfolding every expected type took 248
     result = load_corpus(fuel=130)
     assert result.ok, [d.to_json() for d in result.diagnostics]
+
+
+@pytest.mark.parametrize("directory", [CORPUS_DIR, BENCH_CORPUS], ids=["bundled", "frozen"])
+def test_a_declaration_is_charged_alike_in_order_and_alone(directory):
+    # in corpus order, earlier declarations have decided many of a
+    # declaration's sequents; a fresh checker over the declarations before
+    # it decides them all again, and charges the same steps
+    env = GlobalEnv()
+    in_order, solver_steps = Checker(env), 0
+    for path in sorted(directory.glob("*.sstt")):
+        items = parse_file(path.read_text(encoding="utf-8"), str(path), env)
+        for decl in elaborate_toplevels(items, env):
+            checked = in_order.check_decl(decl)
+            alone = Checker(env)
+            alone.check_decl(decl)
+            assert (in_order.steps, in_order.solver_steps) == (
+                alone.steps, alone.solver_steps), decl.name
+            solver_steps += alone.solver_steps
+            env.decls[decl.name] = checked
+    assert solver_steps > 0
 
 
 def test_env_holds_only_checked_declarations(tmp_path):

@@ -52,7 +52,8 @@ def test_tuple_pattern_name_keeps_its_token_in_messages(corpus, ledger, tmp_path
     assert diag.kind == "type-mismatch"
     assert "$" not in diag.message and "cube variable" in diag.message
     t1 = path.read_text().rindex("t1 f")
-    assert diag.span.start <= t1 and t1 + 2 <= diag.span.end
+    start, end = diag.span
+    assert start <= t1 and t1 + 2 <= end
 
 
 def test_unsolved_obligations_are_shown_in_normal_form(corpus, ledger, tmp_path):

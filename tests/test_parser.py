@@ -21,7 +21,6 @@ from sstt.core import (
     Pi,
     Sigma,
     Snd,
-    Span,
     TopeCase,
     TopeParam,
     TriContext,
@@ -236,11 +235,9 @@ def test_blanks_and_comments_between_tokens():
 def test_spans_nest():
     items = parse_file("def f (A : U) (x : A) : A := x\n")
     decl = items[0]
-    assert decl.span is not None
-    for p in decl.telescope:
-        assert decl.span.contains(p.span)
-    assert decl.span.contains(decl.inner_ty.span)
-    assert decl.span.contains(decl.inner_body.span)
+    start, end = decl.span
+    for node in (*decl.telescope, decl.inner_ty, decl.inner_body):
+        assert start <= node.span[0] <= node.span[1] <= end
 
 
 # -- choices made by lookahead, each checked on the resolved core term
@@ -372,7 +369,7 @@ def test_extension_type_domain_is_read_like_a_binder_domain():
             resolved(src, "A")
         start = src.index("A")
         assert (e.value.message, e.value.span) == (
-            "an extension type needs a cube or shape domain", Span(start, start + 1))
+            "an extension type needs a cube or shape domain", (start, start + 1))
 
 
 def test_scope_error_in_tope_points_at_its_token():
@@ -380,7 +377,7 @@ def test_scope_error_in_tope_points_at_its_token():
     with pytest.raises(ScopeError) as e:
         parse_expr(src)
     assert e.value.message == "unbound variable 's' in tope"
-    assert (e.value.span.start, e.value.span.end) == (src.index("s"), src.index("s") + 1)
+    assert e.value.span == (src.index("s"), src.index("s") + 1)
 
 
 def test_names_resolve_against_earlier_items_and_leave_env_unchanged():

@@ -81,6 +81,12 @@ def test_counter_model_reported():
     res = entails(Sequent(CTX2, TTop(), TLe(T, S)))
     assert not res.yes
     assert res.counter_model is not None
+    # atoms that the hypothesis leaves unordered are listed by name, not in
+    # the order they first occur
+    for src, model in [
+            ("z : 2, a : 2 | TOP |- z <= 0 \\/ a <= 0", "0 < a < z < 1"),
+            ("b : 2, a : 2, c : 2 | a <= c |- c <= b \\/ b <= 0", "0 < a < b < c < 1")]:
+        assert str(entails(parse_sequent_source(src)).counter_model) == model, src
 
 
 def test_entailment_result_has_no_model():

@@ -69,7 +69,7 @@ def _first(env: GlobalEnv, path: Path, ledger: set[str]) -> str:
     if not diags:
         return "accepted"
     d = diags[0]
-    span = "-" if d.span is None else f"{d.span.start}-{d.span.end}"
+    span = "-" if d.span is None else f"{d.span[0]}-{d.span[1]}"
     assert "\t" not in d.message and "\n" not in d.message, d.message
     return "\t".join((d.kind, d.decl or "-", span, d.message))
 
