@@ -41,17 +41,25 @@ type of its head in the context or the environment.
 No context binds a name twice: a binder whose name it binds already is
 renamed first, to the first ``name$k`` it does not bind.
 
-Equality is tope-aware.  Two α-equal terms are equal at once, in any
-context (``core.alpha_eq`` tries ``==`` first), and ``Checker.equal``
-decides itself that an inconsistent context makes all terms equal, so no
-caller asks first.  Conversion splits only on case splits, which their
-branches determine: a side that is a case split, or a type that reduces to
-one, is compared branch by branch, and anything else under the whole
-context.  Two cube points are equal when they lie in the same cube and the
-context entails their equality.  Every entailment goes through
-``Checker.entails_ctx`` and its cache.  Pi, Sigma and extension types all
-enjoy eta: at each, two terms are compared through their eliminations,
-whatever their form.
+Equality is type-directed and tope-aware: every comparison is made at a
+type.  Two α-equal terms are equal at once, in any context
+(``core.alpha_eq`` tries ``==`` first), and ``Checker.equal`` decides
+itself that an inconsistent context makes all terms equal, so no caller
+asks first.  Conversion splits only on case splits, which their branches
+determine: a side that is a case split, or a type that reduces to one, is
+compared branch by branch, and anything else under the whole context.
+Unit, Pi, Sigma and extension types all enjoy eta: at each, two terms are
+compared through their eliminations, whatever their form, and eta decides
+before the heads of neutral terms do.  Two neutral spines over a variable,
+a constant or a stuck ``J`` are compared head first, then argument by
+argument at the types the head demands.  Spines that differ for good are
+equal only if eta makes any two terms of the type equal, as at Unit, which
+two fresh variables decide, so no spine is compared twice.  Only types, at
+``U``, and ``refl`` are compared node by node.  A cube point is never a term:
+elaboration makes it the argument of a cube application, and two points
+are equal when they lie in the same cube and the context entails their
+equality.  Every entailment goes through ``Checker.entails_ctx`` and its
+cache.
 """
 
 from __future__ import annotations
@@ -338,8 +346,8 @@ class Checker:
 
     # -- equality
 
-    def equal(self, ctx: TriContext, a: Expr, b: Expr,
-              ty: Optional[Expr] = None) -> bool:
+    def equal(self, ctx: TriContext, a: Expr, b: Expr, ty: Expr) -> bool:
+        """Whether ``a`` and ``b`` are equal as terms of type ``ty``."""
         if alpha_eq(a, b):  # convertible in every context
             return True
         if self.ctx_unsat(ctx):  # any two terms are equal under a contradiction
@@ -348,31 +356,38 @@ class Checker:
             return self._equal_split_case(ctx, a, b, ty)
         a1 = self.whnf(ctx, a, unfold=False)
         b1 = self.whnf(ctx, b, unfold=False)
-        if self._alpha_mod_cube(ctx, a1, b1):
+        spine = alpha_eq(a1, b1) or self._equal_spines(ctx, a1, b1)
+        if spine:
             return True
-        spine = self._equal_spines(ctx, a1, b1)
-        if spine is not None:
-            return spine
+        if spine is False and self._rigid(a1) and self._rigid(b1):
+            # unfolding cannot change these spines and eta extends both alike,
+            # so they are equal only if any two terms of ``ty`` are, as at Unit
+            x, y = ctx.fresh("x"), ctx.fresh("y")
+            ctx = ctx.bind_typed(x, ty).bind_typed(y, ty)
+            return bool(self._equal_at_type(ctx, Var(x), Var(y), ty))
         a2 = self.whnf(ctx, a1)
         b2 = self.whnf(ctx, b1)
-        if self._alpha_mod_cube(ctx, a2, b2):
+        if alpha_eq(a2, b2):
             return True
         if a2.__class__ is TopeCase or b2.__class__ is TopeCase:
             return self._equal_split_case(ctx, a2, b2, ty)
-        if ty is not None:
-            r = self._equal_at_type(ctx, a2, b2, ty)
-            if r is not None:
-                return r
+        r = self._equal_at_type(ctx, a2, b2, ty)
+        if r is not None:
+            return r
         spine = self._equal_spines(ctx, a2, b2)
         if spine is not None:
             return spine
         return self._equal_structural(ctx, a2, b2)
 
-    def _alpha_mod_cube(self, ctx: TriContext, a: Expr, b: Expr) -> bool:
-        if alpha_eq(a, b):
-            return True
-        ca, cb = self.as_cube_expr(ctx, a), self.as_cube_expr(ctx, b)
-        return ca is not None and cb is not None and self._points_equal(ctx, ca, cb)
+    def _rigid(self, e: Expr) -> bool:
+        """Whether unfolding cannot change the neutral spine ``e``: one over a
+        variable, a postulate or a stuck ``J`` on such a path."""
+        head = self._spine(e)[0]
+        while head.__class__ is J:
+            head = self._spine(head.path)[0]
+        if head.__class__ is Const:
+            return getattr(self.env.decls.get(head.name), "body", None) is None
+        return head.__class__ is Var
 
     def _points_equal(self, ctx: TriContext, a: CubeExpr, b: CubeExpr) -> bool:
         """Two points are equal when they lie in the same cube and the
@@ -382,8 +397,7 @@ class Checker:
         return (cube_type_of(cubes, a) == cube_type_of(cubes, b)
                 and self.entails_ctx(ctx, TEq(a, b)))
 
-    def _equal_split_case(self, ctx: TriContext, a: Expr, b: Expr,
-                          ty: Optional[Expr]) -> bool:
+    def _equal_split_case(self, ctx: TriContext, a: Expr, b: Expr, ty: Expr) -> bool:
         """A case split, ``a`` or else ``b``, equals the other side iff each
         branch body does under the branch's tope (the branches cover the context)."""
         case, other = (a, b) if a.__class__ is TopeCase else (b, a)
@@ -510,46 +524,53 @@ class Checker:
                   f"{what} a term of type {print_expr(sub.close(w))}{to_point}", node.span)
 
     def _equal_spines(self, ctx: TriContext, a: Expr, b: Expr) -> Optional[bool]:
-        """Compare two neutral spines with the same rigid head, argument by
-        argument at the types the head demands.  Returns None when the
-        comparison does not apply or is inconclusive (a definition head may
-        still unfold to equal terms)."""
+        """Compare two neutral spines over a variable, a constant or a stuck
+        ``J``: the heads first, then each argument at the type its head
+        demands.  None when a side is not such a spine."""
         ha, sa = self._spine(a)
         hb, sb = self._spine(b)
-        if not (sa and sb and isinstance(ha, (Var, Const)) and isinstance(hb, (Var, Const))):
+        if not (isinstance(ha, (Var, Const, J)) and isinstance(hb, (Var, Const, J))):
             return None
-
-        def rigid(head) -> bool:  # a variable, or a constant that does not unfold
-            d = self.env.decls.get(head.name) if isinstance(head, Const) else None
-            return d is None or d.body is None
-
-        inconclusive = False if rigid(ha) and rigid(hb) else None
-        if ha != hb or len(sa) != len(sb):
-            return inconclusive
+        if len(sa) != len(sb) or not (ha == hb or ha.__class__ is J is hb.__class__
+                                      and self._equal_j(ctx, ha, hb)):
+            return False
+        if not sa:
+            return True
         ty = self._head_type(ctx, ha)
         if ty is None:
-            return None
+            return False
         term, sub = ha, EMPTY
         for na, nb in zip(sa, sb):
             if type(na) is not type(nb):
-                return inconclusive
+                return False
             ty, sub = self._reduce(ctx, ty, sub)
             step = self._elim(ctx, term, ty, sub, na)
             if step is None:
-                return None
+                return False
             if isinstance(na, App):
                 same = self.equal(ctx, na.arg, nb.arg, sub.close(ty.dom))
             else:
                 same = not isinstance(na, ExtApp) or self._points_equal(ctx, na.arg, nb.arg)
             if not same:
-                return inconclusive
+                return False
             term, ty, sub = step
         return True
 
+    def _equal_j(self, ctx: TriContext, a: J, b: J) -> bool:
+        """Stuck ``J``s are equal when their paths are, at the first path's
+        type, and so are their motives and bases, at ``_j_types``."""
+        path = self._neutral_type(ctx, a.path)
+        w = path and self._reduce(ctx, *path)[0]
+        if not isinstance(w, IdT) or not self.equal(ctx, a.path, b.path, w):
+            return False
+        motive_ty, base_ty = self._j_types(ctx, w.ty, a.motive)
+        return (self.equal(ctx, a.motive, b.motive, motive_ty)
+                and self.equal(ctx, a.base, b.base, base_ty))
+
     def _equal_structural(self, ctx: TriContext, a: Expr, b: Expr) -> bool:
-        """Compare two weak head forms node by node.  Sides of different
-        classes differ: two terms that are α-equal or equal as cube points
-        never get here."""
+        """Compare two weak head forms that are not neutral spines, at a
+        type without eta: types, at ``U``, node by node, and ``refl``.
+        Sides of different classes differ."""
         if a.__class__ is not b.__class__:
             return False
         case = _STRUCTURAL.get(a.__class__)
@@ -565,14 +586,6 @@ class Checker:
         ctx2 = ctx.bind_typed(v, d1)
         return self.equal(
             ctx2, subst_typed(c1, {x: Var(v)}), subst_typed(c2, {y: Var(v)}), UNIVERSE)
-
-    def _equal_lam(self, ctx: TriContext, a: Lam, b: Lam) -> bool:
-        # sort of the binder is unknown without a type; treat it as an opaque
-        # typed variable
-        v = ctx.fresh(a.var)
-        ctx2 = ctx.bind_typed(v, None)
-        return self.equal(
-            ctx2, subst_typed(a.body, {a.var: Var(v)}), subst_typed(b.body, {b.var: Var(v)}))
 
     def _equal_ext(self, ctx: TriContext, a: Ext, b: Ext) -> bool:
         if a.cube != b.cube:
@@ -612,10 +625,6 @@ class Checker:
                     "type-mismatch",
                     f"cube variable {display_name(n)!r} used where a term "
                     "of a type is expected", e.span)
-            if ctx.has_typed(n):
-                self._err(
-                    "type-mismatch",
-                    f"the type of {display_name(n)!r} is not known here", e.span)
             self._err("scope", f"unbound variable {display_name(n)!r}", e.span)
         if cls is Const:
             d = self.env.decls.get(e.name)
@@ -710,15 +719,17 @@ class Checker:
             self._err(
                 "type-mismatch",
                 f"path induction needs an identification, got {print_expr(w)}", e.span)
-        a_ty, lhs, rhs = w.ty, w.lhs, w.rhs
-        u, v, q = (ctx.fresh(b) for b in "uvq")
-        motive_ty = Pi(u, a_ty, Pi(v, a_ty,
-                       Pi(q, IdT(a_ty, Var(u), Var(v)), UNIVERSE)))
-        ce = self.check(ctx, c, motive_ty)
-        base_ty = Pi(u, a_ty, App(App(App(ce, Var(u)), Var(u)), Refl(Var(u))))
-        de = self.check(ctx, d, base_ty)
-        res = App(App(App(ce, lhs), rhs), pe)
+        ce = self.check(ctx, c, self._j_types(ctx, w.ty, c)[0])
+        de = self.check(ctx, d, self._j_types(ctx, w.ty, ce)[1])
+        res = App(App(App(ce, w.lhs), w.rhs), pe)
         return res, e if ce is c and de is d and pe is p else J(ce, de, pe, span=e.span)
+
+    def _j_types(self, ctx: TriContext, a_ty: Expr, motive: Expr) -> tuple[Expr, Expr]:
+        """The type of a motive of ``J`` on paths in ``a_ty``, and the type
+        of a base for ``motive``."""
+        u, v, q = (ctx.fresh(b) for b in "uvq")
+        motive_ty = Pi(u, a_ty, Pi(v, a_ty, Pi(q, IdT(a_ty, Var(u), Var(v)), UNIVERSE)))
+        return motive_ty, Pi(u, a_ty, App(App(App(motive, Var(u)), Var(u)), Refl(Var(u))))
 
     def _check_ext_formation(self, ctx: TriContext, e: Ext) -> Expr:
         t = e.var
@@ -895,22 +906,10 @@ def _eliminate(e: Expr, frame: tuple[str, object]) -> Expr:
 # The cases of ``Checker._equal_structural``, by the class both sides share.
 _STRUCTURAL = {
     Refl: lambda self, ctx, a, b: True,  # endpoints agree by typing
-    Pair: lambda self, ctx, a, b: self.equal(ctx, a.fst, b.fst) and self.equal(ctx, a.snd, b.snd),
-    Lam: Checker._equal_lam,
     IdT: lambda self, ctx, a, b: (self.equal(ctx, a.ty, b.ty, UNIVERSE)
                                   and self.equal(ctx, a.lhs, b.lhs, a.ty)
                                   and self.equal(ctx, a.rhs, b.rhs, a.ty)),
     Pi: Checker._equal_binder,
     Sigma: Checker._equal_binder,
     Ext: Checker._equal_ext,
-    J: lambda self, ctx, a, b: (self.equal(ctx, a.motive, b.motive)
-                                and self.equal(ctx, a.base, b.base)
-                                and self.equal(ctx, a.path, b.path)),
-    # neutral applications whose head is not a variable or a constant (a
-    # stuck J, say) fall through the spine check
-    App: lambda self, ctx, a, b: self.equal(ctx, a.fn, b.fn) and self.equal(ctx, a.arg, b.arg),
-    ExtApp: lambda self, ctx, a, b: (self.equal(ctx, a.fn, b.fn)
-                                     and self._points_equal(ctx, a.arg, b.arg)),
-    Fst: lambda self, ctx, a, b: self.equal(ctx, a.arg, b.arg),
-    Snd: lambda self, ctx, a, b: self.equal(ctx, a.arg, b.arg),
 }

@@ -544,7 +544,7 @@ class TriContext(Node):
     __slots__ = __match_args__ = ("cube_vars", "tope", "typed_vars")
 
     def __init__(self, cube_vars: tuple[tuple[str, CubeType], ...] = (), tope: Tope = TOP,
-                 typed_vars: tuple[tuple[str, Optional[Expr]], ...] = ()):
+                 typed_vars: tuple[tuple[str, Expr], ...] = ()):
         self.cube_vars = cube_vars
         self.tope = tope
         self.typed_vars = typed_vars
@@ -564,7 +564,7 @@ class TriContext(Node):
     def bind_tope(self, t: Tope) -> "TriContext":
         return TriContext(self.cube_vars, tope_and(self.tope, t), self.typed_vars)
 
-    def bind_typed(self, name: str, ty: Optional[Expr]) -> "TriContext":
+    def bind_typed(self, name: str, ty: Expr) -> "TriContext":
         return TriContext(self.cube_vars, self.tope, self.typed_vars + ((name, ty),))
 
     def lookup_typed(self, name: str) -> Optional[Expr]:
@@ -572,9 +572,6 @@ class TriContext(Node):
             if n == name:
                 return t
         return None
-
-    def has_typed(self, name: str) -> bool:
-        return any(n == name for n, _ in self.typed_vars)
 
     def lookup_cube(self, name: str) -> Optional[CubeType]:
         for n, t in reversed(self.cube_vars):

@@ -21,13 +21,16 @@ from .tope import DEFAULT_FUEL
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 LEDGER_NAME = "axioms.ledger"
+# a UTF-8 byte-order mark is not part of the text; it is dropped after
+# decoding, so a decode error still gives its offset in the file
+BOM = "\ufeff"
 
 
 def read_ledger(path: Path) -> set[str]:
     names: set[str] = set()
     if not path.exists():
         return names
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in path.read_text(encoding="utf-8").removeprefix(BOM).splitlines():
         line = line.split("#", 1)[0].strip()
         if line:
             names.add(line)
@@ -118,7 +121,7 @@ def check_files(paths: list[Path], env: Optional[GlobalEnv] = None,
         report = FileReport(str(path))
         reports.append(report)
         try:
-            items = parse_file(path.read_text(encoding="utf-8"), str(path), env)
+            items = parse_file(path.read_text(encoding="utf-8").removeprefix(BOM), str(path), env)
         except UnicodeDecodeError as e:
             report.diagnostics.append(Diagnostic(
                 "parse", f"the file is not valid UTF-8: {e.reason} (byte {e.start})"))

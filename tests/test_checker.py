@@ -7,7 +7,6 @@ from sstt.core import (
     Ann,
     App,
     Const,
-    CubeLit,
     Ext,
     ExtApp,
     Fst,
@@ -202,8 +201,8 @@ def test_equal_under_inconsistent_context(checker):
 def test_equal_points_of_different_cubes_are_unequal(checker):
     square = ProdCube(INTERVAL, INTERVAL)
     ctx = TriContext().bind_cube("p", square)
-    assert not checker.equal(ctx, Var("p"), CubeLit(CZERO))
-    assert not checker.equal(ctx, CubeLit(CZERO), Var("p"))
+    assert not checker._points_equal(ctx, CVar("p"), CZERO)
+    assert not checker._points_equal(ctx, CZERO, CVar("p"))
 
 
 def test_equal_splits_on_context_disjunction(checker, corpus_env):
@@ -237,9 +236,35 @@ def test_equal_settles_alpha_equal_terms_at_once(checker, corpus_env, monkeypatc
     calls = []
     _count_calls(monkeypatch, sstt.checker, "entails", calls)
     _count_calls(monkeypatch, Checker, "whnf", calls)
-    assert checker.equal(ctx, a, b)
     assert checker.equal(ctx, a, b, Pi("u", UnitType(), UnitType()))
     assert calls == []
+
+
+_A = Var("A")
+
+
+@pytest.mark.parametrize("ty, calls_per_level", [
+    (_A, 1),
+    # eta at a Pi or Sigma type extends both spines alike, so it is tried on
+    # two fresh variables of the type, not on the spines again
+    (Pi("z", _A, _A), 2),
+    (Sigma("z", _A, _A), 2),
+], ids=["base", "pi", "sigma"])
+def test_equal_compares_differing_nested_spines_once(checker, monkeypatch, ty, calls_per_level):
+    # F (F (... f)) against F (F (... g)) with F : ty -> ty: the heads are
+    # variables, so the spines are not compared again after unfolding or
+    # under eta, and the calls grow linearly with the depth
+    ctx = (TriContext().bind_typed("A", U()).bind_typed("F", Pi("w", ty, ty))
+           .bind_typed("f", ty).bind_typed("g", ty))
+    for depth in (8, 16):
+        a, b = Var("f"), Var("g")
+        for _ in range(depth):
+            a, b = App(Var("F"), a), App(Var("F"), b)
+        calls = []
+        _count_calls(monkeypatch, Checker, "equal", calls)
+        assert not checker.equal(ctx, a, b, ty)
+        monkeypatch.undo()
+        assert len(calls) == calls_per_level * (depth + 1)
 
 
 def test_check_compares_types_as_written(checker, corpus_env, monkeypatch):
@@ -391,13 +416,13 @@ def test_diagnostic_rejects_unknown_kind():
 # -- equality rules that neither corpus reaches
 
 def _cube_ctx(*topes):
-    """Cube variables t and s, typed ones A : U and a, b : A, and a path
-    variable p of no known type, under the conjunction of ``topes``."""
+    """Cube variables t and s, typed ones A : U and a, b : A, and
+    p : (x : A) -> Id A x x, under the conjunction of ``topes``."""
     ctx = TriContext().bind_cube("t", INTERVAL).bind_cube("s", INTERVAL)
     for tope in topes:
         ctx = ctx.bind_tope(tope)
     return (ctx.bind_typed("A", U()).bind_typed("a", Var("A")).bind_typed("b", Var("A"))
-            .bind_typed("p", None))
+            .bind_typed("p", Pi("x", Var("A"), IdT(Var("A"), Var("x"), Var("x")))))
 
 
 def test_equal_extension_types_compare_shapes_and_boundaries():
@@ -419,12 +444,14 @@ def test_equal_extension_types_compare_shapes_and_boundaries():
     assert not checker.equal(ctx, ext(at0), ext(TOP), U())
 
 
-def test_equal_lambdas_with_no_type_compare_their_bodies():
+def test_equal_lambdas_in_pairs_compare_their_bodies():
+    # binders of different names, and a redex in one body
     x, y, z = Var("x"), Var("y"), Var("z")
     checker, ctx = Checker(GlobalEnv()), _cube_ctx()
+    ty = Sigma("f", Pi("x", Var("A"), Var("A")), Var("A"))
     redex = Pair(Lam("x", App(Lam("z", z), x)), Var("a"))
-    assert checker.equal(ctx, redex, Pair(Lam("y", y), Var("a")))
-    assert not checker.equal(ctx, redex, Pair(Lam("y", Var("b")), Var("a")))
+    assert checker.equal(ctx, redex, Pair(Lam("y", y), Var("a")), ty)
+    assert not checker.equal(ctx, redex, Pair(Lam("y", Var("b")), Var("a")), ty)
 
 
 def test_equal_stuck_case_split_compares_each_branch():
@@ -441,9 +468,8 @@ def test_equal_stuck_case_split_compares_each_branch():
     assert not checker.equal(ctx, Var("a"), a_or_b, Var("A"))
 
 
-def _stuck_j(base, path):
-    motive = Lam("u", Lam("v", Lam("q", Var("A"))))
-    return J(motive, base, path)
+def _stuck_j(base, path, fam=Var("A")):
+    return J(Lam("u", Lam("v", Lam("q", fam))), base, path)
 
 
 def test_equal_stuck_j_compares_motive_base_and_path():
@@ -453,15 +479,50 @@ def test_equal_stuck_j_compares_motive_base_and_path():
     ident = Lam("z", Var("z"))
     base, base2 = Lam("u", Var("a")), Lam("w", App(ident, Var("a")))
     path, path2 = App(Var("p"), Var("a")), App(Var("p"), App(ident, Var("a")))
-    assert checker.equal(ctx, _stuck_j(base, path), _stuck_j(base2, path2))
-    assert not checker.equal(ctx, _stuck_j(base, path), _stuck_j(Lam("u", Var("b")), path))
-    assert not checker.equal(ctx, _stuck_j(base, path), _stuck_j(base, App(Var("p"), Var("b"))))
+    a_ty = Var("A")
+    assert checker.equal(ctx, _stuck_j(base, path), _stuck_j(base2, path2), a_ty)
+    assert not checker.equal(ctx, _stuck_j(base, path), _stuck_j(Lam("u", Var("b")), path), a_ty)
+    assert not checker.equal(
+        ctx, _stuck_j(base, path), _stuck_j(base, App(Var("p"), Var("b"))), a_ty)
 
 
 def test_equal_stuck_extension_applications_compare_points_under_the_tope():
-    # a stuck J applied at t and at s: the same under t === s only
+    # a stuck J, whose motive's value is an extension type over 2 into A,
+    # applied at t and at s: the same under t === s only
     t, s = CVar("t"), CVar("s")
-    j = _stuck_j(Lam("u", Var("a")), Var("p"))
+    fam = Ext("r", INTERVAL, TOP, Var("A"), BOT, TopeCase(()))
+    j = _stuck_j(Lam("u", Lam("r", Var("a"))), App(Var("p"), Var("a")), fam)
     checker = Checker(GlobalEnv())
-    assert checker.equal(_cube_ctx(TEq(t, s)), ExtApp(j, t), ExtApp(j, s))
-    assert not checker.equal(_cube_ctx(), ExtApp(j, t), ExtApp(j, s))
+    assert checker.equal(_cube_ctx(TEq(t, s)), ExtApp(j, t), ExtApp(j, s), Var("A"))
+    assert not checker.equal(_cube_ctx(), ExtApp(j, t), ExtApp(j, s), Var("A"))
+
+
+# Three true equations that conversion refused while it compared neutral
+# heads before eta, and renamed a lambda's binder in term position only.
+ETA_BEFORE_HEADS = {
+    "stuck-j-of-lambdas": r"""
+shape D1 := {t : 2 | TOP}
+def idf (A : U) (a : A) : A := a
+def ok (A : U) (x : A) (y : A) (p : Id A x y) (B : U) (b : B) (f : D1 -> A)
+  : Id B (J (\u. \v. \q. (D1 -> A) -> B) (\u. \g. b) p (\t. f t))
+         (J (\u. \v. \q. (D1 -> A) -> B) (\u. \g. b) p (\s. idf A (f s))) := refl
+""",
+    "unit-valued-spines": r"""
+def ok (f : Unit -> Unit) (g : Unit -> Unit) : Id Unit (f star) (g star) := refl
+""",
+    "extension-valued-spines": r"""
+shape dD1 := {t : 2 | (t === 0) \/ (t === 1)}
+def E (A : U) (a : A) (b : A) : U := <Pi (t : dD1) -> A [ t === 0 |-> a | t === 1 |-> b ]>
+def ok (A : U) (a : A) (b : A) (h : Unit -> E A a b) (k : Unit -> E A a b)
+  : Id (E A a b) (h star) (k star) := refl
+""",
+}
+
+
+@pytest.mark.parametrize("src", ETA_BEFORE_HEADS.values(), ids=ETA_BEFORE_HEADS.keys())
+def test_eta_at_the_type_decides_before_neutral_heads(src):
+    env = GlobalEnv()
+    checker = Checker(env)
+    for d in elaborate_toplevels(parse_file(src, "eta.sstt", env), env):
+        env.decls[d.name] = checker.check_decl(d)
+    assert "ok" in env.decls

@@ -167,6 +167,24 @@ def test_corpus_undecodable_ledger_is_an_input_error(capsys, tmp_path):
     assert "not valid UTF-8: invalid start byte (byte 3)" in capsys.readouterr().err
 
 
+def test_a_byte_order_mark_is_not_part_of_a_ledger(capsys, tmp_path):
+    (tmp_path / "axioms.ledger").write_bytes("ax\n".encode("utf-8-sig"))
+    (tmp_path / "01-ax.sstt").write_text("postulate ax (A : U) : A\n")
+    assert main(["--machine", "corpus", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["ledger"] == ["ax"]
+    # a decode error still gives its offset in the file, mark included
+    (tmp_path / "axioms.ledger").write_bytes("ax\n".encode("utf-8-sig") + b"\xff\n")
+    assert main(["corpus", str(tmp_path)]) == 2
+    assert "invalid start byte (byte 6)" in capsys.readouterr().err
+
+
+def test_a_byte_order_mark_is_not_part_of_a_source(capsys, tmp_path):
+    src = tmp_path / "bom.sstt"
+    src.write_bytes("def f (A : U) (a : A) : A := a\n".encode("utf-8-sig"))
+    assert main(["--machine", "check", str(src)]) == 0
+    assert json.loads(capsys.readouterr().out)["files"][0]["decls"] == ["f"]
+
+
 def test_a_directory_named_like_a_source_file_is_not_read(capsys, tmp_path):
     # only regular files are sources, for `corpus` and for the siblings
     # that `check` loads first
