@@ -89,7 +89,6 @@ from .core import (
     Span,
     Subst,
     TopeCase,
-    TopeParam,
     TriContext,
     TypedParam,
     U,
@@ -866,10 +865,8 @@ class Checker:
         tele = []
         for p in decl.telescope:
             match p:
-                case CubeParam(name, cube):
-                    ctx = ctx.bind_cube(name, cube)
-                case TopeParam(t):
-                    ctx = ctx.bind_tope(t)
+                case CubeParam(name, cube, tope):
+                    ctx = ctx.bind_cube(name, cube).bind_tope(tope)
                 case TypedParam(name, ty):
                     te = self.check(ctx, ty, UNIVERSE)
                     ctx = ctx.bind_typed(name, te)

@@ -5,7 +5,10 @@ Subcommands:
 ``sstt check FILE...``
     Type-check source files.  Files in the same directory whose names sort
     earlier are loaded first as dependencies, so a library split across
-    numbered files works without an explicit import list.
+    numbered files works without an explicit import list.  Every file is
+    checked: one that fails is listed, and its failed declaration and the
+    rest of it are unbound in the files after it.  The verdict and exit
+    status cover only the named files.
 
 ``sstt corpus [DIR]``
     Check the bundled formal library (or another directory laid out the
@@ -101,27 +104,16 @@ def cmd_check(args) -> int:
             return _input_error(args, f"not a file: {p}")
     ordered, wanted = _with_siblings(paths)
     reports, _ = check_files(ordered, fuel=args.fuel)
-    ok = all(r.ok for r in reports)
-    # checking stops at the first failure, so requested files after it are
-    # reported as not checked, naming the file that failed
-    unreached = [str(p) for p in ordered[len(reports):] if p in wanted]
+    # a failing sibling is listed, but only the requested files decide
+    ok = all(r.ok for r in reports if Path(r.path) in wanted)
     if args.machine:
         payload = {
             "ok": ok,
-            "files": [
-                {**r.to_json(), "requested": Path(r.path).resolve() in wanted}
-                for r in reports
-            ] + [
-                {**FileReport(p).to_json(), "requested": True,
-                 "not_checked": reports[-1].path}
-                for p in unreached
-            ],
+            "files": [{**r.to_json(), "requested": Path(r.path) in wanted} for r in reports],
         }
         print(_machine_dump(payload))
         return 0 if ok else 1
     _print_reports(style, reports, str)
-    for p in unreached:
-        print(f"{style.bad('not checked')} {p}: {reports[-1].path} failed first")
     return 0 if ok else 1
 
 

@@ -594,18 +594,17 @@ class DeclTag(Enum):
 
 
 class CubeParam(Node):
-    __slots__ = __match_args__ = ("name", "cube", "span")
+    """A cube parameter and the conjunction of the tope parameters that
+    restrict it (``TOP`` if none)."""
 
-
-class TopeParam(Node):
-    __slots__ = __match_args__ = ("tope", "span")
+    __slots__ = __match_args__ = ("name", "cube", "tope", "span")
 
 
 class TypedParam(Node):
     __slots__ = __match_args__ = ("name", "ty", "span")
 
 
-TeleParam = Union[CubeParam, TopeParam, TypedParam]
+TeleParam = Union[CubeParam, TypedParam]
 
 
 class Decl(Node):
@@ -635,20 +634,14 @@ def fold_telescope(telescope: tuple[TeleParam, ...], inner_ty: Expr,
                    inner_body: Optional[Expr]) -> tuple[Expr, Optional[Expr]]:
     """Fold a telescope into a single type (and body), from the inside out:
     typed parameters become Pi/lambda, and a cube parameter becomes an
-    extension type with an empty boundary over the sub-shape that the tope
-    parameters after it carve (in layer order, all of them carve the last
-    cube parameter)."""
+    extension type with an empty boundary over the sub-shape its tope
+    carves."""
     ty, body = inner_ty, inner_body
-    topes: list[Tope] = []  # the tope parameters after the cube parameter next met, reversed
     for p in reversed(telescope):
-        if isinstance(p, TopeParam):
-            topes.append(p.tope)
-            continue
         if isinstance(p, TypedParam):
             ty = Pi(p.name, p.ty, ty)
         else:
-            ty = Ext(p.name, p.cube, tope_and(*reversed(topes)), ty, BOT, TopeCase(()))
-            topes = []
+            ty = Ext(p.name, p.cube, p.tope, ty, BOT, TopeCase(()))
         if body is not None:
             body = Lam(p.name, body)
     return ty, body

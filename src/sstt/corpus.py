@@ -93,35 +93,34 @@ class CorpusResult:
         }
 
 
-def _too_deep(stage: str, decl: Optional[str] = None) -> Diagnostic:
-    return Diagnostic(
-        "too-deep",
-        f"the input is nested too deeply to {stage}; "
-        "split the expression into smaller definitions", decl)
-
-
-def _internal(stage: str, err: Exception, decl: Optional[str] = None) -> Diagnostic:
-    return Diagnostic(
-        "internal", f"internal error while {stage}: {type(err).__name__}: {err}", decl)
-
-
 def check_files(paths: list[Path], env: Optional[GlobalEnv] = None,
                 fuel: int = DEFAULT_FUEL,
                 ledger: Optional[set[str]] = None) -> tuple[list[FileReport], GlobalEnv]:
-    """Parse and check the given files in order, adding each declaration
-    to one environment once it checks.  Stops at the first diagnostic, since
-    later declarations may depend on a failed one.  A file that cannot be
-    read or decoded is reported as ``parse``, input nested past Python's
-    recursion limit as ``too-deep``, and any other exception as
-    ``internal``."""
+    """Parse and check each of the given files in order, adding each
+    declaration to one environment once it checks.  A file stops at its
+    first diagnostic; the next is checked against what has checked so far,
+    so a declaration that failed, and the rest of its file, are unbound
+    there.  A file that cannot be read or decoded is reported as ``parse``,
+    input nested past Python's recursion limit as ``too-deep``, and any
+    other exception as ``internal``."""
     env = env if env is not None else GlobalEnv()
     reports: list[FileReport] = []
     checker = Checker(env, fuel=fuel)
     for path in paths:
         report = FileReport(str(path))
         reports.append(report)
+        name: Optional[str] = None  # the declaration being checked, once parsed
         try:
             items = parse_file(path.read_text(encoding="utf-8").removeprefix(BOM), str(path), env)
+            for decl in elaborate_toplevels(items, env):
+                name = decl.name
+                if ledger is not None and decl.tag == DeclTag.AXIOM and name not in ledger:
+                    raise CheckError(Diagnostic(
+                        "unledgered-axiom", f"the postulate {name!r} is not in the axiom ledger",
+                        name, decl.span))
+                checked = checker.check_decl(decl)
+                env.decls[name] = checked
+                report.decls.append(checked)
         except UnicodeDecodeError as e:
             report.diagnostics.append(Diagnostic(
                 "parse", f"the file is not valid UTF-8: {e.reason} (byte {e.start})"))
@@ -133,41 +132,18 @@ def check_files(paths: list[Path], env: Optional[GlobalEnv] = None,
                 Diagnostic("parse", e.message + f" (line {e.line}, column {e.col})"))
         except ScopeError as e:
             report.diagnostics.append(Diagnostic("scope", e.message, span=e.span))
-        except RecursionError:
-            report.diagnostics.append(_too_deep("parse"))
-        except Exception as e:
-            report.diagnostics.append(_internal("parsing", e))
-        else:
-            _check_decls(checker, elaborate_toplevels(items, env), ledger, report, env)
-        if report.diagnostics:
-            break
-    return reports, env
-
-
-def _check_decls(checker: Checker, decls: list[Decl], ledger: Optional[set[str]],
-                 report: FileReport, env: GlobalEnv) -> None:
-    """Check parsed declarations in order, up to the first failure."""
-    for d in decls:
-        if (ledger is not None and d.tag == DeclTag.AXIOM
-                and d.name not in ledger):
-            report.diagnostics.append(Diagnostic(
-                "unledgered-axiom",
-                f"the postulate {d.name!r} is not in the axiom ledger",
-                d.name, d.span))
-            return
-        try:
-            checked = checker.check_decl(d)
         except CheckError as e:
             report.diagnostics.append(e.diagnostic)
-            return
         except RecursionError:
-            report.diagnostics.append(_too_deep("check", d.name))
-            return
+            report.diagnostics.append(Diagnostic(
+                "too-deep",
+                f"the input is nested too deeply to {'parse' if name is None else 'check'}; "
+                "split the expression into smaller definitions", name))
         except Exception as e:
-            report.diagnostics.append(_internal(f"checking {d.name!r}", e, d.name))
-            return
-        env.decls[d.name] = checked
-        report.decls.append(checked)
+            stage = "parsing" if name is None else f"checking {name!r}"
+            report.diagnostics.append(Diagnostic(
+                "internal", f"internal error while {stage}: {type(e).__name__}: {e}", name))
+    return reports, env
 
 
 def load_corpus(directory: Optional[Path] = None,

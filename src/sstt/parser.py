@@ -81,7 +81,6 @@ from .core import (
     Span,
     TeleParam,
     TopeCase,
-    TopeParam,
     TypedParam,
     U,
     UnitPoint,
@@ -109,7 +108,8 @@ from .cube import (
 )
 from .scope import GlobalEnv, ScopeError
 from .tope import (
-    BOT, TOP, Sequent, Shape, TAnd, TEq, TLe, TOr, Tope, TopeError, normalize_tope, tope_or,
+    BOT, TOP, Sequent, Shape, TAnd, TEq, TLe, TOr, Tope, TopeError, normalize_tope, tope_and,
+    tope_or,
 )
 
 
@@ -451,7 +451,8 @@ class Parser:
     def parse_telescope(self) -> tuple[TeleParam, ...]:
         """Cube parameters, then tope parameters, then typed parameters; the
         names of a group ``(x y : A)`` share one type, read before any of
-        them is bound."""
+        them is bound.  In layer order every tope parameter restricts the
+        last cube parameter, so it is conjoined onto that one's tope."""
         params: list[TeleParam] = []
         cube_ctx: dict[str, CubeType] = {}
         phase = 0  # 0: cube params, 1: tope params, 2: typed params
@@ -467,7 +468,9 @@ class Parser:
                     raise ScopeError("a tope parameter needs a cube parameter in scope", span)
                 phase = 1
                 _check_tope(cube_ctx, tope, span)
-                params.append(TopeParam(tope, span=span))
+                last = params[-1]
+                params[-1] = CubeParam(last.name, last.cube, tope_and(last.tope, tope),
+                                       span=last.span)
                 continue
             names = [self.expect("ident")[1]]
             while self.at("ident"):
@@ -483,7 +486,7 @@ class Parser:
                 for n in names:
                     self.declare(n, "cube", span)
                     cube_ctx[n] = cube
-                    params.append(CubeParam(n, cube, span=span))
+                    params.append(CubeParam(n, cube, TOP, span=span))
             else:
                 ty = self.parse_expr()
                 self.expect(")")
@@ -793,8 +796,9 @@ class Parser:
         self.expect("->")
         saved = self.bind(var, "cube")
         family = self.parse_sigma_op()
-        self.expect("[")
+        bracket = self.expect("[")
         branches = self.parse_branches()
+        cases = self.span_from(bracket)
         self.scope = saved
         self.expect(">")
         if not branches:
@@ -802,7 +806,7 @@ class Parser:
         elif len(branches) == 1:
             phi, bd = branches[0]
         else:
-            phi, bd = tope_or(*(t for t, _ in branches)), TopeCase(branches)
+            phi, bd = tope_or(*(t for t, _ in branches)), TopeCase(branches, span=cases)
         return Ext(var, *shape, family, phi, bd, span=self.span_from(start))
 
     def parse_branches(self) -> tuple[tuple[Tope, Expr], ...]:

@@ -7,7 +7,7 @@ import pytest
 
 import sstt
 from sstt.checker import Checker
-from sstt.core import CubeParam, TopeParam, TriContext, TypedParam
+from sstt.core import CubeParam, TriContext, TypedParam
 from sstt.corpus import CORPUS_DIR, LEDGER_NAME, load_corpus, read_ledger
 
 NEGATIVE_DIR = Path(__file__).parent / "negative"
@@ -45,10 +45,8 @@ def telescope_context(checker: Checker, decl) -> TriContext:
     ctx = TriContext()
     for p in decl.telescope:
         match p:
-            case CubeParam(name, cube):
-                ctx = ctx.bind_cube(name, cube)
-            case TopeParam(t):
-                ctx = ctx.bind_tope(t)
+            case CubeParam(name, cube, tope):
+                ctx = ctx.bind_cube(name, cube).bind_tope(tope)
             case TypedParam(name, ty):
                 ctx = ctx.bind_typed(name, ty)
     return ctx

@@ -10,7 +10,6 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import NEGATIVE_DIR
 from sstt.cli import main
 from sstt.corpus import CORPUS_DIR
 from sstt.parser import lex, parse_sequent_source
@@ -155,10 +154,11 @@ def test_unreadable_file_is_a_parse_diagnostic(capsys, monkeypatch, tmp_path, co
     monkeypatch.setattr(pathlib.Path, "read_text", refuse)
     assert main(["--machine", command, str(tmp_path / name)]) == 1
     files = json.loads(capsys.readouterr().out)["files"]
-    assert [d for f in files for d in f["diagnostics"]] == [
+    assert files[0]["diagnostics"] == [
         {"kind": "parse", "message": "the file cannot be read: Permission denied"}]
-    if name == "02-b.sstt":
-        assert files[-1]["not_checked"] == str(unreadable.resolve())
+    # 02-b is checked all the same, and a, which never checked, is unbound there
+    assert [d["message"] for f in files[1:] for d in f["diagnostics"]] == (
+        [] if name == "01-a.sstt" else ["unbound name 'a'"])
 
 
 def test_corpus_undecodable_ledger_is_an_input_error(capsys, tmp_path):
@@ -307,19 +307,59 @@ def test_parse_error_after_trailing_comment_points_at_end_of_input(capsys, tmp_p
                       "message": "expected an expression (line 1, column 42)"}]
 
 
-def test_check_reports_requested_file_never_reached(capsys):
-    # checking stops at the failing sibling 01, which 07 does not need
-    target = NEGATIVE_DIR / "07-tope-unsolved.sstt"
-    failed = str((NEGATIVE_DIR / "01-unbound-var.sstt").resolve())
-    code = main(["--machine", "check", str(target)])
-    files = json.loads(capsys.readouterr().out)["files"]
-    assert code == 1
-    assert [f["path"] for f in files] == [failed, str(target.resolve())]
-    assert files[-1] == {"path": str(target.resolve()), "requested": True, "decls": [],
-                         "diagnostics": [], "not_checked": failed}
-    assert main(["--no-color", "check", str(target)]) == 1
+def _with_broken_sibling(tmp_path, source):
+    """A sibling 01 whose one declaration fails, and 02 with ``source``."""
+    (tmp_path / "01-broken.sstt").write_text("def bad : U := star\n")
+    target = tmp_path / "02-target.sstt"
+    target.write_text(source)
+    return (tmp_path / "01-broken.sstt").resolve(), target.resolve()
+
+
+def test_check_lists_a_failing_sibling_without_blocking_the_file(capsys, tmp_path):
+    broken, target = _with_broken_sibling(tmp_path, "def fine (A : U) (x : A) : A := x\n")
+    assert main(["--machine", "check", str(target)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is True
+    (sibling, checked) = payload["files"]
+    assert sibling["path"] == str(broken) and sibling["requested"] is False
+    assert [d["kind"] for d in sibling["diagnostics"]] == ["type-mismatch"]
+    assert checked == {"path": str(target), "requested": True, "decls": ["fine"],
+                       "diagnostics": []}
+    assert main(["--no-color", "check", str(target)]) == 0
     out = capsys.readouterr().out
-    assert f"not checked {target.resolve()}: {failed} failed first" in out
+    assert f"FAIL {broken} (0 declarations)" in out
+    assert f"ok {target} (1 declarations)" in out
+
+
+def test_check_of_a_file_using_a_failed_sibling_declaration(capsys, tmp_path):
+    _, target = _with_broken_sibling(tmp_path, "def use : U := bad\n")
+    assert main(["--machine", "check", str(target)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is False
+    assert [(d["kind"], d["message"]) for d in payload["files"][-1]["diagnostics"]] == [
+        ("scope", "unbound name 'bad'")]
+
+
+def test_check_next_to_a_broken_copy_of_the_corpus(capsys, tmp_path):
+    library = tmp_path / "corpus"
+    shutil.copytree(CORPUS_DIR, library)
+    (library / "00a-broken.sstt").write_text("def broken : U := star\n")
+    assert main(["--machine", "check", str(library / "13-spaces.sstt")]) == 0
+    files = json.loads(capsys.readouterr().out)["files"]
+    assert [f["path"] for f in files if f["diagnostics"]] == [
+        str((library / "00a-broken.sstt").resolve())]
+    assert files[-1]["requested"] is True and files[-1]["decls"]
+
+
+def test_corpus_lists_every_file_after_a_failing_first(capsys, tmp_path):
+    (tmp_path / "01-broken.sstt").write_text("def bad : U := star\n")
+    (tmp_path / "02-uses.sstt").write_text("def use : U := bad\n")
+    (tmp_path / "03-alone.sstt").write_text("def fine (A : U) (x : A) : A := x\n")
+    assert main(["--machine", "corpus", str(tmp_path)]) == 1
+    files = json.loads(capsys.readouterr().out)["files"]
+    assert [(pathlib.Path(f["path"]).name, [d["kind"] for d in f["diagnostics"]])
+            for f in files] == [("01-broken.sstt", ["type-mismatch"]),
+                                ("02-uses.sstt", ["scope"]), ("03-alone.sstt", [])]
 
 
 def test_no_color_env(monkeypatch, capsys):

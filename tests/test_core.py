@@ -24,7 +24,6 @@ from sstt.core import (
     Snd,
     Subst,
     TopeCase,
-    TopeParam,
     TypedParam,
     Var,
     alpha_eq,
@@ -38,7 +37,7 @@ from sstt.core import (
 )
 from sstt.cube import INTERVAL, CONE, CZERO, CFst, CPair, CSnd, CStar, CVar, Node, display_name
 from sstt.scope import GlobalEnv
-from sstt.tope import TAnd, TBot, TEq, TLe, TOr, TTop
+from sstt.tope import BOT, TAnd, TBot, TEq, TLe, TOr, TTop
 
 
 def test_alpha_eq_binders():
@@ -140,10 +139,10 @@ def test_fold_telescope_typed():
 
 
 def test_fold_telescope_cube_becomes_extension():
-    tele = (CubeParam("t", INTERVAL), TopeParam(TLe(CVar("t"), CONE)))
+    tele = (CubeParam("t", INTERVAL, TLe(CVar("t"), CONE)),)
     ty, body = fold_telescope(tele, U(), U())
-    assert isinstance(ty, Ext)
-    assert isinstance(body, Lam)
+    assert ty == Ext("t", INTERVAL, TLe(CVar("t"), CONE), U(), BOT, TopeCase(()))
+    assert body == Lam("t", U())
 
 
 # -- the node contract: equality and hash by field, span aside
@@ -425,7 +424,7 @@ def test_alpha_eq_settles_identical_sides_under_binders_of_one_name():
     # the walker has no case for a telescope parameter, so only the fast
     # path settles it: a binder pair of one name leaves the maps empty and
     # the path open
-    opaque = TopeParam(TTop())
+    opaque = CubeParam("t", INTERVAL, TTop())
     a = Pi("x", Lam("y", Var("y")), App(Var("x"), opaque))
     assert alpha_eq(a, Pi("x", Lam("z", Var("z")), App(Var("x"), opaque)))
     assert not alpha_eq(a, Pi("w", Lam("y", Var("y")), App(Var("w"), opaque)))

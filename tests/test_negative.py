@@ -93,6 +93,38 @@ def test_checker_fault_is_an_internal_diagnostic(corpus, ledger, tmp_path, monke
     assert "ZeroDivisionError" in diag.message and "'f'" in diag.message
 
 
+TOO_DEEP = "the input is nested too deeply to {}; split the expression into smaller definitions"
+
+
+@pytest.mark.parametrize("stage,error,kind,message,decl", [
+    ("parse", RecursionError, "too-deep", TOO_DEEP.format("parse"), None),
+    ("check", RecursionError, "too-deep", TOO_DEEP.format("check"), "f"),
+    ("parse", ZeroDivisionError, "internal",
+     "internal error while parsing: ZeroDivisionError: injected", None),
+    ("check", ZeroDivisionError, "internal",
+     "internal error while checking 'f': ZeroDivisionError: injected", "f"),
+], ids=["parse-too-deep", "check-too-deep", "parse-internal", "check-internal"])
+def test_a_fault_is_worded_by_the_stage_it_met(tmp_path, monkeypatch, stage, error, kind,
+                                               message, decl):
+    # while a file is read and parsed no declaration is being checked, so
+    # the diagnostic names none and says it was parsing
+    from sstt.checker import Checker
+
+    def broken(*args):
+        raise error("injected")
+
+    if stage == "parse":
+        monkeypatch.setattr("sstt.corpus.parse_file", broken)
+    else:
+        monkeypatch.setattr(Checker, "check_decl", broken)
+    path = tmp_path / "fault.sstt"
+    path.write_text("def f (A : U) (x : A) : A := x\n")
+    reports, env = check_files([path])
+    assert [(d.kind, d.message, d.decl, d.span) for d in reports[0].diagnostics] == [
+        (kind, message, decl, None)]
+    assert "f" not in env.decls
+
+
 @pytest.mark.parametrize("source", [
     "def f (t : 2) (A : U) (a : A) : A := [t === 0 |-> a | t === 1 |-> a]\n",
     # the context is asked about only to compare terms that are not alpha-equal
@@ -152,3 +184,11 @@ def test_scope_errors_come_in_reading_order(corpus, ledger, tmp_path):
     diag, env = _first(corpus, ledger, path)
     assert (diag.kind, diag.message) == ("scope", "unbound name 'B'")
     assert "f" not in env.decls
+
+
+def test_the_case_split_of_a_boundary_is_spanned_by_its_brackets(corpus, ledger):
+    path = NEGATIVE_DIR / "20-overlap-disagree.sstt"
+    diags, _ = _check(corpus, ledger, path)
+    assert diags[0].kind == "boundary"
+    start, end = diags[0].span
+    assert path.read_text(encoding="utf-8")[start:end] == "[ t === 0 |-> x | t <= t |-> y ]"

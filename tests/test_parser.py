@@ -22,7 +22,6 @@ from sstt.core import (
     Sigma,
     Snd,
     TopeCase,
-    TopeParam,
     TriContext,
     TypedParam,
     Var,
@@ -271,7 +270,7 @@ def test_parenthesized_binder_not_followed_by_arrow_is_an_annotation():
 def test_cube_parameter_against_typed_parameter():
     (decl,) = parse_file("def f (p : 2 * 2) (A : U) (x y : A) : U := A\n")
     assert decl.telescope == (
-        CubeParam("p", ProdCube(INTERVAL, INTERVAL)),
+        CubeParam("p", ProdCube(INTERVAL, INTERVAL), TOP),
         TypedParam("A", U()),
         TypedParam("x", Var("A")),
         TypedParam("y", Var("A")),
@@ -290,8 +289,10 @@ def test_shape_application_against_relation():
     (decl,) = elaborate_toplevels(parse_file(
         PRELUDE + "def f (t s : 2) {Delta2 (t, s) /\\ t <= s} : U := U\n"), env)
     ts = CPair(CVar("t"), CVar("s"))
-    assert decl.telescope[2] == TopeParam(
-        TAnd(TLe(CSnd(ts), CFst(ts)), TLe(CVar("t"), CVar("s"))))
+    # the tope parameter restricts the last cube parameter
+    assert decl.telescope == (
+        CubeParam("t", INTERVAL, TOP),
+        CubeParam("s", INTERVAL, TAnd(TLe(CSnd(ts), CFst(ts)), TLe(CVar("t"), CVar("s")))))
 
 
 def test_bound_name_in_tope_starts_a_relation():
